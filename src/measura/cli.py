@@ -2,14 +2,16 @@
 
 One process runs one command, selected with --command; results are written as
 CSV (header row, 17-significant-digit decimals) or JSON ({config, rows,
-verdicts, meta}).  Identical configurations, including the seed, reproduce
-identical output bytes in single-worker mode; wall-clock time is kept on the
-in-memory result only, never in the emitted file.
+verdicts, meta}).  Each flag sets the ExperimentConfig field of the same name
+and takes its default from it.  Identical configurations, including the seed,
+reproduce identical output bytes; wall-clock time is kept on the in-memory
+result only, never in the emitted file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -38,7 +40,7 @@ from .levy import (
     recover_b,
     recover_b_measure,
 )
-from .measures import AtomicMeasure, integrate, prohorov_distance, prohorov_distance_bruteforce, weak_sharp_report
+from .measures import AtomicMeasure, prohorov_distance, prohorov_distance_bruteforce, weak_sharp_report
 
 COMMAND_HELP = {
     "levy-recover": "Levy-Khintchine triple recovery: drift and covariance from a synthetic characteristic exponent.",
@@ -66,12 +68,9 @@ class ExperimentConfig:
     dt: float = 1e-4
     n_paths: int = 100_000
     m_max: float = 1e3
-    dim: int = 2
-    max_p: int = 5
     tol: float = 1e-2
     out: str | None = None
     format: str = "csv"
-    workers: int = 1
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -90,24 +89,15 @@ class ExperimentConfig:
         ):
             if not value > low:
                 raise UsageError(f"{name}: must be positive")
-        for name, value in (("n-paths", self.n_paths), ("dim", self.dim), ("max-p", self.max_p), ("workers", self.workers)):
-            if value < 1:
-                raise UsageError(f"{name}: must be at least 1")
+        if self.n_paths < 1:
+            raise UsageError("n-paths: must be at least 1")
+        if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
+            raise UsageError(f"out: directory of {self.out!r} does not exist")
 
     def echo(self) -> dict:
-        return {
-            "command": self.command,
-            "seed": self.seed,
-            "eps": self.eps,
-            "dt": self.dt,
-            "n_paths": self.n_paths,
-            "m_max": self.m_max,
-            "dim": self.dim,
-            "max_p": self.max_p,
-            "tol": self.tol,
-            "format": self.format,
-            "workers": self.workers,
-        }
+        doc = dataclasses.asdict(self)
+        del doc["out"]
+        return doc
 
 
 @dataclass
@@ -172,14 +162,12 @@ def _run_random_measure(cfg: ExperimentConfig):
         AtomicMeasure.from_atoms(finite_ground_space(labels), [(nu1, 0.6), (nu2, 0.9)]),
     )
     rng = np.random.default_rng(0)
-    fam = f_phi_family(labels, [])
     worst_identity = 0.0
     for _ in range(200):
         phi_v, psi_v = rng.uniform(0, 2, (2, len(labels)))
         nu = AtomicMeasure.from_atoms(ground, [(e, w) for e, w in zip(labels, rng.uniform(0.1, 2, len(labels)))])
-        fp = 1 - math.exp(-integrate(nu, lambda e: phi_v[labels.index(e)]).real)
-        fq = 1 - math.exp(-integrate(nu, lambda e: psi_v[labels.index(e)]).real)
-        fpq = 1 - math.exp(-integrate(nu, lambda e: (phi_v + psi_v)[labels.index(e)]).real)
+        fam = f_phi_family(labels, [lambda e, v=v: v[labels.index(e)] for v in (phi_v, psi_v, phi_v + psi_v)])
+        fp, fq, fpq = (m(nu).real for m in fam)
         worst_identity = max(worst_identity, abs(fp * fq - (fp + fq - fpq)))
     schedule = [200.0, 400.0, 800.0, 1600.0]
     b_hat = recover_b_measure(lambda f: laplace_functional(law, f), labels, schedule)
@@ -192,7 +180,7 @@ def _run_random_measure(cfg: ExperimentConfig):
     rows.append({"label": "product-identity", "true_b": 0.0, "recovered_b": worst_identity,
                  "abs_err": worst_identity})
     ok_b = max(abs(truth[e] - recovered[e]) for e in labels) < 1e-3
-    return rows, {"product_identity_1e-12": worst_identity < 1e-12, "b_recovered_1e-3": ok_b, "family_size_ok": len(fam) == 0}
+    return rows, {"product_identity_1e-12": worst_identity < 1e-12, "b_recovered_1e-3": ok_b}
 
 
 def _run_excursion(cfg: ExperimentConfig):
@@ -202,7 +190,7 @@ def _run_excursion(cfg: ExperimentConfig):
         F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
         lhs, se = empirical_lhs(
             F, cfg.eps, cfg.n_paths, cfg.dt, horizon=t + 1.0,
-            seed=cfg.seed + i, workers=cfg.workers,
+            seed=cfg.seed + i,
         )
         target = math.sqrt(2.0 / (math.pi * t))
         rows.append({"t": t, "lhs": lhs, "se": se, "target": target, "ratio": lhs / target})
@@ -339,41 +327,23 @@ def build_parser() -> argparse.ArgumentParser:
         epilog="commands:\n" + "\n".join(f"  {c:<16} {h}" for c, h in COMMAND_HELP.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    defaults = ExperimentConfig
     parser.add_argument("--command", required=True, choices=COMMANDS, metavar="CMD",
                         help="experiment to run (see the list below)")
-    parser.add_argument("--seed", type=int, default=None, help="root seed; required for stochastic commands")
-    parser.add_argument("--eps", type=float, default=0.01, help="starting level for killed Brownian motion")
-    parser.add_argument("--dt", type=float, default=1e-4, help="simulation step")
-    parser.add_argument("--n-paths", type=int, default=100_000, help="Monte Carlo sample count / instance count")
-    parser.add_argument("--m-max", type=float, default=1e3, help="largest argument in limit schedules / degree budget")
-    parser.add_argument("--dim", type=int, default=2, help="ambient dimension where applicable")
-    parser.add_argument("--max-p", type=int, default=5, help="largest power-sum exponent")
-    parser.add_argument("--tol", type=float, default=1e-2, help="verdict tolerance")
-    parser.add_argument("--out", default=None, help="output path (default: <command>.<format>)")
-    parser.add_argument("--format", choices=FORMATS, default="csv")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker threads (default: MEASURA_WORKERS or 1)")
+    parser.add_argument("--seed", type=int, default=defaults.seed, help="root seed; required for stochastic commands")
+    parser.add_argument("--eps", type=float, default=defaults.eps, help="starting level for killed Brownian motion")
+    parser.add_argument("--dt", type=float, default=defaults.dt, help="simulation step")
+    parser.add_argument("--n-paths", type=int, default=defaults.n_paths, help="Monte Carlo sample count / instance count")
+    parser.add_argument("--m-max", type=float, default=defaults.m_max,
+                        help="largest argument in limit schedules / degree budget")
+    parser.add_argument("--tol", type=float, default=defaults.tol, help="verdict tolerance (read by levy-recover only)")
+    parser.add_argument("--out", default=defaults.out, help="output path (default: <command>.<format>)")
+    parser.add_argument("--format", choices=FORMATS, default=defaults.format)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("MEASURA_WORKERS", "1"))
-    return ExperimentConfig(
-        command=args.command,
-        seed=args.seed,
-        eps=args.eps,
-        dt=args.dt,
-        n_paths=args.n_paths,
-        m_max=args.m_max,
-        dim=args.dim,
-        max_p=args.max_p,
-        tol=args.tol,
-        out=args.out,
-        format=args.format,
-        workers=workers,
-    )
+    return ExperimentConfig(**vars(args))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -21,7 +21,6 @@ level a, l^a(r) = a (2 pi r^3)^(-1/2) exp(-a^2 / (2r)).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -126,7 +125,7 @@ def _mean_abs_clipped(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
-    """(∫ |e1 - e2| ^ 1 dt) ^ 1 + |1/zeta_1 - 1/zeta_2|.
+    """(∫ |e1 - e2| ∧ 1 dt) ∧ 1 + |1/zeta_1 - 1/zeta_2|.
 
     The integral is evaluated exactly for the piecewise-linear representation:
     the merged grid is refined at every crossing of the difference through 0
@@ -260,12 +259,11 @@ def empirical_lhs(
     dt: float,
     horizon: float,
     seed: int,
-    workers: int = 1,
 ) -> tuple[float, float]:
     """(1/eps) E_eps[F] by Monte Carlo over killed-Brownian paths.
 
-    Per-path RNG streams are derived from (seed, path index), so the estimate
-    is independent of how paths are partitioned across workers; returns
+    Path i draws from its own RNG stream, derived from (seed, i), so each
+    path's draws do not depend on how many paths run; returns
     (mean, standard error).
     """
     if n_paths < 100:
@@ -277,16 +275,7 @@ def empirical_lhs(
         values, absorbed = _simulate_values(rng, eps, dt, max_steps)
         return eval_functional(F, _as_path(values, dt, absorbed))
 
-    if workers <= 1:
-        vals = np.fromiter((one(i) for i in range(n_paths)), dtype=float, count=n_paths)
-    else:
-        bounds = np.linspace(0, n_paths, workers + 1).astype(int)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda ab: [one(i) for i in range(ab[0], ab[1])], zip(bounds[:-1], bounds[1:]))
-            )
-        vals = np.concatenate([np.asarray(p) for p in parts])
-    vals = vals / eps
+    vals = np.fromiter((one(i) for i in range(n_paths)), dtype=float, count=n_paths) / eps
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
 
 

@@ -79,13 +79,6 @@ class LevyTriple:
     def dim(self) -> int:
         return self.b.size
 
-    def quadratic_jump_moment(self) -> float:
-        """∫ (1 ∧ ||x||_inf^2) dmu, finite by construction for atom lists."""
-        total = 0.0
-        for p, w in self.mu.atoms:
-            total += w * min(1.0, float(np.max(np.abs(np.asarray(p, dtype=float)))) ** 2)
-        return total
-
     def compensator_moment(self, compensator: Callable = indicator_compensator) -> Vector:
         """∫ x h(x) dmu, the linear term the compensator injects into the exponent."""
         out = np.zeros(self.dim)

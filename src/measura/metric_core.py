@@ -110,7 +110,9 @@ def point_removal_metric(
     the removed point itself raises.
 
     ``reference_point`` must be a point of the punctured space; it defaults to
-    the base reference when that differs from ``removed``.
+    the base reference when that differs from ``removed``.  The label names
+    the removed point, so measures on spaces punctured at different points
+    are not compared.
     """
     if reference_point is None:
         reference_point = base.reference_point
@@ -126,13 +128,13 @@ def point_removal_metric(
             raise ValueError("removed point queried")
         return base.dist(y, z) + abs(1.0 / dy - 1.0 / dz)
 
-    return MetricStructure(dist, reference_point, f"{base.label} minus point")
+    return MetricStructure(dist, reference_point, f"{base.label} minus {removed!r}")
 
 
 def hilbert_cube_metric() -> MetricStructure:
     """Metric on finitely supported [0,1]-sequences with positive first coordinate.
 
-    r(x, y) = |1/x_1 - 1/y_1| + sum_{n>=1} 2^-n (|x_n - y_n| ^ 1).
+    r(x, y) = |1/x_1 - 1/y_1| + sum_{n>=1} 2^-n (|x_n - y_n| ∧ 1).
 
     Points are tuples; trailing zeros are implicit, so the series reduces to a
     finite sum plus an exactly-zero tail.  Bounded sets have first coordinates

@@ -51,15 +51,10 @@ class TestParser:
         assert "Prokhorov" in help_text
         assert "Stone-Weierstrass" in help_text
 
-    def test_workers_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("MEASURA_WORKERS", "3")
-        args = build_parser().parse_args(["--command", "fragmentation"])
-        assert config_from_args(args).workers == 3
-
-    def test_workers_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("MEASURA_WORKERS", "3")
-        args = build_parser().parse_args(["--command", "fragmentation", "--workers", "2"])
-        assert config_from_args(args).workers == 2
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_parsed_defaults_are_config_defaults(self, command):
+        args = build_parser().parse_args(["--command", command])
+        assert config_from_args(args) == ExperimentConfig(command=command)
 
 
 class TestEmit:
@@ -147,3 +142,13 @@ class TestMain:
         code = main(["--command", "fragmentation", "--out", out])
         assert code == 0 and os.path.exists(out)
         assert "PASS" in capsys.readouterr().out
+
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "frag.csv")
+        assert main(["--command", "fragmentation", "--out", out]) == 2
+        assert "out" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_workers_env_is_ignored(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("MEASURA_WORKERS", "abc")
+        assert main(["--command", "fragmentation", "--out", str(tmp_path / "frag.csv")]) == 0

@@ -228,9 +228,7 @@ class TestEmpiricalLhs:
         F = ExcursionFunctional(h=step_indicator(0.1), h_constant_after=0.1)
         a = empirical_lhs(F, 0.05, 400, 1e-3, 0.5, seed=9)
         b = empirical_lhs(F, 0.05, 400, 1e-3, 0.5, seed=9)
-        c = empirical_lhs(F, 0.05, 400, 1e-3, 0.5, seed=9, workers=3)
         assert a == b
-        assert a[0] == pytest.approx(c[0], abs=1e-12)
 
     def test_minimum_path_count_enforced(self):
         F = ExcursionFunctional(h=step_indicator(0.1), h_constant_after=0.1)

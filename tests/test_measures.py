@@ -113,6 +113,12 @@ class TestProhorov:
         with pytest.raises(ValueError, match="mismatched"):
             prohorov_distance(AtomicMeasure.dirac(SPACE, 1.0), AtomicMeasure.dirac(other, 1.0))
 
+    def test_spaces_punctured_at_different_points_raise(self):
+        at0 = point_removal_metric(real_line(), 0.0, reference_point=2.0)
+        at1 = point_removal_metric(real_line(), 1.0, reference_point=2.0)
+        with pytest.raises(ValueError, match="mismatched"):
+            prohorov_distance(AtomicMeasure.dirac(at0, 0.5), AtomicMeasure.dirac(at1, 0.5))
+
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(7)
         worst = 0.0
