@@ -21,7 +21,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 from .metric_core import BoundedSetWitness, MetricStructure, Point
 
@@ -241,15 +240,34 @@ class CubePolynomial:
 def _bernstein_eval(values: np.ndarray, n: int, xs: Sequence[float]) -> float:
     """Contract lattice values with Bernstein weights along each axis."""
     out = values
-    j = np.arange(n + 1)
     for xi in xs:
-        w = binom.pmf(j, n, xi) if 0.0 < xi < 1.0 else _pmf_edge(j, n, xi)
+        w = _bernstein_weights(n, xi) if 0.0 < xi < 1.0 else _pmf_edge(n, xi)
         out = np.tensordot(w, out, axes=(0, 0))
     return float(out)
 
 
-def _pmf_edge(j: np.ndarray, n: int, x: float) -> np.ndarray:
-    # binom.pmf handles the edges too, but 0^0 warnings are avoided this way
+def _bernstein_weights(n: int, x: float) -> np.ndarray:
+    """Binomial(n, x) probabilities C(n, j) x^j (1 - x)^(n - j) for 0 < x < 1.
+
+    The weight at the mode is set to 1 and the others are built outward from
+    it with the ratio w[j + 1] / w[j] = (n - j) x / ((j + 1)(1 - x)), then
+    normalised.  Every partial product from the mode is at most about 1, so
+    nothing overflows at any n; far tails underflow to 0.
+    """
+    m = min(int((n + 1) * x), n)
+    r = x / (1.0 - x)
+    w = np.empty(n + 1)
+    w[m] = 1.0
+    up = np.arange(m, n)
+    w[m + 1 :] = np.cumprod((n - up) / (up + 1.0) * r)
+    down = np.arange(m - 1, -1, -1)
+    w[:m] = np.cumprod((down + 1.0) / ((n - down) * r))[::-1]
+    return w / w.sum()
+
+
+def _pmf_edge(n: int, x: float) -> np.ndarray:
+    # at x <= 0 or x >= 1 all mass sits on one end; the ratio recurrence
+    # would divide by zero there
     w = np.zeros(n + 1)
     if x <= 0.0:
         w[0] = 1.0

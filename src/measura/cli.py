@@ -81,18 +81,21 @@ class ExperimentConfig:
             raise UsageError(f"seed: required for stochastic command {self.command!r}")
         if self.seed is not None and not (0 <= self.seed < 2**64):
             raise UsageError("seed: must be an unsigned 64-bit integer")
-        for name, value, low in (
-            ("eps", self.eps, 0.0),
-            ("dt", self.dt, 0.0),
-            ("m-max", self.m_max, 0.0),
-            ("tol", self.tol, 0.0),
-        ):
-            if not value > low:
-                raise UsageError(f"{name}: must be positive")
+        for name, value in (("eps", self.eps), ("dt", self.dt), ("m-max", self.m_max), ("tol", self.tol)):
+            if not (value > 0.0 and math.isfinite(value)):
+                raise UsageError(f"{name}: must be positive and finite")
+        if self.command == "sw-approx" and self.m_max < 1.0:
+            raise UsageError("m-max: the sw-approx degree budget must be at least 1")
         if self.n_paths < 1:
             raise UsageError("n-paths: must be at least 1")
-        if self.out is not None and not os.path.isdir(os.path.dirname(self.out) or "."):
-            raise UsageError(f"out: directory of {self.out!r} does not exist")
+        if os.path.isdir(self.out_path):
+            raise UsageError(f"out: {self.out_path!r} is a directory")
+        if not os.path.isdir(os.path.dirname(self.out_path) or "."):
+            raise UsageError(f"out: directory of {self.out_path!r} does not exist")
+
+    @property
+    def out_path(self) -> str:
+        return self.out or f"{self.command}.{self.format}"
 
     def echo(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -354,8 +357,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2
-    path = config.out or f"{config.command}.{config.format}"
-    emit(result, config.format, path)
+    path = emit(result, config.format, config.out_path)
     for name, ok in result.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
     print(f"wrote {path} ({len(result.rows)} rows, {result.wall_clock_s:.2f}s, v{result.version})")

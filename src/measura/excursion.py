@@ -25,10 +25,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 TWO_PI = 2.0 * math.pi
+# numpy has no erf; math.erf keeps scipy off the import path of every command
+_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def kappa(r):
@@ -51,9 +51,12 @@ def levy_hitting_density(alpha, r):
 
 
 def levy_survival(alpha, r_cut):
-    """P(hitting time > r_cut) = erf(alpha / sqrt(2 r_cut))."""
+    """P(hitting time > r_cut) = erf(alpha / sqrt(2 r_cut)), elementwise.
+
+    Returns a float array shaped like alpha, or a float scalar for a scalar.
+    """
     alpha = np.asarray(alpha, dtype=float)
-    return erf(alpha / np.sqrt(2.0 * r_cut))
+    return np.asarray(_erf(alpha / np.sqrt(2.0 * r_cut)), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -291,6 +294,34 @@ def _bessel3_at(times: np.ndarray, n_paths: int, rng: np.random.Generator) -> np
     return out
 
 
+def _hitting_integrals(h: Callable, h_tail: float, times: np.ndarray, rho: np.ndarray, r: np.ndarray):
+    """H[i, j] = ∫ h(t_j + s) l^{rho_ij}(s) ds: trapezoid on r, erf tail beyond r[-1].
+
+    With l^a(s) = a c(s) exp(-a^2 / (2s)) and c = kappa, the s-dependent
+    factor c(s) w(s) (w the trapezoid weights) is fixed, so each time step
+    costs one (paths x grid) exponential written into a reused buffer, one
+    matrix-vector product and one erf per path.  Grid points s <= 0 carry zero
+    density.
+    """
+    w = np.empty_like(r)
+    gaps = np.diff(r)
+    w[0], w[-1] = 0.5 * gaps[0], 0.5 * gaps[-1]
+    w[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
+    pos = r > 0.0
+    s = r[pos]
+    cw = kappa(s) * w[pos]
+    neg_inv_2s = -0.5 / s
+    buf = np.empty((rho.shape[0], s.size))
+    H = np.empty_like(rho)
+    for j in range(times.size):
+        a = rho[:, j]
+        np.multiply.outer(a * a, neg_inv_2s, out=buf)
+        np.exp(buf, out=buf)
+        H[:, j] = a * (buf @ (cw * np.asarray(h(times[j] + s), dtype=float)))
+        H[:, j] += h_tail * levy_survival(a, r[-1])
+    return H
+
+
 def target_rhs(
     F: ExcursionFunctional,
     n_bessel: int,
@@ -318,6 +349,8 @@ def target_rhs(
                 "integral against the excursion measure may be infinite: "
                 "h must vanish near 0 when no window pair is present"
             )
+        from scipy.integrate import quad
+
         cutoff = max(F.h_constant_after, 1e-2)
         head, _ = quad(lambda s: float(F.h(s)) * float(kappa(s)), 0.0, cutoff, points=(1e-2,), limit=200)
         tail = F.h_tail_value * math.sqrt(2.0 / (math.pi * cutoff))
@@ -334,14 +367,7 @@ def target_rhs(
     rng = np.random.default_rng(seed)
     rho = _bessel3_at(times, n_bessel, rng)
 
-    # H[i, j] = ∫ h(t_j + s) l^{rho_ij}(s) ds, truncated at r[-1] with erf tail
-    h_tail = F.h_tail_value
-    H = np.empty_like(rho)
-    for j in range(times.size):
-        hj = np.asarray(F.h(times[j] + r), dtype=float)
-        dens = levy_hitting_density(rho[:, j : j + 1], r[None, :])
-        H[:, j] = np.trapezoid(dens * hj[None, :], r, axis=1)
-        H[:, j] += h_tail * levy_survival(rho[:, j], r[-1])
+    H = _hitting_integrals(F.h, F.h_tail_value, times, rho, r)
 
     # trapezoid weights on the common time grid
     w = np.full(times.size, dt)

@@ -8,6 +8,7 @@ from measura.algebra import (
     CubePolynomial,
     FunctionFamily,
     TestFunction,
+    _bernstein_weights,
     check_bounded_below_on,
     check_separates_points,
     check_vanishes_nowhere,
@@ -273,3 +274,28 @@ class TestStoneWeierstrass:
     def test_syntactic_p0_check_catches_constant_terms(self):
         poly = CubePolynomial({(0,): Fraction(1), (1,): Fraction(2)}, arity=1, degree=1)
         assert not poly.in_p0()
+
+
+def exact_bernstein_weights(n, x):
+    """C(n, j) x^j (1 - x)^(n - j) in integer arithmetic, rounded once to float."""
+    p, q = Fraction(x).as_integer_ratio()
+    up, down = [1], [1]
+    for _ in range(n):
+        up.append(up[-1] * p)
+        down.append(down[-1] * (q - p))
+    den = q**n
+    return np.array([math.comb(n, j) * up[j] * down[n - j] / den for j in range(n + 1)])
+
+
+class TestBernsteinWeights:
+    def test_matches_exact_rational_weights(self):
+        for n in (1, 7, 64, 256, 1000):
+            for x in (1e-3, 0.1, 0.37, 0.5, 0.9, 0.999):
+                err = np.abs(_bernstein_weights(n, x) - exact_bernstein_weights(n, x)).max()
+                assert err <= 1e-15, (n, x, err)
+
+    def test_high_degree_is_finite_and_normalised(self):
+        for x in (1e-3, 0.37, 0.999):
+            w = _bernstein_weights(5000, x)
+            assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
+            assert w.sum() == pytest.approx(1.0, abs=1e-12)

@@ -1,5 +1,9 @@
 import json
+import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -39,6 +43,17 @@ class TestConfigValidation:
             ExperimentConfig(command="fragmentation", dt=-1.0).validate()
         with pytest.raises(UsageError, match="n-paths"):
             ExperimentConfig(command="fragmentation", n_paths=0).validate()
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    @pytest.mark.parametrize("field, name", [("eps", "eps"), ("dt", "dt"), ("m_max", "m-max"), ("tol", "tol")])
+    def test_non_finite_numeric_field_named(self, field, name, value):
+        with pytest.raises(UsageError, match=name):
+            ExperimentConfig(command="sw-approx", **{field: value}).validate()
+
+    def test_sw_approx_degree_budget_below_one(self):
+        with pytest.raises(UsageError, match="m-max"):
+            ExperimentConfig(command="sw-approx", m_max=0.5).validate()
+        ExperimentConfig(command="sw-approx", m_max=1.0).validate()
 
 
 class TestParser:
@@ -152,3 +167,34 @@ class TestMain:
     def test_workers_env_is_ignored(self, tmp_path, monkeypatch):
         monkeypatch.setenv("MEASURA_WORKERS", "abc")
         assert main(["--command", "fragmentation", "--out", str(tmp_path / "frag.csv")]) == 0
+
+    def test_out_naming_a_directory_is_usage_error(self, tmp_path, capsys):
+        assert main(["--command", "fragmentation", "--out", str(tmp_path)]) == 2
+        assert "out" in capsys.readouterr().err
+
+    def test_default_out_naming_a_directory_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "fragmentation.csv").mkdir()
+        assert main(["--command", "fragmentation"]) == 2
+        assert "out" in capsys.readouterr().err
+
+    def test_sw_approx_fractional_degree_budget_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sw.csv"
+        assert main(["--command", "sw-approx", "--m-max", "0.5", "--out", str(out)]) == 2
+        assert "m-max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_infinite_eps_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "sw.csv"
+        assert main(["--command", "sw-approx", "--eps", "inf", "--out", str(out)]) == 2
+        assert "eps" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestStartup:
+    def test_import_loads_no_scipy(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        code = "import sys, measura.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"

@@ -255,6 +255,38 @@ class TestTargetRhs:
             tail, _ = quad(lambda r: float(levy_hitting_density(alpha, r)), rc, np.inf, limit=200)
             assert tail == pytest.approx(float(levy_survival(alpha, rc)), abs=1e-6)
 
+    def test_levy_survival_matches_scipy_erf(self):
+        from scipy.special import erf
+
+        alpha = np.array([[0.0, 1e-3, 0.02, 0.5], [1.0, 2.5, 7.0, 40.0]])
+        for rc in (1e-3, 1.0, 8.0):
+            got = levy_survival(alpha, rc)
+            assert got.dtype == np.float64 and got.shape == alpha.shape
+            np.testing.assert_allclose(got, erf(alpha / np.sqrt(2.0 * rc)), rtol=0.0, atol=1e-15)
+        scalar = levy_survival(0.7, 2.0)
+        assert np.ndim(scalar) == 0
+        assert abs(float(scalar) - erf(0.35)) <= 1e-15
+
+    def test_hitting_integrals_match_per_step_trapezoid(self):
+        from measura.excursion import _hitting_integrals
+
+        h = step_indicator(0.5, width=1.0)
+        h_tail = float(h(2.0))
+        times = np.arange(6) * 0.1
+        rho = np.random.default_rng(4).uniform(0.0, 2.0, (5, times.size))
+        rho[1] = 0.0
+        rho[3, 2] = 0.0
+        rho[0, 0] = 1e-3
+        for r in (np.linspace(0.0, 8.0, 200), np.geomspace(1e-3, 6.0, 90)):
+            H = _hitting_integrals(h, h_tail, times, rho, r)
+            naive = np.array([
+                [np.trapezoid(levy_hitting_density(a, r) * h(t + r), r) + h_tail * levy_survival(a, r[-1])
+                 for t, a in zip(times, row)]
+                for row in rho
+            ])
+            np.testing.assert_allclose(H, naive, rtol=1e-13, atol=0.0)
+            assert np.all(H[1] == 0.0) and H[3, 2] == 0.0
+
     def test_lifetime_step_target_is_kappa_tail(self):
         # no pairs, h = 1_{r > 1}: integral of kappa over (1, inf) = sqrt(2/pi)
         F = ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0)
