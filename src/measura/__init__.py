@@ -29,7 +29,7 @@ from .measures import (
     prohorov_distance,
     weak_sharp_report,
 )
-from .algebra import CubePolynomial, FunctionFamily, TestFunction, stone_weierstrass_p0
+from .algebra import CubePolynomial, FunctionFamily, NonConvergenceError, TestFunction, stone_weierstrass_p0
 from .levy import LevyTriple, RandomMeasureLaw, psi_exponent, recover_C, recover_b
 from .excursion import ExcursionFunctional, ExcursionPath, excursion_metric, sample_killed_bm
 from .fragmentation import FragmentationSequence, ProperFragmentation, g_p, h_alpha, phi, phi_inverse
@@ -46,6 +46,7 @@ __all__ = [
     "FunctionFamily",
     "LevyTriple",
     "MetricStructure",
+    "NonConvergenceError",
     "ProperFragmentation",
     "RandomMeasureLaw",
     "TestFunction",

@@ -27,6 +27,10 @@ from .metric_core import BoundedSetWitness, MetricStructure, Point
 ComplexFn = Callable[[Point], complex]
 
 
+class NonConvergenceError(RuntimeError):
+    """A limit schedule or a degree escalation ended without meeting its tolerance."""
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """An evaluable bounded function with a declared sup bound on its modulus."""
@@ -350,8 +354,8 @@ def stone_weierstrass_p0(
     ``g`` must be continuous, [0,1]-valued, depend only on its first ``arity``
     coordinates, and vanish whenever x_1 < delta (checked on the grid).  The
     returned polynomial p satisfies |g(x) - p(x)| <= eps * x_1 at every point
-    of the verification grid (``grid_points`` per axis, faces included), or a
-    RuntimeError("degree budget exhausted") is raised.
+    of the verification grid (``grid_points`` per axis, faces included), or
+    NonConvergenceError("degree budget exhausted") is raised.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -380,6 +384,6 @@ def stone_weierstrass_p0(
         if np.all(np.abs(gvals - x1 * approx) <= eps * x1 + 1e-12):
             terms = _power_terms(fracs, n, arity)
             return CubePolynomial(terms, arity, n, _bernstein_values=floats)
-    raise RuntimeError(
+    raise NonConvergenceError(
         f"degree budget exhausted: no degree <= {degree_budget} meets the weighted bound {eps}"
     )

@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .algebra import stone_weierstrass_p0
+from .algebra import NonConvergenceError, stone_weierstrass_p0
 from .excursion import ExcursionFunctional, empirical_lhs, step_indicator
 from .fragmentation import block_uniform_state, g_p
 from .levy import (
@@ -88,6 +88,8 @@ class ExperimentConfig:
             raise UsageError("m-max: the sw-approx degree budget must be at least 1")
         if self.n_paths < 1:
             raise UsageError("n-paths: must be at least 1")
+        if self.command == "excursion" and self.n_paths < 100:
+            raise UsageError("n-paths: excursion needs at least 100 paths")
         if os.path.isdir(self.out_path):
             raise UsageError(f"out: {self.out_path!r} is a directory")
         if not os.path.isdir(os.path.dirname(self.out_path) or "."):
@@ -273,15 +275,18 @@ def _as_python_scalar(v):
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
-    """Dispatch to the command implementation and wrap the result."""
+    """Dispatch to the command implementation and wrap the result.
+
+    A limit schedule or degree escalation that does not converge yields no
+    rows and a failed ``converged`` verdict; the reason goes to stderr.
+    """
     config.validate()
     start = time.perf_counter()
     try:
         rows, verdicts = _RUNNERS[config.command](config)
-    except UsageError:
-        raise
-    except Exception as exc:
-        raise RuntimeError(f"command {config.command!r} failed: {exc}") from exc
+    except NonConvergenceError as exc:
+        print(f"{config.command}: {exc}", file=sys.stderr)
+        rows, verdicts = [], {"converged": False}
     elapsed = time.perf_counter() - start
     rows = [{k: _as_python_scalar(v) for k, v in row.items()} for row in rows]
     verdicts = {k: bool(v) for k, v in verdicts.items()}

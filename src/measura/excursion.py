@@ -282,24 +282,12 @@ def empirical_lhs(
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
 
 
-def _bessel3_at(times: np.ndarray, n_paths: int, rng: np.random.Generator) -> np.ndarray:
-    """Norms of a 3-d Brownian motion from 0 at the given times (exact in law)."""
-    pos = np.zeros((n_paths, 3))
-    out = np.empty((n_paths, times.size))
-    out[:, 0] = 0.0
-    for j in range(1, times.size):
-        step = times[j] - times[j - 1]
-        pos += rng.standard_normal((n_paths, 3)) * math.sqrt(step)
-        out[:, j] = np.linalg.norm(pos, axis=1)
-    return out
-
-
-def _hitting_integrals(h: Callable, h_tail: float, times: np.ndarray, rho: np.ndarray, r: np.ndarray):
-    """H[i, j] = ∫ h(t_j + s) l^{rho_ij}(s) ds: trapezoid on r, erf tail beyond r[-1].
+def _hitting_kernel(h: Callable, h_tail: float, r: np.ndarray, n_paths: int) -> Callable:
+    """hit(t, a)[k] = ∫ h(t + s) l^{a_k}(s) ds for n_paths levels a: trapezoid on r, erf tail beyond r[-1].
 
     With l^a(s) = a c(s) exp(-a^2 / (2s)) and c = kappa, the s-dependent
-    factor c(s) w(s) (w the trapezoid weights) is fixed, so each time step
-    costs one (paths x grid) exponential written into a reused buffer, one
+    factor c(s) w(s) (w the trapezoid weights) is fixed, so each call costs one
+    (paths x grid) exponential written into a buffer reused across calls, one
     matrix-vector product and one erf per path.  Grid points s <= 0 carry zero
     density.
     """
@@ -311,15 +299,14 @@ def _hitting_integrals(h: Callable, h_tail: float, times: np.ndarray, rho: np.nd
     s = r[pos]
     cw = kappa(s) * w[pos]
     neg_inv_2s = -0.5 / s
-    buf = np.empty((rho.shape[0], s.size))
-    H = np.empty_like(rho)
-    for j in range(times.size):
-        a = rho[:, j]
+    buf = np.empty((n_paths, s.size))
+
+    def hit(t: float, a: np.ndarray) -> np.ndarray:
         np.multiply.outer(a * a, neg_inv_2s, out=buf)
         np.exp(buf, out=buf)
-        H[:, j] = a * (buf @ (cw * np.asarray(h(times[j] + s), dtype=float)))
-        H[:, j] += h_tail * levy_survival(a, r[-1])
-    return H
+        return a * (buf @ (cw * np.asarray(h(t + s), dtype=float))) + h_tail * levy_survival(a, r[-1])
+
+    return hit
 
 
 def target_rhs(
@@ -336,11 +323,17 @@ def target_rhs(
     has infinite total mass) and using the closed-form tail
     h_tail * sqrt(2 / (pi * cutoff)) beyond the point where h is constant.
 
-    With pairs, 3-d Bessel paths from 0 are sampled at the f-support grid and
-    the r-integral against the hitting density is truncated at r_grid's end
-    with the erf tail; the t-quadrature runs over all orderings through the
-    max-index decomposition, so any number of pairs costs O(grid) per path.
+    With pairs, n_bessel >= 2 paths of a 3-d Bessel process from 0 are
+    stepped exactly (as the norm of a 3-d Brownian motion) along the f-support
+    grid, and the r-integral against the hitting density is truncated at
+    r_grid's end with the erf tail.  The t-quadrature runs over all orderings
+    of the pairs' time indices through the max-index decomposition, carried
+    as running prefix sums, so any number of pairs costs O(grid) per path and
+    the working memory is O(paths x (pairs + len(r_grid))), independent of
+    the number of time steps.
     """
+    if n_bessel < 2:
+        raise ValueError("n_bessel must be at least 2")
     r = np.asarray(r_grid, dtype=float)
     if not F.pairs:
         probe = np.geomspace(1e-8, 1e-2, 16)
@@ -364,36 +357,32 @@ def target_rhs(
     if times[0] + r[-1] < F.h_constant_after:
         raise ValueError("r_grid too short: h must be constant beyond times[0] + r_grid[-1]")
 
-    rng = np.random.default_rng(seed)
-    rho = _bessel3_at(times, n_bessel, rng)
-
-    H = _hitting_integrals(F.h, F.h_tail_value, times, rho, r)
-
-    # trapezoid weights on the common time grid
+    # trapezoid weights on the common time grid, folded into each f_i
     w = np.full(times.size, dt)
     w[0] = w[-1] = 0.5 * dt
+    wf = [w * np.where(times <= t_end + 1e-12, np.asarray(f(times), dtype=float), 0.0) for f, t_end, _ in F.pairs]
 
-    safe_rho = np.where(rho > 0.0, rho, 1.0)
-    ratio = np.where(rho > 0.0, 1.0 / safe_rho, 0.0)
-    weighted = []  # P_i[:, j] = w_j f_i(t_j) g_i(rho[:, j])
-    for f, t_end, g in F.pairs:
-        fvals = np.where(times <= t_end + 1e-12, np.asarray(f(times), dtype=float), 0.0)
-        weighted.append((w * fvals)[None, :] * np.asarray(g(rho), dtype=float))
-
-    # sum over index tuples, split by the position of the maximal time index:
-    # prod_i (S_i(<j) + P_ij) - prod_i S_i(<j) collects exactly the tuples
-    # whose maximum equals j.
-    prefixes = []
-    for P in weighted:
-        S = np.zeros_like(P)
-        S[:, 1:] = np.cumsum(P, axis=1)[:, :-1]
-        prefixes.append(S)
-    with_j = np.ones_like(rho)
-    without_j = np.ones_like(rho)
-    for P, S in zip(weighted, prefixes):
-        with_j *= S + P
-        without_j *= S
-    per_path = np.sum((with_j - without_j) * ratio * H, axis=1)
+    rng = np.random.default_rng(seed)
+    hit = _hitting_kernel(F.h, F.h_tail_value, r, n_bessel)
+    pos = np.zeros((n_bessel, 3))
+    prefix = np.zeros((len(F.pairs), n_bessel))  # S_i = sum over k < j of P_ik
+    per_path = np.zeros(n_bessel)
+    for j in range(times.size):
+        if j:
+            pos += rng.standard_normal((n_bessel, 3)) * math.sqrt(times[j] - times[j - 1])
+        rho = np.linalg.norm(pos, axis=1)
+        # sum over index tuples, split by the position of the maximal time
+        # index: prod_i (S_i + P_ij) - prod_i S_i collects exactly the tuples
+        # whose maximum equals j, with P_ij = w_j f_i(t_j) g_i(rho_j).
+        with_j = np.ones(n_bessel)
+        without_j = np.ones(n_bessel)
+        for i, (_, _, g) in enumerate(F.pairs):
+            P = wf[i][j] * np.asarray(g(rho), dtype=float)
+            with_j *= prefix[i] + P
+            without_j *= prefix[i]
+            prefix[i] += P
+        ratio = np.divide(1.0, rho, out=np.zeros(n_bessel), where=rho > 0.0)
+        per_path += (with_j - without_j) * ratio * hit(times[j], rho)
 
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n_bessel))
 

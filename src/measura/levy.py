@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import FunctionFamily, TestFunction
+from .algebra import FunctionFamily, NonConvergenceError, TestFunction
 from .measures import AtomicMeasure, finite_measure_space, integrate
 from .metric_core import MetricStructure, discrete_space, point_removal_metric, sup_norm_space
 
@@ -127,7 +127,7 @@ def _consistent_limit(ms: np.ndarray, vals: np.ndarray, power: float, tol: float
     full = _extrapolate(ms, vals, power)
     tail = _extrapolate(ms[len(ms) // 2 :], vals[len(ms) // 2 :], power)
     if abs(full - tail) > tol:
-        raise RuntimeError(
+        raise NonConvergenceError(
             f"non-convergent schedule for {what}: full-fit {full:.6g} vs tail-fit {tail:.6g}, "
             f"raw estimates {np.array2string(vals, precision=6)}"
         )
@@ -146,7 +146,7 @@ def recover_C(psi: ExponentFn, dim: int, m_schedule: Sequence[float], tol: float
 
     Each entry is extrapolated along the schedule with a 1/m^2 error model and
     cross-checked between the full and tail fits; disagreement above ``tol``
-    raises with diagnostics.
+    raises NonConvergenceError with diagnostics.
     """
     ms = _check_schedule(m_schedule)
     eye = np.eye(dim)
@@ -328,7 +328,7 @@ def recover_b_measure(
             for i in range(ms.size - 1)
         ]
         if len(rich) >= 2 and abs(rich[-1] - rich[-2]) > tol:
-            raise RuntimeError(
+            raise NonConvergenceError(
                 f"non-convergent schedule for <b, 1_{e!r}>: extrapolants {rich}"
             )
         weight = rich[-1]

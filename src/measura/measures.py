@@ -19,6 +19,9 @@ import numpy as np
 from .algebra import FunctionFamily
 from .metric_core import MetricStructure, Point
 
+# prohorov_distance scans all 2^n unions of the n support atoms per threshold
+SUBSET_LIMIT = 14
+
 
 @dataclass(frozen=True)
 class AtomicMeasure:
@@ -106,7 +109,7 @@ def _union_support(nu1: AtomicMeasure, nu2: AtomicMeasure):
     return pts, w1, w2, dmat
 
 
-def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure, subset_limit: int = 14) -> float:
+def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     """Prokhorov distance between finite atomic measures, computed exactly.
 
     inf{eps > 0 : nu1(A) <= nu2(A^eps) + eps and vice versa for all A}, where
@@ -119,8 +122,8 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure, subset_limit: int 
     if n == 0:
         _require_same_space(nu1, nu2)
         return 0.0
-    if n > subset_limit:
-        raise ValueError(f"union support of {n} atoms exceeds the exact-subset limit {subset_limit}")
+    if n > SUBSET_LIMIT:
+        raise ValueError(f"union support of {n} atoms exceeds the exact-subset limit {SUBSET_LIMIT}")
     _, w1, w2, dmat = _union_support(nu1, nu2)
 
     masks = np.arange(2**n, dtype=np.int64)

@@ -191,6 +191,28 @@ class TestMain:
         assert not out.exists()
 
 
+    def test_levy_recover_non_convergence_is_a_fail_verdict(self, tmp_path, capsys):
+        out = tmp_path / "levy.json"
+        assert main(["--command", "levy-recover", "--m-max", "2", "--format", "json", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL  converged" in captured.out and "non-convergent" in captured.err
+        doc = json.loads(out.read_text())
+        assert doc["rows"] == [] and doc["verdicts"] == {"converged": False}
+
+    def test_sw_approx_exhausted_budget_is_a_fail_verdict(self, tmp_path, capsys):
+        out = tmp_path / "sw.csv"
+        assert main(["--command", "sw-approx", "--m-max", "3", "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "FAIL  converged" in captured.out and "budget exhausted" in captured.err
+        assert out.exists()
+
+    def test_excursion_too_few_paths_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "exc.csv"
+        assert main(["--command", "excursion", "--seed", "1", "--n-paths", "50", "--out", str(out)]) == 2
+        assert "n-paths" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self):
         src = str(Path(__file__).resolve().parents[1] / "src")

@@ -268,7 +268,7 @@ class TestTargetRhs:
         assert abs(float(scalar) - erf(0.35)) <= 1e-15
 
     def test_hitting_integrals_match_per_step_trapezoid(self):
-        from measura.excursion import _hitting_integrals
+        from measura.excursion import _hitting_kernel
 
         h = step_indicator(0.5, width=1.0)
         h_tail = float(h(2.0))
@@ -278,7 +278,8 @@ class TestTargetRhs:
         rho[3, 2] = 0.0
         rho[0, 0] = 1e-3
         for r in (np.linspace(0.0, 8.0, 200), np.geomspace(1e-3, 6.0, 90)):
-            H = _hitting_integrals(h, h_tail, times, rho, r)
+            hit = _hitting_kernel(h, h_tail, r, rho.shape[0])
+            H = np.column_stack([hit(t, rho[:, j]) for j, t in enumerate(times)])
             naive = np.array([
                 [np.trapezoid(levy_hitting_density(a, r) * h(t + r), r) + h_tail * levy_survival(a, r[-1])
                  for t, a in zip(times, row)]
@@ -337,31 +338,55 @@ class TestTargetRhs:
         r_grid = np.linspace(0, 6, 120)
         val, se = target_rhs(F, n_bessel=400, dt=0.02, r_grid=r_grid, seed=7)
 
+        # the same per-step draws as target_rhs: rho is the norm of a 3-d
+        # Brownian motion from 0 stepped along the time grid
         rng = np.random.default_rng(7)
         times = np.arange(int(math.ceil(1.0 / 0.02)) + 1) * 0.02
-        from measura.excursion import _bessel3_at
-
-        rho = _bessel3_at(times, 400, rng)
+        pos = np.zeros((400, 3))
+        rho = np.zeros((400, times.size))
+        for j in range(1, times.size):
+            pos += rng.standard_normal((400, 3)) * math.sqrt(times[j] - times[j - 1])
+            rho[:, j] = np.linalg.norm(pos, axis=1)
         w = np.full(times.size, 0.02)
         w[0] = w[-1] = 0.01
-        hv = np.array([[np.trapezoid(h(t + r_grid) * levy_hitting_density(a, r_grid), r_grid)
-                        + h(2.0) * levy_survival(a, r_grid[-1]) if a > 0 else 0.0
-                        for t, a in zip(times, row)] for row in rho])
-        naive = []
-        for i in range(400):
-            total = 0.0
-            for j1 in range(times.size):
-                for j2 in range(times.size):
-                    jb = max(j1, j2)
-                    if rho[i, jb] <= 0:
-                        continue
-                    total += (
-                        w[j1] * f1(times[j1]) * g(rho[i, j1])
-                        * w[j2] * f2(times[j2]) * g(rho[i, j2])
-                        / rho[i, jb] * hv[i, jb]
-                    )
-            naive.append(total)
+        hv = np.column_stack([
+            np.trapezoid(h(t + r_grid) * levy_hitting_density(a[:, None], r_grid), r_grid, axis=1)
+            + h(2.0) * levy_survival(a, r_grid[-1])
+            for t, a in zip(times, rho.T)
+        ])
+        q = np.where(rho > 0, hv / np.where(rho > 0, rho, 1.0), 0.0)
+        # explicit double sum over (j1, j2), weighted at the later index max(j1, j2)
+        a1 = w * f1(times) * g(rho)
+        a2 = w * f2(times) * g(rho)
+        jb = np.maximum.outer(np.arange(times.size), np.arange(times.size))
+        naive = [np.sum(np.outer(a1[i], a2[i]) * q[i][jb]) for i in range(400)]
         assert val == pytest.approx(float(np.mean(naive)), rel=1e-10)
+
+
+    def test_fewer_than_two_bessel_paths_rejected(self):
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                                pairs=((smoothed_bump(0.2, 0.8, 0.1), 0.8, g),))
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="n_bessel"):
+                target_rhs(F, n_bessel=n, dt=0.02, r_grid=np.linspace(0, 6, 120), seed=0)
+
+    def test_working_memory_does_not_grow_with_time_steps(self):
+        # 2000 paths x 301 time steps: the hitting kernel's (paths x grid)
+        # buffer is the largest array; nothing of size (paths x times) is kept
+        import tracemalloc
+
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                                pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, g),))
+        n_paths, r_grid = 2000, np.linspace(0.0, 8.0, 200)
+        tracemalloc.start()
+        try:
+            target_rhs(F, n_bessel=n_paths, dt=5e-3, r_grid=r_grid, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * n_paths * r_grid.size * 8
 
 
 class TestBesselSemigroup:

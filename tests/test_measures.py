@@ -119,6 +119,12 @@ class TestProhorov:
         with pytest.raises(ValueError, match="mismatched"):
             prohorov_distance(AtomicMeasure.dirac(at0, 0.5), AtomicMeasure.dirac(at1, 0.5))
 
+    def test_more_than_fourteen_atoms_rejected(self):
+        nu1 = measure(*[(0.1 * k, 1.0) for k in range(8)])
+        nu2 = measure(*[(0.1 * k + 0.05, 1.0) for k in range(7)])
+        with pytest.raises(ValueError, match="15 atoms exceeds the exact-subset limit 14"):
+            prohorov_distance(nu1, nu2)
+
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(7)
         worst = 0.0
