@@ -1,17 +1,20 @@
 """Experiment harness: each worked example as a reproducible command.
 
 One process runs one command, selected with --command; results are written as
-CSV (header row, 17-significant-digit decimals) or JSON ({config, rows,
-verdicts, meta}).  Each flag sets the ExperimentConfig field of the same name
-and takes its default from it.  Identical configurations, including the seed,
-reproduce identical output bytes; wall-clock time is kept on the in-memory
-result only, never in the emitted file.
+CSV (header row, 17-significant-digit decimals, fields with commas quoted) or
+JSON ({config, rows, verdicts, meta}).  Each flag sets the ExperimentConfig
+field of the same name and takes its default from it.  Identical
+configurations, including the seed, reproduce identical output bytes;
+wall-clock time is kept on the in-memory result only, never in the emitted
+file.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 import math
 import os
@@ -304,15 +307,15 @@ def _fmt_value(v) -> str:
 def emit(result: ExperimentResult, fmt: str, path: str) -> str:
     """Write the result file; numeric records are byte-reproducible."""
     if fmt == "csv":
-        lines = []
+        buf = io.StringIO()
         if result.rows:
             keys = list(result.rows[0].keys())
-            lines.append(",".join(keys))
-            for row in result.rows:
-                lines.append(",".join(_fmt_value(row[k]) for k in keys))
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(keys)
+            writer.writerows([_fmt_value(row[k]) for k in keys] for row in result.rows)
         else:
-            lines.append("")
-        payload = "\n".join(lines) + "\n"
+            buf.write("\n")
+        payload = buf.getvalue()
     elif fmt == "json":
         doc = {
             "config": result.config,

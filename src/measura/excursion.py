@@ -236,13 +236,18 @@ class ExcursionFunctional:
         return float(self.h(self.h_constant_after + 1.0))
 
 
+def _check_censoring(F: ExcursionFunctional, end: float) -> None:
+    """Raise if a path censored at grid time ``end`` leaves F undetermined."""
+    if F.h_constant_after > end + 1e-12:
+        raise RuntimeError("horizon too short: h not yet constant at censoring time")
+    if any(t_end > end + 1e-12 for _, t_end, _ in F.pairs):
+        raise RuntimeError("horizon too short: window support exceeds censoring time")
+
+
 def eval_functional(F: ExcursionFunctional, e: ExcursionPath) -> float:
     """Evaluate the functional on one path (trapezoid over the path grid)."""
     if e.censored:
-        if F.h_constant_after > e.end + 1e-12:
-            raise RuntimeError("horizon too short: h not yet constant at censoring time")
-        if any(t_end > e.end + 1e-12 for _, t_end, _ in F.pairs):
-            raise RuntimeError("horizon too short: window support exceeds censoring time")
+        _check_censoring(F, e.end)
         hval = F.h_tail_value
     else:
         hval = float(F.h(e.zeta))
@@ -255,6 +260,95 @@ def eval_functional(F: ExcursionFunctional, e: ExcursionPath) -> float:
     return out
 
 
+# Lockstep simulation: paths run in blocks of _BLOCK path indices, one RNG
+# stream per block.  Each chunk draws (alive x steps) normals and uniforms;
+# chunk lengths start at _FIRST_CHUNK steps and double, cut so that
+# alive x steps stays within _CELL_CAP cells.
+_BLOCK = 1024
+_FIRST_CHUNK = 16
+_CELL_CAP = 8192
+
+
+def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[tuple[np.ndarray, Callable]]:
+    """(w f_i, g_i) per pair: trapezoid weights times f_i on the grid steps inside the window.
+
+    The steps are 0..last with last * dt <= t_end + 1e-12 (and last <= max_steps),
+    the points ``eval_functional`` integrates over.
+    """
+    out = []
+    for f, t_end, g in F.pairs:
+        times = np.arange(min(max_steps, int((t_end + 1e-12) / dt) + 1) + 1) * dt
+        times = times[times <= t_end + 1e-12]
+        half_gaps = 0.5 * np.diff(times)
+        w = np.zeros(times.size)
+        w[:-1] += half_gaps
+        w[1:] += half_gaps
+        out.append((w * np.asarray(f(times), dtype=float), g))
+    return out
+
+
+def _lockstep_block(
+    F: ExcursionFunctional,
+    windows: list[tuple[np.ndarray, Callable]],
+    eps: float,
+    dt: float,
+    max_steps: int,
+    rng: np.random.Generator,
+    n: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lifetimes and functional values of n killed paths from eps, stepped in lockstep.
+
+    The step law is ``_simulate_values``'s: exact Gaussian steps, killed when
+    x_{k+1} <= 0 or u < exp(-2 x_k x_{k+1} / dt).  Window integrals accumulate
+    chunk by chunk (values after the kill are zero) and absorbed paths retire
+    after each chunk, so no path is stored.  Returns (zeta, values); zeta is
+    the grid time of the kill, inf for paths censored at max_steps.
+    """
+    sqdt = math.sqrt(dt)
+    ids = np.arange(n)
+    x = np.full(n, float(eps))
+    kill_step = np.zeros(n, dtype=np.int64)  # 0 while alive or censored
+    acc = [np.full(n, w[0] * float(g(eps))) for w, g in windows]
+    done, size = 0, _FIRST_CHUNK
+    while ids.size and done < max_steps:
+        steps = min(size, max_steps - done, max(1, _CELL_CAP // ids.size))
+        # in place, rounded as x_k + sqdt * cumsum(z) and exp(min(0, -2 x_k x_{k+1} / dt))
+        xs = np.cumsum(rng.standard_normal((ids.size, steps)), axis=1)
+        xs *= sqdt
+        xs += x[:, None]
+        bridge = np.empty_like(xs)  # chance that the bridge between x_k and x_{k+1} hits 0
+        bridge[:, 0] = x
+        bridge[:, 1:] = xs[:, :-1]
+        bridge *= xs
+        bridge *= -2.0
+        bridge /= dt
+        np.exp(np.minimum(bridge, 0.0, out=bridge), out=bridge)
+        killed = (xs <= 0.0) | (rng.random((ids.size, steps)) < bridge)
+        first = np.where(killed.any(axis=1), killed.argmax(axis=1), steps)
+        for (w, g), a in zip(windows, acc):
+            cols = min(steps, w.size - 1 - done)
+            if cols > 0:
+                live = np.where(np.arange(cols) < first[:, None], xs[:, :cols], 0.0)
+                a[ids] += np.asarray(g(live), dtype=float) @ w[done + 1 : done + 1 + cols]
+        dead = first < steps
+        kill_step[ids[dead]] = done + 1 + first[dead]
+        x = xs[~dead, -1]
+        ids = ids[~dead]
+        done += steps
+        size *= 2
+
+    absorbed = kill_step > 0
+    zeta = np.where(absorbed, kill_step * dt, math.inf)
+    values = np.empty(n)
+    if not absorbed.all():
+        _check_censoring(F, max_steps * dt)
+        values[~absorbed] = F.h_tail_value
+    values[absorbed] = np.asarray(F.h(zeta[absorbed]), dtype=float)
+    for a in acc:
+        values *= a
+    return zeta, values
+
+
 def empirical_lhs(
     F: ExcursionFunctional,
     eps: float,
@@ -265,21 +359,29 @@ def empirical_lhs(
 ) -> tuple[float, float]:
     """(1/eps) E_eps[F] by Monte Carlo over killed-Brownian paths.
 
-    Path i draws from its own RNG stream, derived from (seed, i), so each
-    path's draws do not depend on how many paths run; returns
-    (mean, standard error).
+    Paths run in lockstep blocks of 1024 path indices; block b draws from its
+    own RNG stream, derived from (seed, b), so the draws of a full block do
+    not depend on how many paths run.  The working memory is bounded by the
+    chunk cap of 8192 (paths x steps) cells, the per-block accumulators and
+    the window weights; it grows with neither n_paths nor the horizon.
+    Returns (mean, standard error).
     """
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
+    if eps <= 0.0 or dt <= 0.0:
+        raise ValueError("eps and dt must be positive")
     max_steps = int(round(horizon / dt))
-
-    def one(i: int) -> float:
-        rng = np.random.default_rng((seed, i))
-        values, absorbed = _simulate_values(rng, eps, dt, max_steps)
-        return eval_functional(F, _as_path(values, dt, absorbed))
-
-    vals = np.fromiter((one(i) for i in range(n_paths)), dtype=float, count=n_paths) / eps
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
+    windows = _window_weights(F, dt, max_steps)
+    blocks = []  # (paths, mean, sum of squared deviations) per block
+    for b, start in enumerate(range(0, n_paths, _BLOCK)):
+        _, vals = _lockstep_block(F, windows, eps, dt, max_steps, np.random.default_rng((seed, b)),
+                                  min(_BLOCK, n_paths - start))
+        mean = vals.mean()
+        blocks.append((vals.size, mean, np.sum((vals - mean) ** 2)))
+    n, means, sq = np.array(blocks).T
+    mean = float(np.sum(n * means)) / n_paths
+    sq_dev = float(np.sum(sq + n * (means - mean) ** 2))
+    return mean / eps, math.sqrt(sq_dev / (n_paths - 1) / n_paths) / eps
 
 
 def _hitting_kernel(h: Callable, h_tail: float, r: np.ndarray, n_paths: int) -> Callable:

@@ -126,7 +126,7 @@ def _extrapolate(ms: np.ndarray, vals: np.ndarray, power: float) -> float:
 def _consistent_limit(ms: np.ndarray, vals: np.ndarray, power: float, tol: float, what: str) -> float:
     full = _extrapolate(ms, vals, power)
     tail = _extrapolate(ms[len(ms) // 2 :], vals[len(ms) // 2 :], power)
-    if abs(full - tail) > tol:
+    if not (math.isfinite(full) and math.isfinite(tail)) or abs(full - tail) > tol:
         raise NonConvergenceError(
             f"non-convergent schedule for {what}: full-fit {full:.6g} vs tail-fit {tail:.6g}, "
             f"raw estimates {np.array2string(vals, precision=6)}"

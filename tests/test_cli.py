@@ -94,6 +94,17 @@ class TestEmit:
         emit(res, "csv", path)
         assert open(path).read() == "\n"
 
+    def test_levy_recover_rows_have_header_field_count(self, tmp_path):
+        # the C[k,j] labels contain a comma, so they must be quoted
+        import csv
+
+        path = str(tmp_path / "levy.csv")
+        emit(run(ExperimentConfig(command="levy-recover")), "csv", path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(r) for r in rows] == [4] * 7
+        assert [r[0] for r in rows[1:5]] == ["C[0,0]", "C[0,1]", "C[1,0]", "C[1,1]"]
+
     def test_json_roundtrip(self, tmp_path):
         res = self._result()
         path = str(tmp_path / "frag.json")
@@ -198,6 +209,16 @@ class TestMain:
         assert "FAIL  converged" in captured.out and "non-convergent" in captured.err
         doc = json.loads(out.read_text())
         assert doc["rows"] == [] and doc["verdicts"] == {"converged": False}
+
+    def test_levy_recover_overflowing_schedule_is_a_fail_verdict(self, tmp_path, capsys):
+        # m up to 1e300 overflows the exponent; NaN fits are not convergence
+        out = tmp_path / "levy.csv"
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            code = main(["--command", "levy-recover", "--m-max", "1e300", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FAIL  converged" in captured.out and "non-convergent" in captured.err
+        assert out.read_text() == "\n"
 
     def test_sw_approx_exhausted_budget_is_a_fail_verdict(self, tmp_path, capsys):
         out = tmp_path / "sw.csv"

@@ -235,6 +235,12 @@ class TestEmpiricalLhs:
         with pytest.raises(ValueError, match="100"):
             empirical_lhs(F, 0.05, 50, 1e-3, 0.5, seed=9)
 
+    def test_nonpositive_eps_or_dt_rejected(self):
+        F = ExcursionFunctional(h=step_indicator(0.1), h_constant_after=0.1)
+        for eps, dt in ((-0.1, 1e-3), (0.0, 1e-3), (0.05, 0.0)):
+            with pytest.raises(ValueError, match="positive"):
+                empirical_lhs(F, eps, 100, dt, 0.5, seed=9)
+
     def test_lifetime_tail_at_moderate_eps(self):
         t = 0.5
         F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
@@ -242,6 +248,101 @@ class TestEmpiricalLhs:
         mean, se = empirical_lhs(F, eps, 20_000, 1e-3, horizon=t + 0.1, seed=11)
         exact = (2.0 * norm.cdf(eps / math.sqrt(t)) - 1.0) / eps
         assert abs(mean - exact) < 3.0 * se
+
+
+def replay_block(seed, block, n, eps, dt, max_steps):
+    """The paths of one lockstep block, materialised from the block's draws.
+
+    Redraws the block's stream chunk by chunk and applies the kill rule path
+    by path and step by step.
+    """
+    from measura.excursion import _BLOCK, _CELL_CAP, _FIRST_CHUNK
+
+    assert n <= _BLOCK
+    rng = np.random.default_rng((seed, block))
+    sqdt = math.sqrt(dt)
+    pieces = [[np.array([eps])] for _ in range(n)]
+    zeta = [math.inf] * n
+    x = [eps] * n
+    alive, done, size = list(range(n)), 0, _FIRST_CHUNK
+    while alive and done < max_steps:
+        steps = min(size, max_steps - done, max(1, _CELL_CAP // len(alive)))
+        z = rng.standard_normal((len(alive), steps))
+        u = rng.random((len(alive), steps))
+        survivors = []
+        for r, i in enumerate(alive):
+            row = x[i] + np.cumsum(z[r]) * sqdt
+            for k in range(steps):
+                before = row[k - 1] if k else x[i]
+                if row[k] <= 0.0 or u[r, k] < np.exp(min(0.0, -2.0 * before * row[k] / dt)):
+                    pieces[i].append(np.append(row[:k], 0.0))
+                    zeta[i] = (done + k + 1) * dt
+                    break
+            else:
+                pieces[i].append(row)
+                x[i] = row[-1]
+                survivors.append(i)
+        alive, done, size = survivors, done + steps, 2 * size
+    paths = []
+    for i in range(n):
+        values = np.concatenate(pieces[i])
+        paths.append(ExcursionPath(np.arange(values.size) * dt, values, zeta[i], censored=math.isinf(zeta[i])))
+    return paths
+
+
+class TestLockstepSimulator:
+    def test_pathwise_match_with_single_path_oracle(self):
+        from measura.excursion import _lockstep_block, _window_weights
+
+        eps, dt, horizon, n, seed = 0.3, 1e-3, 1.0, 200, 4242
+        max_steps = int(round(horizon / dt))
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        h = lambda r: 1.0 - 0.5 * step_indicator(0.2, width=0.4)(r)  # 0.5 after 0.6
+        F = ExcursionFunctional(h=h, h_constant_after=0.6, pairs=((smoothed_bump(0.05, 0.5, 0.05), 0.5, g),))
+
+        zeta, values = _lockstep_block(F, _window_weights(F, dt, max_steps), eps, dt, max_steps,
+                                       np.random.default_rng((seed, 0)), n)
+        paths = replay_block(seed, 0, n, eps, dt, max_steps)
+        assert zeta.tolist() == [p.zeta for p in paths]
+        oracle = np.array([eval_functional(F, p) for p in paths])
+        np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0.0)
+        assert np.count_nonzero(oracle) >= 20
+        assert 0 < sum(p.censored for p in paths) < n
+
+        mean, se = empirical_lhs(F, eps, n, dt, horizon, seed)
+        assert mean == pytest.approx(oracle.mean() / eps, rel=1e-12)
+        assert se == pytest.approx(oracle.std(ddof=1) / eps / math.sqrt(n), rel=1e-10)
+
+    def test_survival_matches_closed_form(self):
+        # (1/eps) P_eps(zeta > t) = erf(eps / sqrt(2t)) / eps, exact at grid times
+        eps, dt = 0.05, 1e-3
+        for i, t in enumerate((0.05, 0.2, 0.5, 1.0)):
+            F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
+            mean, se = empirical_lhs(F, eps, 20_000, dt, horizon=t + 0.05, seed=(31, i))
+            exact = float(levy_survival(eps, t)) / eps
+            assert abs(mean - exact) < 3.0 * se
+
+    def test_working_memory_bounded_by_cell_cap(self):
+        # at eps = 1 most paths outlive the horizon; the peak must not grow
+        # with the number of paths or with the number of time steps
+        import tracemalloc
+
+        from measura.excursion import _CELL_CAP
+
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        F = ExcursionFunctional(h=step_indicator(0.05), h_constant_after=0.05,
+                                pairs=((smoothed_bump(0.0, 0.05, 0.01), 0.05, g),))
+        peaks = []
+        for n_paths, dt, horizon in ((2048, 1e-3, 0.1), (100_000, 1e-3, 0.1), (100, 1e-4, 10.0)):
+            tracemalloc.start()
+            try:
+                empirical_lhs(F, 1.0, n_paths, dt, horizon, seed=5)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) <= 10 * _CELL_CAP * 8
+        assert max(peaks) <= 1.25 * peaks[0]
 
 
 class TestTargetRhs:
