@@ -91,10 +91,6 @@ class ExcursionPath:
             raise ValueError("values beyond the lifetime must be zero")
 
     @property
-    def dt(self) -> float:
-        return float(self.grid[1] - self.grid[0]) if self.grid.size > 1 else 0.0
-
-    @property
     def end(self) -> float:
         return float(self.grid[-1])
 
@@ -153,52 +149,71 @@ def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _simulate_values(rng: np.random.Generator, eps: float, dt: float, max_steps: int):
-    """Euler walk from eps with exact Gaussian steps and bridge-crossing kill.
+# Lockstep simulation: paths run in blocks of _BLOCK path indices, one RNG
+# stream per block.  Each chunk draws (alive x steps) normals and uniforms;
+# chunk lengths start at _FIRST_CHUNK steps and double, cut so that
+# alive x steps stays within _CELL_CAP cells.
+_BLOCK = 1024
+_FIRST_CHUNK = 16
+_CELL_CAP = 8192
 
-    Returns (values, absorbed): values start at eps and, when absorbed, end
-    with the 0 recorded at the absorption grid time.  Censored walks run to
-    max_steps.  Each step kills with probability exp(-2 x_k x_{k+1} / dt)
-    even when both endpoints stay positive.
+
+def _killed_chunks(eps: float, dt: float, max_steps: int, rng: np.random.Generator, n: int):
+    """Step n killed paths from eps in lockstep, one chunk of grid steps at a time.
+
+    Exact Gaussian steps; a path is killed at step k + 1 when x_{k+1} <= 0 or
+    u < exp(-2 x_k x_{k+1} / dt), the chance that the Brownian bridge between
+    the two grid values hits 0.  Yields (ids, xs, first, done) per chunk: the
+    ids of the paths alive at its start, their (alive x steps) positions, each
+    row's index of its first kill (steps if it survives the chunk) and the
+    number of steps done before the chunk.  Killed paths retire after their
+    chunk; the rest run to max_steps.  Consumers must not modify xs.
     """
     sqdt = math.sqrt(dt)
-    chunks = [np.array([eps])]
-    x = eps
-    done = 0
-    block = 256
-    while done < max_steps:
-        size = min(block, max_steps - done)
-        xs = x + np.cumsum(rng.standard_normal(size)) * sqdt
-        prev = np.empty(size)
-        prev[0] = x
-        prev[1:] = xs[:-1]
-        u = rng.random(size)
-        crossed = (xs <= 0.0) | (u < np.exp(np.minimum(0.0, -2.0 * prev * xs / dt)))
-        if crossed.any():
-            k = int(np.argmax(crossed))
-            tail = xs[:k].copy() if k else np.empty(0)
-            chunks.append(np.concatenate([tail, [0.0]]))
-            return np.concatenate(chunks), True
-        chunks.append(xs)
-        x = float(xs[-1])
-        done += size
-        block = min(block * 4, 1 << 16)
-    return np.concatenate(chunks), False
-
-
-def _as_path(values: np.ndarray, dt: float, absorbed: bool) -> ExcursionPath:
-    grid = np.arange(values.size) * dt
-    zeta = float(grid[-1]) if absorbed else math.inf
-    return ExcursionPath(grid, values, zeta, censored=not absorbed)
+    ids = np.arange(n)
+    x = np.full(n, float(eps))
+    done, size = 0, _FIRST_CHUNK
+    while ids.size and done < max_steps:
+        steps = min(size, max_steps - done, max(1, _CELL_CAP // ids.size))
+        # in place, rounded as x_k + sqdt * cumsum(z) and exp(min(0, -2 x_k x_{k+1} / dt))
+        xs = np.cumsum(rng.standard_normal((ids.size, steps)), axis=1)
+        xs *= sqdt
+        xs += x[:, None]
+        bridge = np.empty_like(xs)  # chance that the bridge between x_k and x_{k+1} hits 0
+        bridge[:, 0] = x
+        bridge[:, 1:] = xs[:, :-1]
+        bridge *= xs
+        bridge *= -2.0
+        bridge /= dt
+        np.exp(np.minimum(bridge, 0.0, out=bridge), out=bridge)
+        killed = (xs <= 0.0) | (rng.random((ids.size, steps)) < bridge)
+        first = np.where(killed.any(axis=1), killed.argmax(axis=1), steps)
+        yield ids, xs, first, done
+        alive = first == steps
+        x = xs[alive, -1]
+        ids = ids[alive]
+        done += steps
+        size *= 2
 
 
 def sample_killed_bm(eps: float, dt: float, horizon: float, seed) -> ExcursionPath:
-    """One killed-Brownian path started at eps, absorbed at 0 or censored at the horizon."""
+    """One killed-Brownian path started at eps, absorbed at 0 or censored at the horizon.
+
+    The path is ``_killed_chunks``'s single row with stream ``default_rng(seed)``;
+    an absorbed path ends with the 0 recorded at the absorption grid time.
+    """
     if eps <= 0.0 or dt <= 0.0:
         raise ValueError("eps and dt must be positive")
-    rng = np.random.default_rng(seed)
-    values, absorbed = _simulate_values(rng, eps, dt, int(round(horizon / dt)))
-    return _as_path(values, dt, absorbed)
+    chunks = [np.array([float(eps)])]
+    absorbed = False
+    for _, xs, first, _ in _killed_chunks(eps, dt, int(round(horizon / dt)), np.random.default_rng(seed), 1):
+        chunks.append(xs[0, : first[0]])
+        absorbed = bool(first[0] < xs.shape[1])
+    if absorbed:
+        chunks.append(np.zeros(1))
+    values = np.concatenate(chunks)
+    grid = np.arange(values.size) * dt
+    return ExcursionPath(grid, values, float(grid[-1]) if absorbed else math.inf, censored=not absorbed)
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +275,6 @@ def eval_functional(F: ExcursionFunctional, e: ExcursionPath) -> float:
     return out
 
 
-# Lockstep simulation: paths run in blocks of _BLOCK path indices, one RNG
-# stream per block.  Each chunk draws (alive x steps) normals and uniforms;
-# chunk lengths start at _FIRST_CHUNK steps and double, cut so that
-# alive x steps stays within _CELL_CAP cells.
-_BLOCK = 1024
-_FIRST_CHUNK = 16
-_CELL_CAP = 8192
-
-
 def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[tuple[np.ndarray, Callable]]:
     """(w f_i, g_i) per pair: trapezoid weights times f_i on the grid steps inside the window.
 
@@ -296,35 +302,16 @@ def _lockstep_block(
     rng: np.random.Generator,
     n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lifetimes and functional values of n killed paths from eps, stepped in lockstep.
+    """Lifetimes and functional values of n killed paths from eps, stepped by ``_killed_chunks``.
 
-    The step law is ``_simulate_values``'s: exact Gaussian steps, killed when
-    x_{k+1} <= 0 or u < exp(-2 x_k x_{k+1} / dt).  Window integrals accumulate
-    chunk by chunk (values after the kill are zero) and absorbed paths retire
-    after each chunk, so no path is stored.  Returns (zeta, values); zeta is
-    the grid time of the kill, inf for paths censored at max_steps.
+    Window integrals accumulate chunk by chunk (values after the kill are
+    zero), so no path is stored.  Returns (zeta, values); zeta is the grid
+    time of the kill, inf for paths censored at max_steps.
     """
-    sqdt = math.sqrt(dt)
-    ids = np.arange(n)
-    x = np.full(n, float(eps))
     kill_step = np.zeros(n, dtype=np.int64)  # 0 while alive or censored
     acc = [np.full(n, w[0] * float(g(eps))) for w, g in windows]
-    done, size = 0, _FIRST_CHUNK
-    while ids.size and done < max_steps:
-        steps = min(size, max_steps - done, max(1, _CELL_CAP // ids.size))
-        # in place, rounded as x_k + sqdt * cumsum(z) and exp(min(0, -2 x_k x_{k+1} / dt))
-        xs = np.cumsum(rng.standard_normal((ids.size, steps)), axis=1)
-        xs *= sqdt
-        xs += x[:, None]
-        bridge = np.empty_like(xs)  # chance that the bridge between x_k and x_{k+1} hits 0
-        bridge[:, 0] = x
-        bridge[:, 1:] = xs[:, :-1]
-        bridge *= xs
-        bridge *= -2.0
-        bridge /= dt
-        np.exp(np.minimum(bridge, 0.0, out=bridge), out=bridge)
-        killed = (xs <= 0.0) | (rng.random((ids.size, steps)) < bridge)
-        first = np.where(killed.any(axis=1), killed.argmax(axis=1), steps)
+    for ids, xs, first, done in _killed_chunks(eps, dt, max_steps, rng, n):
+        steps = xs.shape[1]
         for (w, g), a in zip(windows, acc):
             cols = min(steps, w.size - 1 - done)
             if cols > 0:
@@ -332,10 +319,6 @@ def _lockstep_block(
                 a[ids] += np.asarray(g(live), dtype=float) @ w[done + 1 : done + 1 + cols]
         dead = first < steps
         kill_step[ids[dead]] = done + 1 + first[dead]
-        x = xs[~dead, -1]
-        ids = ids[~dead]
-        done += steps
-        size *= 2
 
     absorbed = kill_step > 0
     zeta = np.where(absorbed, kill_step * dt, math.inf)

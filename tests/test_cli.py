@@ -157,6 +157,20 @@ class TestCommands:
         assert list(res.rows[0]) == ["t", "lhs", "se", "target", "ratio"]
         assert len(res.rows) == 3
 
+    def test_excursion_thresholds_of_neighbouring_seeds_share_no_stream(self, monkeypatch):
+        import measura.cli as cli
+
+        seeds = []
+
+        def fake_lhs(F, eps, n_paths, dt, horizon, seed):
+            seeds.append(seed)
+            return 1.0, 0.1
+
+        monkeypatch.setattr(cli, "empirical_lhs", fake_lhs)
+        for root in (7, 8):
+            run(ExperimentConfig(command="excursion", seed=root))
+        assert len(seeds) == 6 and len(set(seeds)) == 6
+
 
 class TestMain:
     def test_usage_error_exit_code(self, capsys):
@@ -226,6 +240,13 @@ class TestMain:
         captured = capsys.readouterr()
         assert "FAIL  converged" in captured.out and "budget exhausted" in captured.err
         assert out.exists()
+
+    def test_excursion_coarse_step_runs_without_traceback(self, tmp_path, capsys):
+        # at dt = 0.4 the horizon t + dt still reaches past every threshold t
+        out = tmp_path / "exc.csv"
+        code = main(["--command", "excursion", "--seed", "1", "--dt", "0.4", "--n-paths", "100", "--out", str(out)])
+        assert code in (0, 1) and out.exists()
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_excursion_too_few_paths_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "exc.csv"

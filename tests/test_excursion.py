@@ -291,6 +291,18 @@ def replay_block(seed, block, n, eps, dt, max_steps):
 
 
 class TestLockstepSimulator:
+    @pytest.mark.parametrize("eps", [0.3, 1.0])
+    def test_single_path_is_the_replayed_block_row(self, eps):
+        # sample_killed_bm and the lockstep blocks share one stepper: with the
+        # stream (s, 0) its path is row 0 of block 0 of a one-path run
+        seed, dt, horizon = 606, 1e-3, 1.0
+        max_steps = int(round(horizon / dt))
+        p = sample_killed_bm(eps, dt, horizon, seed=(seed, 0))
+        q = replay_block(seed, 0, 1, eps, dt, max_steps)[0]
+        assert np.array_equal(p.values, q.values) and np.array_equal(p.grid, q.grid)
+        assert p.zeta == q.zeta and p.censored == q.censored
+        assert p.censored == (eps == 1.0)
+
     def test_pathwise_match_with_single_path_oracle(self):
         from measura.excursion import _lockstep_block, _window_weights
 
