@@ -52,7 +52,7 @@ COMMAND_HELP = {
     "excursion": "Ito excursion measure tail: (1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) for killed Brownian motion.",
     "fragmentation": "Fragmentation power sums, including the G_1 discontinuity witness on uniform block states.",
     "sw-approx": "Stone-Weierstrass weighted approximation on the cube by polynomials vanishing on the first-coordinate face.",
-    "prohorov-oracle": "Prokhorov distance between small atomic measures against subset-enumeration brute force.",
+    "prohorov-oracle": "Max-flow Prokhorov distance between small atomic measures against subset-enumeration brute force.",
 }
 COMMANDS = tuple(COMMAND_HELP)
 STOCHASTIC_COMMANDS = ("excursion", "prohorov-oracle")
@@ -344,7 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=defaults.seed, help="root seed; required for stochastic commands")
     parser.add_argument("--eps", type=float, default=defaults.eps, help="starting level for killed Brownian motion")
     parser.add_argument("--dt", type=float, default=defaults.dt, help="simulation step")
-    parser.add_argument("--n-paths", type=int, default=defaults.n_paths, help="Monte Carlo sample count / instance count")
+    parser.add_argument("--n-paths", type=int, default=defaults.n_paths,
+                        help="Monte Carlo sample count / instance count (prohorov-oracle runs min(n, 500) instances)")
     parser.add_argument("--m-max", type=float, default=defaults.m_max,
                         help="largest argument in limit schedules / degree budget")
     parser.add_argument("--tol", type=float, default=defaults.tol, help="verdict tolerance (read by levy-recover only)")

@@ -13,7 +13,7 @@ from measura.measures import (
     prohorov_distance_bruteforce,
     weak_sharp_report,
 )
-from measura.metric_core import point_removal_metric, real_line
+from measura.metric_core import point_removal_metric, real_line, sup_norm_space
 
 SPACE = real_line()
 
@@ -94,6 +94,15 @@ class TestProhorov:
         mu = measure((0.1, 1.0), (0.9, 0.3))
         assert prohorov_distance(mu, mu) == 0.0
 
+    def test_identity_is_exactly_zero(self):
+        # rounding residues of mass differences must not leak into d(mu, mu)
+        atoms = [(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]
+        mu, reverse = measure(*atoms), measure(*atoms[::-1])
+        assert prohorov_distance(mu, mu) == 0.0
+        assert prohorov_distance(mu, reverse) == 0.0
+        assert prohorov_distance(reverse, mu) == 0.0
+        assert mf_measure_metric(mu, reverse) == 0.0
+
     def test_shifted_diracs(self):
         assert prohorov_distance(
             AtomicMeasure.dirac(SPACE, 0.0), AtomicMeasure.dirac(SPACE, 0.3)
@@ -120,10 +129,41 @@ class TestProhorov:
             prohorov_distance(AtomicMeasure.dirac(at0, 0.5), AtomicMeasure.dirac(at1, 0.5))
 
     def test_more_than_fourteen_atoms_rejected(self):
+        # the oracle enumerates 2^n unions of atoms; prohorov_distance has no cap
         nu1 = measure(*[(0.1 * k, 1.0) for k in range(8)])
         nu2 = measure(*[(0.1 * k + 0.05, 1.0) for k in range(7)])
         with pytest.raises(ValueError, match="15 atoms exceeds the exact-subset limit 14"):
-            prohorov_distance(nu1, nu2)
+            prohorov_distance_bruteforce(nu1, nu2)
+
+    @pytest.mark.parametrize("n", [15, 200])
+    def test_shifted_lattice_beyond_oracle_cap(self, n):
+        delta = 0.3
+        nu1 = measure(*[(float(k), 0.01) for k in range(n)])
+        nu2 = measure(*[(k + delta, 0.01) for k in range(n)])
+        assert prohorov_distance(nu1, nu2) == pytest.approx(min(delta, n * 0.01), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "space, point",
+        [
+            (real_line(), lambda rng: 0.1 * int(rng.integers(0, 6))),
+            (sup_norm_space(2), lambda rng: tuple(0.1 * rng.integers(0, 4, 2))),
+        ],
+        ids=["line", "sup2"],
+    )
+    def test_lattice_ties_match_bruteforce_oracle(self, space, point):
+        # a 0.1 lattice makes distances tie and atoms of the two measures coincide
+        rng = np.random.default_rng(19)
+        worst = 0.0
+        for it in range(40):
+            sizes = [0 if it % 5 == 0 else int(rng.integers(1, 8)), int(rng.integers(1, 8))]
+            if it % 2:
+                sizes.reverse()
+            nu1, nu2 = (
+                AtomicMeasure.from_atoms(space, [(point(rng), 0.1 * int(rng.integers(1, 6))) for _ in range(k)])
+                for k in sizes
+            )
+            worst = max(worst, abs(prohorov_distance(nu1, nu2) - prohorov_distance_bruteforce(nu1, nu2)))
+        assert worst < 2e-7
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(7)
