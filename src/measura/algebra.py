@@ -8,8 +8,11 @@ decidable, so deduplication is purely syntactic.
 :func:`stone_weierstrass_p0` builds, for a continuous g: H -> [0,1] supported
 on the slice {x_1 >= delta} of the cube of [0,1]-sequences, a polynomial p
 vanishing on the face {x_1 = 0} with the weighted bound |g - p| <= eps * x_1.
-The construction is p = x_1 * B_n(g/x_1) with B_n a tensor Bernstein operator;
-the degree is escalated until the bound holds on a verification grid.
+The construction is p = x_1 * B_n(g/x_1) with B_n a tensor Bernstein operator
+on one exact lattice of g/x_1 values; the degree is escalated until the bound
+holds on a verification grid, where B_n is evaluated by one weight-matrix
+contraction per axis.  The polynomial keeps that Bernstein form for float
+evaluation and its exact power-basis terms as the oracle and the fallback.
 """
 
 from __future__ import annotations
@@ -206,10 +209,11 @@ class CubePolynomial:
     """Multivariate polynomial in the first ``arity`` cube coordinates.
 
     ``terms`` maps exponent multi-indices to exact rational coefficients, so
-    membership in the face-vanishing class is a syntactic check.  Evaluation
-    uses an attached factored Bernstein form when present (numerically stable
-    at high degree); ``evaluate_exact`` always goes through the terms with
-    exact rational arithmetic and serves as the oracle for the factored form.
+    membership in the face-vanishing class is a syntactic check.  ``evaluate``
+    uses the attached Bernstein form x_1 * B_n when present (numerically
+    stable at high degree); ``evaluate_exact`` goes through the terms in exact
+    rational arithmetic, is the oracle for the Bernstein form, and is what
+    ``evaluate`` rounds when no Bernstein form is attached.
     """
 
     terms: dict[tuple[int, ...], Fraction]
@@ -223,12 +227,9 @@ class CubePolynomial:
 
     def evaluate(self, x: Sequence[float]) -> float:
         xs = [float(x[i]) if i < len(x) else 0.0 for i in range(self.arity)]
-        if self._bernstein_values is not None:
-            return xs[0] * float(_bernstein_eval(self._bernstein_values, self.degree, xs))
-        total = 0.0
-        for m, c in self.terms.items():
-            total += float(c) * math.prod(xi**e for xi, e in zip(xs, m))
-        return total
+        if self._bernstein_values is None:
+            return float(self.evaluate_exact(xs))
+        return xs[0] * _bernstein_eval(self._bernstein_values, self.degree, [[xi] for xi in xs]).item()
 
     def evaluate_exact(self, x: Sequence[float | Fraction]) -> Fraction:
         xs = [Fraction(x[i]) if i < len(x) else Fraction(0) for i in range(self.arity)]
@@ -241,23 +242,34 @@ class CubePolynomial:
         return total
 
 
-def _bernstein_eval(values: np.ndarray, n: int, xs: Sequence[float]) -> float:
-    """Contract lattice values with Bernstein weights along each axis."""
+def _bernstein_eval(values: np.ndarray, n: int, points: Sequence[Sequence[float]]) -> np.ndarray:
+    """Tensor Bernstein polynomial of degree n with lattice ``values`` on a product grid.
+
+    ``points`` holds one list of abscissae per axis.  Each axis contracts the
+    lattice with a (len x (n + 1)) matrix of Bernstein weights, so the result
+    has shape ``tuple(len(p) for p in points)``; a single point is a grid of
+    one-point lists.
+    """
     out = values
-    for xi in xs:
-        w = _bernstein_weights(n, xi) if 0.0 < xi < 1.0 else _pmf_edge(n, xi)
-        out = np.tensordot(w, out, axes=(0, 0))
-    return float(out)
+    for axis in points:
+        weights = np.array([_bernstein_weights(n, xi) for xi in axis])
+        out = np.tensordot(out, weights, axes=(0, 1))
+    return out
 
 
 def _bernstein_weights(n: int, x: float) -> np.ndarray:
-    """Binomial(n, x) probabilities C(n, j) x^j (1 - x)^(n - j) for 0 < x < 1.
+    """Binomial(n, x) probabilities C(n, j) x^j (1 - x)^(n - j) for x in [0, 1].
 
-    The weight at the mode is set to 1 and the others are built outward from
-    it with the ratio w[j + 1] / w[j] = (n - j) x / ((j + 1)(1 - x)), then
+    At x <= 0 all the mass is on j = 0 and at x >= 1 on j = n.  Inside, the
+    weight at the mode is set to 1 and the others are built outward from it
+    with the ratio w[j + 1] / w[j] = (n - j) x / ((j + 1)(1 - x)), then
     normalised.  Every partial product from the mode is at most about 1, so
     nothing overflows at any n; far tails underflow to 0.
     """
+    if x <= 0.0 or x >= 1.0:
+        w = np.zeros(n + 1)
+        w[0 if x <= 0.0 else n] = 1.0
+        return w
     m = min(int((n + 1) * x), n)
     r = x / (1.0 - x)
     w = np.empty(n + 1)
@@ -269,68 +281,43 @@ def _bernstein_weights(n: int, x: float) -> np.ndarray:
     return w / w.sum()
 
 
-def _pmf_edge(n: int, x: float) -> np.ndarray:
-    # at x <= 0 or x >= 1 all mass sits on one end; the ratio recurrence
-    # would divide by zero there
-    w = np.zeros(n + 1)
-    if x <= 0.0:
-        w[0] = 1.0
-    elif x >= 1.0:
-        w[n] = 1.0
-    return w
-
-
-def _lattice(n: int, arity: int):
-    return itertools.product(range(n + 1), repeat=arity)
-
-
 _FACE_OFFSET = 2.0**-30  # power of two: scaling by it is exact in floats
 
 
-def _scaled_ratio_lattice(g, n: int, arity: int) -> tuple[np.ndarray, list[Fraction]]:
-    """Lattice values of g(x)/x_1, as floats (for checks) and exact Fractions.
+def _scaled_ratio_lattice(g, n: int, arity: int) -> np.ndarray:
+    """Exact lattice values of g(x)/x_1 at x = j/n, as an object array of Fractions.
 
     On the x_1 = 0 face the ratio is taken by continuity, sampled just inside
     the cube; for g supported away from the face this is exactly 0.
     """
-    floats = np.zeros((n + 1,) * arity)
-    fracs: list[Fraction] = []
-    for j in _lattice(n, arity):
+    lattice = np.empty((n + 1,) * arity, dtype=object)
+    for j in np.ndindex(lattice.shape):
         if j[0] == 0:
             x = (_FACE_OFFSET,) + tuple(ji / n for ji in j[1:])
-            ratio = float(g(x)) / _FACE_OFFSET  # exact: power-of-two scaling
-            frac = Fraction(ratio)
+            lattice[j] = Fraction(float(g(x)) / _FACE_OFFSET)  # exact: power-of-two scaling
         else:
-            x = tuple(ji / n for ji in j)
-            gv = float(g(x))
-            ratio = gv * n / j[0]
-            frac = Fraction(gv) * Fraction(n, j[0])
-        floats[j] = ratio
-        fracs.append(frac)
-    return floats, fracs
+            lattice[j] = Fraction(float(g(tuple(ji / n for ji in j)))) * Fraction(n, j[0])
+    return lattice
 
 
-def _power_terms(fracs: list[Fraction], n: int, arity: int) -> dict[tuple[int, ...], Fraction]:
-    """Exact power-basis expansion of the tensor Bernstein polynomial.
+def _power_terms(lattice: np.ndarray, n: int) -> dict[tuple[int, ...], Fraction]:
+    """Exact power-basis expansion of the tensor Bernstein polynomial, times x_1.
 
     Uses iterated forward differences: the coefficient of x^m is
     prod_i C(n, m_i) * (Delta^m value)(0), computed over a common denominator
     so the difference tables run on Python integers.
     """
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // math.gcd(den, f.denominator)
-    table = np.empty((n + 1,) * arity, dtype=object)
-    for idx, j in enumerate(_lattice(n, arity)):
-        table[j] = fracs[idx].numerator * (den // fracs[idx].denominator)
-    for axis in range(arity):
+    den = math.lcm(*(f.denominator for f in lattice.flat))
+    table = np.empty(lattice.shape, dtype=object)
+    for j, f in np.ndenumerate(lattice):
+        table[j] = f.numerator * (den // f.denominator)
+    for axis in range(lattice.ndim):
         table = np.swapaxes(table, 0, axis)
         for order in range(1, n + 1):
             table[order:] = table[order:] - table[order - 1 : -1]
         table = np.swapaxes(table, 0, axis)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for m in _lattice(n, arity):
-        num = table[m]
+    for m, num in np.ndenumerate(table):
         if num == 0:
             continue
         coeff = Fraction(num, den)
@@ -361,10 +348,10 @@ def stone_weierstrass_p0(
         raise ValueError("eps must be positive")
     if degree_budget < 1:
         raise ValueError("degree_budget must be >= 1")
-    axes = np.linspace(0.0, 1.0, grid_points)
-    grid = list(itertools.product(axes, repeat=arity))
-    gvals = np.array([float(g(x)) for x in grid])
-    x1 = np.array([x[0] for x in grid])
+    axis = np.linspace(0.0, 1.0, grid_points)
+    shape = (grid_points,) * arity
+    gvals = np.array([float(g(x)) for x in itertools.product(axis, repeat=arity)]).reshape(shape)
+    x1 = np.broadcast_to(axis.reshape((-1,) + (1,) * (arity - 1)), shape)
 
     if np.any(np.abs(gvals[x1 < delta]) > 1e-12):
         raise ValueError("support assertion violated: g does not vanish below delta")
@@ -379,11 +366,11 @@ def stone_weierstrass_p0(
     degrees.append(degree_budget)
 
     for n in degrees:
-        floats, fracs = _scaled_ratio_lattice(g, n, arity)
-        approx = np.array([_bernstein_eval(floats, n, x) for x in grid])
+        lattice = _scaled_ratio_lattice(g, n, arity)
+        values = lattice.astype(float)
+        approx = _bernstein_eval(values, n, [axis] * arity)
         if np.all(np.abs(gvals - x1 * approx) <= eps * x1 + 1e-12):
-            terms = _power_terms(fracs, n, arity)
-            return CubePolynomial(terms, arity, n, _bernstein_values=floats)
+            return CubePolynomial(_power_terms(lattice, n), arity, n, _bernstein_values=values)
     raise NonConvergenceError(
         f"degree budget exhausted: no degree <= {degree_budget} meets the weighted bound {eps}"
     )

@@ -73,8 +73,13 @@ class ConvergenceReport:
 
 
 def integrate(mu: AtomicMeasure, f: Callable[[Point], complex]) -> complex:
-    """Sum of weight * f(atom); linear in f, monotone for nonnegative real f."""
-    return complex(sum(w * complex(f(p)) for p, w in mu.atoms))
+    """Sum of weight * f(atom); linear in f, monotone for nonnegative real f.
+
+    The real and imaginary parts are each one correctly rounded fsum, so the
+    integral does not depend on the order of the atoms.
+    """
+    terms = [w * complex(f(p)) for p, w in mu.atoms]
+    return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
 def integrates_family(mu: AtomicMeasure, fam: FunctionFamily) -> bool:
@@ -96,22 +101,6 @@ def _require_same_space(nu1: AtomicMeasure, nu2: AtomicMeasure) -> MetricStructu
             f"mismatched base spaces: {nu1.space.label!r} vs {nu2.space.label!r}"
         )
     return nu1.space
-
-
-def _union_support(nu1: AtomicMeasure, nu2: AtomicMeasure):
-    space = _require_same_space(nu1, nu2)
-    pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
-    n = len(pts)
-    w1 = np.zeros(n)
-    w2 = np.zeros(n)
-    w1[: len(nu1.atoms)] = [w for _, w in nu1.atoms]
-    w2[len(nu1.atoms):] = [w for _, w in nu2.atoms]
-    dmat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = space.dist(pts[i], pts[j])
-            dmat[i, j] = dmat[j, i] = d
-    return pts, w1, w2, dmat
 
 
 def _residual_search(rem_a, adj_a, flow_b, rem_b):
@@ -203,22 +192,23 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
 
     inf{eps > 0 : nu1(A) <= nu2(A^eps) + eps and vice versa for all A}, where
     A ranges over unions of support atoms and A^eps is the closed enlargement.
-    On [t_k, t_{k+1}) between sorted pairwise-distance thresholds the
-    enlargements are fixed, so the binding constraint is the defect D_k of
-    :func:`_strassen_defect` (Strassen 1965: total mass minus a bipartite max
-    flow, read off a minimum cut) and the candidate is max(t_k, D_k).  D_k
-    does not increase with k, so "the candidate lies below t_{k+1}" is
-    monotone and the first k where it holds, which gives the distance, is
-    found by binary search: one max flow per probe, no cap on the atom count.
+    The thresholds t_k are 0 and the sorted distances between an atom of nu1
+    and an atom of nu2, so only those n1 * n2 distances are computed.  On
+    [t_k, t_{k+1}) the enlargements are fixed, so the binding constraint is
+    the defect D_k of :func:`_strassen_defect` (Strassen 1965: total mass
+    minus a bipartite max flow, read off a minimum cut) and the candidate is
+    max(t_k, D_k).  D_k does not increase with k, so "the candidate lies
+    below t_{k+1}" is monotone and the first k where it holds, which gives
+    the distance, is found by binary search: one max flow per probe, no cap
+    on the atom count.
     """
-    n1 = len(nu1.atoms)
-    if n1 + len(nu2.atoms) == 0:
-        _require_same_space(nu1, nu2)
+    space = _require_same_space(nu1, nu2)
+    if not nu1.atoms and not nu2.atoms:
         return 0.0
-    _, w1, w2, dmat = _union_support(nu1, nu2)
-    w1, w2 = w1[:n1].tolist(), w2[n1:].tolist()
-    cross = dmat[:n1, n1:]
-    t = np.unique(dmat).tolist()
+    w1, w2 = [w for _, w in nu1.atoms], [w for _, w in nu2.atoms]
+    cross = np.array([[space.dist(p, q) for q, _ in nu2.atoms] for p, _ in nu1.atoms])
+    cross = cross.reshape(len(w1), len(w2))
+    t = np.unique(np.append(cross, 0.0)).tolist()
 
     def candidate(k: int) -> float:
         return max(t[k], _strassen_defect(w1, w2, cross <= t[k]))
@@ -243,13 +233,21 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure, tol: fl
     converges to the infimum.  Kept algorithmically independent of
     :func:`prohorov_distance` on purpose.
     """
-    n = len(nu1.atoms) + len(nu2.atoms)
+    space = _require_same_space(nu1, nu2)
+    pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
+    n = len(pts)
     if n == 0:
-        _require_same_space(nu1, nu2)
         return 0.0
     if n > SUBSET_LIMIT:
         raise ValueError(f"union support of {n} atoms exceeds the exact-subset limit {SUBSET_LIMIT}")
-    _, w1, w2, dmat = _union_support(nu1, nu2)
+    w1 = np.zeros(n)
+    w2 = np.zeros(n)
+    w1[: len(nu1.atoms)] = [w for _, w in nu1.atoms]
+    w2[len(nu1.atoms):] = [w for _, w in nu2.atoms]
+    dmat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dmat[i, j] = dmat[j, i] = space.dist(pts[i], pts[j])
     masks = np.arange(2**n, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
 

@@ -4,10 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from measura import algebra
 from measura.algebra import (
     CubePolynomial,
     FunctionFamily,
     TestFunction,
+    _bernstein_eval,
     _bernstein_weights,
     check_bounded_below_on,
     check_separates_points,
@@ -210,6 +212,12 @@ def ramp(u):
     return min(max(u, 0.0), 1.0)
 
 
+def smooth_step_2d(x):
+    # arity-2 target: a C^1 step in x_1 from 0.25 to 0.75, modulated in x_2
+    u = ramp((x[0] - 0.25) / 0.5)
+    return x[0] * u * u * (3.0 - 2.0 * u) * (0.5 + 0.5 * x[1] * x[1])
+
+
 class TestStoneWeierstrass:
     def test_first_coordinate_is_exact(self):
         poly = stone_weierstrass_p0(lambda x: x[0], delta=0.0, eps=0.01, degree_budget=4)
@@ -264,6 +272,39 @@ class TestStoneWeierstrass:
             assert float(poly.evaluate_exact((x,))) == pytest.approx(
                 poly.evaluate((float(x),)), abs=1e-9
             )
+        poly2 = stone_weierstrass_p0(smooth_step_2d, delta=0.25, eps=0.05, degree_budget=256, arity=2)
+        assert poly2.degree >= 16
+        for x in ((Fraction(1, 3), Fraction(2, 7)), (Fraction(7, 10), Fraction(1)), (Fraction(49, 50), 0)):
+            assert float(poly2.evaluate_exact(x)) == pytest.approx(
+                poly2.evaluate(tuple(float(xi) for xi in x)), abs=1e-9
+            )
+
+    def test_product_grid_matches_pointwise_evaluation(self):
+        poly = stone_weierstrass_p0(smooth_step_2d, delta=0.25, eps=0.05, degree_budget=256, arity=2)
+        axis = np.linspace(0.0, 1.0, 13)  # both faces of both axes included
+        grid = _bernstein_eval(poly._bernstein_values, poly.degree, [axis, axis])
+        assert grid.shape == (13, 13)
+        for i, x1 in enumerate(axis):
+            for j, x2 in enumerate(axis):
+                assert abs(x1 * grid[i, j] - poly.evaluate((x1, x2))) <= 1e-15
+
+    def test_weights_are_built_once_per_abscissa_and_degree(self, monkeypatch):
+        # the verification grid is contracted axis by axis: a per-point loop
+        # would call the weight function arity * grid_points**arity times
+        calls = []
+        weights = algebra._bernstein_weights
+
+        def counted(n, x):
+            calls.append(n)
+            return weights(n, x)
+
+        monkeypatch.setattr(algebra, "_bernstein_weights", counted)
+        poly = stone_weierstrass_p0(
+            smooth_step_2d, delta=0.25, eps=0.05, degree_budget=256, arity=2, grid_points=25
+        )
+        tried = poly.degree.bit_length()  # degrees 1, 2, 4, ..., poly.degree
+        assert len(set(calls)) == tried
+        assert len(calls) <= 2 * 25 * tried
 
     def test_p0_face_value_is_zero(self):
         g = lambda x: x[0] * ramp((x[0] - 0.25) / 0.25)
@@ -290,8 +331,11 @@ def exact_bernstein_weights(n, x):
 class TestBernsteinWeights:
     def test_matches_exact_rational_weights(self):
         for n in (1, 7, 64, 256, 1000):
-            for x in (1e-3, 0.1, 0.37, 0.5, 0.9, 0.999):
-                err = np.abs(_bernstein_weights(n, x) - exact_bernstein_weights(n, x)).max()
+            for x in (0.0, 1e-3, 0.1, 0.37, 0.5, 0.9, 0.999, 1.0):
+                w, exact = _bernstein_weights(n, x), exact_bernstein_weights(n, x)
+                if x in (0.0, 1.0):  # all the mass on e_0 or e_n, exactly
+                    assert np.array_equal(w, exact), (n, x)
+                err = np.abs(w - exact).max()
                 assert err <= 1e-15, (n, x, err)
 
     def test_high_degree_is_finite_and_normalised(self):

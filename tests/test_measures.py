@@ -13,7 +13,7 @@ from measura.measures import (
     prohorov_distance_bruteforce,
     weak_sharp_report,
 )
-from measura.metric_core import point_removal_metric, real_line, sup_norm_space
+from measura.metric_core import MetricStructure, point_removal_metric, real_line, sup_norm_space
 
 SPACE = real_line()
 
@@ -53,6 +53,15 @@ class TestIntegrate:
             lhs = integrate(mu, lambda x: a * f(x) + b * g(x))
             rhs = a * integrate(mu, f) + b * integrate(mu, g)
             assert abs(lhs - rhs) < 1e-12
+
+    def test_atom_order_does_not_matter(self):
+        atoms = [(0.0, 0.1), (1.0, 0.2), (2.0, 0.3)]
+        mu, reverse = measure(*atoms), measure(*atoms[::-1])
+        for f in (lambda x: 1.0, lambda x: 1.0 + 1j * x):
+            assert integrate(mu, f) == integrate(reverse, f)
+        fam = FunctionFamily((TestFunction("one", lambda x: 1.0, 1.0),), SPACE)
+        report = weak_sharp_report([reverse], mu, fam, tol=1e-12)
+        assert report.member_gaps[0][1] == (0.0,)
 
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
@@ -127,6 +136,19 @@ class TestProhorov:
         at1 = point_removal_metric(real_line(), 1.0, reference_point=2.0)
         with pytest.raises(ValueError, match="mismatched"):
             prohorov_distance(AtomicMeasure.dirac(at0, 0.5), AtomicMeasure.dirac(at1, 0.5))
+
+    def test_only_cross_distances_are_computed(self):
+        calls = []
+
+        def dist(x, y):
+            calls.append((x, y))
+            return abs(x - y)
+
+        space = MetricStructure(dist, 0.0, "counted R")
+        nu1 = AtomicMeasure.from_atoms(space, [(0.1 * k, 0.2) for k in range(5)])
+        nu2 = AtomicMeasure.from_atoms(space, [(0.1 * k + 0.05, 0.1) for k in range(7)])
+        prohorov_distance(nu1, nu2)
+        assert len(calls) == 5 * 7
 
     def test_more_than_fourteen_atoms_rejected(self):
         # the oracle enumerates 2^n unions of atoms; prohorov_distance has no cap
