@@ -63,9 +63,6 @@ class FunctionFamily:
     def __len__(self) -> int:
         return len(self.members)
 
-    def ids(self) -> tuple[str, ...]:
-        return tuple(f.id for f in self.members)
-
 
 def close_multiplicatively(fam: FunctionFamily, depth: int) -> FunctionFamily:
     """All products of at most ``depth`` members and their conjugates.

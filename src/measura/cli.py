@@ -3,7 +3,8 @@
 One process runs one command, selected with --command; results are written as
 CSV (header row, 17-significant-digit decimals, fields with commas quoted) or
 JSON ({config, rows, verdicts, meta}).  Each flag sets the ExperimentConfig
-field of the same name and takes its default from it.  Identical
+field of the same name and takes its default from it; COMMAND_TABLE lists the
+fields each command reads, and any other must keep its default.  Identical
 configurations, including the seed, reproduce identical output bytes;
 wall-clock time is kept on the in-memory result only, never in the emitted
 file.
@@ -21,7 +22,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,17 +46,6 @@ from .levy import (
 )
 from .measures import AtomicMeasure, prohorov_distance, prohorov_distance_bruteforce, weak_sharp_report
 
-COMMAND_HELP = {
-    "levy-recover": "Levy-Khintchine triple recovery: drift and covariance from a synthetic characteristic exponent.",
-    "levy-converge": "Weak#-convergence of Levy measures delta_{1+1/n} -> delta_1 under sampled F_u*F_v products.",
-    "random-measure": "Laplace-functional product identity and drift-measure recovery for infinitely divisible random measures.",
-    "excursion": "Ito excursion measure tail: (1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) for killed Brownian motion.",
-    "fragmentation": "Fragmentation power sums, including the G_1 discontinuity witness on uniform block states.",
-    "sw-approx": "Stone-Weierstrass weighted approximation on the cube by polynomials vanishing on the first-coordinate face.",
-    "prohorov-oracle": "Max-flow Prokhorov distance between small atomic measures against subset-enumeration brute force.",
-}
-COMMANDS = tuple(COMMAND_HELP)
-STOCHASTIC_COMMANDS = ("excursion", "prohorov-oracle")
 FORMATS = ("csv", "json")
 
 
@@ -80,6 +70,10 @@ class ExperimentConfig:
             raise UsageError(f"command: must be one of {', '.join(COMMANDS)}")
         if self.format not in FORMATS:
             raise UsageError(f"format: must be one of {', '.join(FORMATS)}")
+        settable = ("command", "out", "format", *COMMAND_TABLE[self.command].reads)
+        for field in dataclasses.fields(self):
+            if field.name not in settable and getattr(self, field.name) != field.default:
+                raise UsageError(f"{field.name.replace('_', '-')}: not read by {self.command}")
         if self.command in STOCHASTIC_COMMANDS and self.seed is None:
             raise UsageError(f"seed: required for stochastic command {self.command!r}")
         if self.seed is not None and not (0 <= self.seed < 2**64):
@@ -103,9 +97,8 @@ class ExperimentConfig:
         return self.out or f"{self.command}.{self.format}"
 
     def echo(self) -> dict:
-        doc = dataclasses.asdict(self)
-        del doc["out"]
-        return doc
+        keep = ("command", "format", *COMMAND_TABLE[self.command].reads)
+        return {k: v for k, v in dataclasses.asdict(self).items() if k in keep}
 
 
 @dataclass
@@ -256,25 +249,30 @@ def _run_prohorov_oracle(cfg: ExperimentConfig):
     return rows, {"matches_oracle_1e-4": worst < 1e-4}
 
 
-_RUNNERS: dict[str, Callable] = {
-    "levy-recover": _run_levy_recover,
-    "levy-converge": _run_levy_converge,
-    "random-measure": _run_random_measure,
-    "excursion": _run_excursion,
-    "fragmentation": _run_fragmentation,
-    "sw-approx": _run_sw_approx,
-    "prohorov-oracle": _run_prohorov_oracle,
+class Command(NamedTuple):
+    runner: Callable[[ExperimentConfig], tuple[list[dict], dict]]
+    reads: tuple[str, ...]  # ExperimentConfig fields read besides out and format
+    help: str
+
+
+COMMAND_TABLE = {
+    "levy-recover": Command(_run_levy_recover, ("m_max", "tol"),
+        "Levy-Khintchine triple recovery: drift and covariance from a synthetic characteristic exponent."),
+    "levy-converge": Command(_run_levy_converge, ("seed",),
+        "Weak#-convergence of Levy measures delta_{1+1/n} -> delta_1 under sampled F_u*F_v products."),
+    "random-measure": Command(_run_random_measure, (),
+        "Laplace-functional product identity and drift-measure recovery for infinitely divisible random measures."),
+    "excursion": Command(_run_excursion, ("seed", "eps", "dt", "n_paths"),
+        "Ito excursion measure tail: (1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) for killed Brownian motion."),
+    "fragmentation": Command(_run_fragmentation, (),
+        "Fragmentation power sums, including the G_1 discontinuity witness on uniform block states."),
+    "sw-approx": Command(_run_sw_approx, ("m_max",),
+        "Stone-Weierstrass weighted approximation on the cube by polynomials vanishing on the first-coordinate face."),
+    "prohorov-oracle": Command(_run_prohorov_oracle, ("seed", "n_paths"),
+        "Max-flow Prokhorov distance between small atomic measures against subset-enumeration brute force."),
 }
-
-
-def _as_python_scalar(v):
-    if isinstance(v, (bool, np.bool_)):
-        return bool(v)
-    if isinstance(v, (int, np.integer)):
-        return int(v)
-    if isinstance(v, (float, np.floating)):
-        return float(v)
-    return v
+COMMANDS = tuple(COMMAND_TABLE)
+STOCHASTIC_COMMANDS = ("excursion", "prohorov-oracle")
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -286,12 +284,12 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     config.validate()
     start = time.perf_counter()
     try:
-        rows, verdicts = _RUNNERS[config.command](config)
+        rows, verdicts = COMMAND_TABLE[config.command].runner(config)
     except NonConvergenceError as exc:
         print(f"{config.command}: {exc}", file=sys.stderr)
         rows, verdicts = [], {"converged": False}
     elapsed = time.perf_counter() - start
-    rows = [{k: _as_python_scalar(v) for k, v in row.items()} for row in rows]
+    rows = [{k: v.item() if isinstance(v, np.generic) else v for k, v in row.items()} for row in rows]
     verdicts = {k: bool(v) for k, v in verdicts.items()}
     return ExperimentResult(config.echo(), rows, verdicts, elapsed)
 
@@ -335,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="measura",
         description="Numerical experiments on boundedly finite measures.",
-        epilog="commands:\n" + "\n".join(f"  {c:<16} {h}" for c, h in COMMAND_HELP.items()),
+        epilog="commands, each with the flags it reads besides --out and --format:\n" + "\n".join(
+            f"  {c:<16} {cmd.help}\n{'':19}flags: {' '.join('--' + r.replace('_', '-') for r in cmd.reads) or 'none'}"
+            for c, cmd in COMMAND_TABLE.items()),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     defaults = ExperimentConfig
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="Monte Carlo sample count / instance count (prohorov-oracle runs min(n, 500) instances)")
     parser.add_argument("--m-max", type=float, default=defaults.m_max,
                         help="largest argument in limit schedules / degree budget")
-    parser.add_argument("--tol", type=float, default=defaults.tol, help="verdict tolerance (read by levy-recover only)")
+    parser.add_argument("--tol", type=float, default=defaults.tol, help="verdict tolerance")
     parser.add_argument("--out", default=defaults.out, help="output path (default: <command>.<format>)")
     parser.add_argument("--format", choices=FORMATS, default=defaults.format)
     return parser

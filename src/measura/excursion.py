@@ -64,15 +64,14 @@ class ExcursionPath:
     """Nonnegative path on a uniform grid with an explicit lifetime.
 
     ``zeta`` is the first grid time the path is absorbed at 0; censored paths
-    (not absorbed before the horizon) carry ``zeta = inf``.  Values at grid
-    times beyond the lifetime are zero, and the path is extended by zero past
-    its grid.
+    (not absorbed before the horizon) carry ``zeta = inf``, and that is what
+    ``censored`` reads.  Values at grid times beyond the lifetime are zero,
+    and the path is extended by zero past its grid.
     """
 
     grid: np.ndarray
     values: np.ndarray
     zeta: float
-    censored: bool = False
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -89,6 +88,10 @@ class ExcursionPath:
             raise ValueError("lifetime must be positive: the zero path is excluded")
         if np.any(values[grid > self.zeta] != 0.0):
             raise ValueError("values beyond the lifetime must be zero")
+
+    @property
+    def censored(self) -> bool:
+        return math.isinf(self.zeta)
 
     @property
     def end(self) -> float:
@@ -126,11 +129,11 @@ def _mean_abs_clipped(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
     """(∫ |e1 - e2| ∧ 1 dt) ∧ 1 + |1/zeta_1 - 1/zeta_2|.
 
-    The integral is evaluated exactly for the piecewise-linear representation:
-    the merged grid is refined at every crossing of the difference through 0
-    and +-1, where the integrand kinks.  Plain trapezoid on the unrefined
-    merged grid can violate the triangle inequality by O(dt); the exact value
-    cannot.
+    The integral is exact for the piecewise-linear representation: on each
+    linear piece of the merged grid, min(|e1 - e2|, 1) is integrated in closed
+    form, kinks at the crossings of the difference through 0 and +-1
+    included, so the grid is never refined.  Plain trapezoid on the merged
+    grid can violate the triangle inequality by O(dt); the exact value cannot.
     """
     tau = np.union1d(e1.grid, e2.grid)
     left, right = tau[:-1], tau[1:]
@@ -213,7 +216,7 @@ def sample_killed_bm(eps: float, dt: float, horizon: float, seed) -> ExcursionPa
         chunks.append(np.zeros(1))
     values = np.concatenate(chunks)
     grid = np.arange(values.size) * dt
-    return ExcursionPath(grid, values, float(grid[-1]) if absorbed else math.inf, censored=not absorbed)
+    return ExcursionPath(grid, values, float(grid[-1]) if absorbed else math.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -275,21 +278,27 @@ def eval_functional(F: ExcursionFunctional, e: ExcursionPath) -> float:
     return out
 
 
+def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w such that w @ y is the trapezoid integral of y over the nodes x."""
+    half_gaps = 0.5 * np.diff(x)
+    w = np.zeros(x.size)
+    w[:-1] += half_gaps
+    w[1:] += half_gaps
+    return w
+
+
 def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[tuple[np.ndarray, Callable]]:
     """(w f_i, g_i) per pair: trapezoid weights times f_i on the grid steps inside the window.
 
     The steps are 0..last with last * dt <= t_end + 1e-12 (and last <= max_steps),
-    the points ``eval_functional`` integrates over.
+    the points ``eval_functional`` integrates over; the last step of each
+    window has half weight, whether or not a later window runs past it.
     """
     out = []
     for f, t_end, g in F.pairs:
         times = np.arange(min(max_steps, int((t_end + 1e-12) / dt) + 1) + 1) * dt
         times = times[times <= t_end + 1e-12]
-        half_gaps = 0.5 * np.diff(times)
-        w = np.zeros(times.size)
-        w[:-1] += half_gaps
-        w[1:] += half_gaps
-        out.append((w * np.asarray(f(times), dtype=float), g))
+        out.append((_trapezoid_weights(times) * np.asarray(f(times), dtype=float), g))
     return out
 
 
@@ -376,13 +385,9 @@ def _hitting_kernel(h: Callable, h_tail: float, r: np.ndarray, n_paths: int) -> 
     matrix-vector product and one erf per path.  Grid points s <= 0 carry zero
     density.
     """
-    w = np.empty_like(r)
-    gaps = np.diff(r)
-    w[0], w[-1] = 0.5 * gaps[0], 0.5 * gaps[-1]
-    w[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
     pos = r > 0.0
     s = r[pos]
-    cw = kappa(s) * w[pos]
+    cw = kappa(s) * _trapezoid_weights(r)[pos]
     neg_inv_2s = -0.5 / s
     buf = np.empty((n_paths, s.size))
 
@@ -411,7 +416,10 @@ def target_rhs(
     With pairs, n_bessel >= 2 paths of a 3-d Bessel process from 0 are
     stepped exactly (as the norm of a 3-d Brownian motion) along the f-support
     grid, and the r-integral against the hitting density is truncated at
-    r_grid's end with the erf tail.  The t-quadrature runs over all orderings
+    r_grid's end with the erf tail.  Each pair's t-integral uses the window
+    rule of ``empirical_lhs`` and ``eval_functional``, the trapezoid rule on
+    the steps inside that pair's window (``_window_weights``), so the last
+    step of a window has half weight.  The t-quadrature runs over all orderings
     of the pairs' time indices through the max-index decomposition, carried
     as running prefix sums, so any number of pairs costs O(grid) per path and
     the working memory is O(paths x (pairs + len(r_grid))), independent of
@@ -442,10 +450,8 @@ def target_rhs(
     if times[0] + r[-1] < F.h_constant_after:
         raise ValueError("r_grid too short: h must be constant beyond times[0] + r_grid[-1]")
 
-    # trapezoid weights on the common time grid, folded into each f_i
-    w = np.full(times.size, dt)
-    w[0] = w[-1] = 0.5 * dt
-    wf = [w * np.where(times <= t_end + 1e-12, np.asarray(f(times), dtype=float), 0.0) for f, t_end, _ in F.pairs]
+    # zero past each window on the common time grid
+    wf = [np.pad(w, (0, times.size - w.size)) for w, _ in _window_weights(F, dt, n_steps)]
 
     rng = np.random.default_rng(seed)
     hit = _hitting_kernel(F.h, F.h_tail_value, r, n_bessel)

@@ -68,9 +68,6 @@ class ConvergenceReport:
     tol: float
     converged: bool
 
-    def final_gaps(self) -> dict[str, float]:
-        return {fid: gaps[-1] for fid, gaps in self.member_gaps if gaps}
-
 
 def integrate(mu: AtomicMeasure, f: Callable[[Point], complex]) -> complex:
     """Sum of weight * f(atom); linear in f, monotone for nonnegative real f.

@@ -196,8 +196,7 @@ class TestNormalizeToUnit:
     def test_purely_imaginary_input(self):
         f = tf("ig", lambda x: complex(0.0, min(max(x, 0.0), 1.0)), bound=1.0)
         out = normalize_to_unit(FunctionFamily((f,), SPACE))
-        ids = out.ids()
-        assert any("im(ig)" in i for i in ids)
+        assert any("im(ig)" in g.id for g in out)
         re_sq = next(g for g in out if g.id == "sq(re(ig))/1")
         assert re_sq(0.7) == 0.0  # real part is the zero function, kept but harmless
 

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 from measura.cli import (
     COMMANDS,
+    STOCHASTIC_COMMANDS,
     ExperimentConfig,
     UsageError,
     build_parser,
@@ -39,21 +41,97 @@ class TestConfigValidation:
             ExperimentConfig(command="fragmentation", format="yaml").validate()
 
     def test_bad_numeric_field_named(self):
-        with pytest.raises(UsageError, match="dt"):
-            ExperimentConfig(command="fragmentation", dt=-1.0).validate()
-        with pytest.raises(UsageError, match="n-paths"):
-            ExperimentConfig(command="fragmentation", n_paths=0).validate()
+        with pytest.raises(UsageError, match="dt: must be positive"):
+            ExperimentConfig(command="excursion", seed=1, dt=-1.0).validate()
+        with pytest.raises(UsageError, match="n-paths: must be at least 1"):
+            ExperimentConfig(command="prohorov-oracle", seed=1, n_paths=0).validate()
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field, name", [("eps", "eps"), ("dt", "dt"), ("m_max", "m-max"), ("tol", "tol")])
     def test_non_finite_numeric_field_named(self, field, name, value):
-        with pytest.raises(UsageError, match=name):
-            ExperimentConfig(command="sw-approx", **{field: value}).validate()
+        # each field on a command that reads it, so the finiteness check fires
+        command = {"eps": "excursion", "dt": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}[field]
+        seed = 1 if command in STOCHASTIC_COMMANDS else None
+        with pytest.raises(UsageError, match=f"{name}: must be positive and finite"):
+            ExperimentConfig(command=command, seed=seed, **{field: value}).validate()
 
     def test_sw_approx_degree_budget_below_one(self):
         with pytest.raises(UsageError, match="m-max"):
             ExperimentConfig(command="sw-approx", m_max=0.5).validate()
         ExperimentConfig(command="sw-approx", m_max=1.0).validate()
+
+
+# The ExperimentConfig fields each command reads besides out and format.
+READS = {
+    "levy-recover": ("m_max", "tol"),
+    "levy-converge": ("seed",),
+    "random-measure": (),
+    "excursion": ("seed", "eps", "dt", "n_paths"),
+    "fragmentation": (),
+    "sw-approx": ("m_max",),
+    "prohorov-oracle": ("seed", "n_paths"),
+}
+# A valid value other than the default for each numeric flag.
+FLAG_VALUES = {"seed": "3", "eps": "0.05", "dt": "1e-3", "n_paths": "200", "m_max": "512", "tol": "0.05"}
+READ_PAIRS = [(c, f) for c in READS for f in READS[c]]
+UNREAD_PAIRS = [(c, f) for c in READS for f in FLAG_VALUES if f not in READS[c]]
+
+
+def _flag_argv(command, field, tmp_path):
+    flag = "--" + field.replace("_", "-")
+    seed = ["--seed", "1"] if command in STOCHASTIC_COMMANDS and field != "seed" else []
+    return ["--command", command, *seed, flag, FLAG_VALUES[field], "--out", str(tmp_path / f"{command}.csv")]
+
+
+class TestCommandFlags:
+    def test_each_command_has_its_flags(self):
+        assert set(READS) == set(COMMANDS)
+        assert len(READ_PAIRS) == 10 and len(UNREAD_PAIRS) == 32
+
+    @pytest.mark.parametrize("command, field", UNREAD_PAIRS)
+    def test_unread_flag_is_usage_error(self, command, field, tmp_path, capsys):
+        argv = _flag_argv(command, field, tmp_path)
+        assert main(argv) == 2
+        assert f"{field.replace('_', '-')}: not read by {command}" in capsys.readouterr().err
+        assert not os.path.exists(argv[-1])
+
+    @pytest.mark.parametrize("command, field", READ_PAIRS)
+    def test_read_flag_is_accepted(self, command, field, tmp_path):
+        config = config_from_args(build_parser().parse_args(_flag_argv(command, field, tmp_path)))
+        config.validate()
+        assert getattr(config, field) != getattr(ExperimentConfig, field)
+
+    def test_unread_nan_is_usage_error(self):
+        with pytest.raises(UsageError, match="eps: not read by sw-approx"):
+            ExperimentConfig(command="sw-approx", eps=math.nan).validate()
+
+    def test_unread_flag_at_its_default_is_accepted(self, tmp_path):
+        argv = ["--command", "fragmentation", "--eps", "0.01", "--out", str(tmp_path / "frag.csv")]
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_config_echo_holds_read_fields_only(self, command):
+        seed = 1 if command in STOCHASTIC_COMMANDS else None
+        assert set(ExperimentConfig(command=command, seed=seed).echo()) == {"command", "format", *READS[command]}
+
+    @pytest.mark.parametrize("workload", ["cli-light", "excursion-tail"])
+    def test_benchmark_invocations_validate(self, workload, tmp_path, monkeypatch):
+        # the benchmark's argvs must stay valid; its module is loaded under a
+        # name of its own and without writing bytecode next to it
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "common.py"
+        spec = importlib.util.spec_from_file_location("_measura_test_perfbench_common", path)
+        common = importlib.util.module_from_spec(spec)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        spec.loader.exec_module(common)
+        argvs = common.cli_argvs(workload, 7, tmp_path)
+        assert argvs
+        for _, argv in argvs:
+            config_from_args(build_parser().parse_args(argv)).validate()
+
+    def test_help_lists_each_commands_flags(self):
+        help_text = build_parser().format_help()
+        assert "flags: --seed --eps --dt --n-paths" in help_text
+        assert "flags: --m-max --tol" in help_text
 
 
 class TestParser:
@@ -112,7 +190,7 @@ class TestEmit:
         doc = json.loads(open(path).read())
         assert set(doc) == {"config", "rows", "verdicts", "meta"}
         assert doc["rows"] == json.loads(json.dumps(res.rows))
-        assert doc["config"]["command"] == "fragmentation"
+        assert doc["config"] == {"command": "fragmentation", "format": "csv"}
         assert "wall_clock" not in json.dumps(doc)
 
     def test_determinism_bitwise(self, tmp_path):
@@ -210,9 +288,9 @@ class TestMain:
         assert not out.exists()
 
     def test_infinite_eps_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "sw.csv"
-        assert main(["--command", "sw-approx", "--eps", "inf", "--out", str(out)]) == 2
-        assert "eps" in capsys.readouterr().err
+        out = tmp_path / "exc.csv"
+        assert main(["--command", "excursion", "--seed", "1", "--eps", "inf", "--out", str(out)]) == 2
+        assert "eps: must be positive and finite" in capsys.readouterr().err
         assert not out.exists()
 
 

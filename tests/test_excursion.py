@@ -190,9 +190,17 @@ class TestFunctional:
             )
 
     def test_censored_with_late_h_raises(self):
+        # zeta = inf is the only record of censoring
         F = ExcursionFunctional(h=step_indicator(5.0), h_constant_after=5.0)
         grid = np.arange(0, 101) * 0.01
-        censored = ExcursionPath(grid, np.full(101, 0.5), zeta=math.inf, censored=True)
+        censored = ExcursionPath(grid, np.full(101, 0.5), zeta=math.inf)
+        assert censored.censored and not const_path(0.5, 1.0).censored
+        with pytest.raises(RuntimeError, match="horizon too short"):
+            eval_functional(F, censored)
+        # a window that runs past the grid end leaves F undetermined too
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        F = ExcursionFunctional(h=lambda r: np.ones_like(np.asarray(r, float)), h_constant_after=0.5,
+                                pairs=((lambda t: np.ones_like(t), 2.0, g),))
         with pytest.raises(RuntimeError, match="horizon too short"):
             eval_functional(F, censored)
 
@@ -286,7 +294,7 @@ def replay_block(seed, block, n, eps, dt, max_steps):
     paths = []
     for i in range(n):
         values = np.concatenate(pieces[i])
-        paths.append(ExcursionPath(np.arange(values.size) * dt, values, zeta[i], censored=math.isinf(zeta[i])))
+        paths.append(ExcursionPath(np.arange(values.size) * dt, values, zeta[i]))
     return paths
 
 
@@ -441,40 +449,58 @@ class TestTargetRhs:
         expected, _ = quad(lambda t: f(t) * chi3_moment(t), 0.5, 1.5, limit=200)
         assert abs(val - expected) < max(3.0 * se, 2e-3)
 
-    def test_two_pair_decomposition_matches_naive_mesh(self):
-        # the prefix decomposition must agree with the explicit double sum
-        f1 = smoothed_bump(0.2, 0.8, 0.1)
-        f2 = smoothed_bump(0.4, 1.0, 0.1)
-        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
-        h = smoothed_cutoff(1.0, 1.0)
-        F = ExcursionFunctional(h=h, h_constant_after=2.0, pairs=((f1, 0.8, g), (f2, 1.0, g)))
-        r_grid = np.linspace(0, 6, 120)
-        val, se = target_rhs(F, n_bessel=400, dt=0.02, r_grid=r_grid, seed=7)
+    @staticmethod
+    def _naive_two_pair_mesh(F, n_bessel, dt, r_grid, seed):
+        """Mean over paths of the explicit double sum over time-index pairs (j1, j2).
 
-        # the same per-step draws as target_rhs: rho is the norm of a 3-d
-        # Brownian motion from 0 stepped along the time grid
-        rng = np.random.default_rng(7)
-        times = np.arange(int(math.ceil(1.0 / 0.02)) + 1) * 0.02
-        pos = np.zeros((400, 3))
-        rho = np.zeros((400, times.size))
+        Each window has its own trapezoid weights: dt inside, dt / 2 at 0 and
+        at its last step, 0 past it.  rho takes the same per-step draws as
+        target_rhs: the norm of a 3-d Brownian motion from 0 stepped along the
+        time grid.
+        """
+        t_max = max(t_end for _, t_end, _ in F.pairs)
+        rng = np.random.default_rng(seed)
+        times = np.arange(int(math.ceil(t_max / dt)) + 1) * dt
+        pos = np.zeros((n_bessel, 3))
+        rho = np.zeros((n_bessel, times.size))
         for j in range(1, times.size):
-            pos += rng.standard_normal((400, 3)) * math.sqrt(times[j] - times[j - 1])
+            pos += rng.standard_normal((n_bessel, 3)) * math.sqrt(times[j] - times[j - 1])
             rho[:, j] = np.linalg.norm(pos, axis=1)
-        w = np.full(times.size, 0.02)
-        w[0] = w[-1] = 0.01
         hv = np.column_stack([
-            np.trapezoid(h(t + r_grid) * levy_hitting_density(a[:, None], r_grid), r_grid, axis=1)
-            + h(2.0) * levy_survival(a, r_grid[-1])
+            np.trapezoid(F.h(t + r_grid) * levy_hitting_density(a[:, None], r_grid), r_grid, axis=1)
+            + F.h_tail_value * levy_survival(a, r_grid[-1])
             for t, a in zip(times, rho.T)
         ])
         q = np.where(rho > 0, hv / np.where(rho > 0, rho, 1.0), 0.0)
-        # explicit double sum over (j1, j2), weighted at the later index max(j1, j2)
-        a1 = w * f1(times) * g(rho)
-        a2 = w * f2(times) * g(rho)
+        a = []
+        for f, t_end, g in F.pairs:
+            inside = times <= t_end + 1e-12
+            w = np.where(inside, dt, 0.0)
+            w[0] = w[np.flatnonzero(inside)[-1]] = 0.5 * dt
+            a.append(w * np.where(inside, f(times), 0.0) * g(rho))
+        # weighted at the later index max(j1, j2)
         jb = np.maximum.outer(np.arange(times.size), np.arange(times.size))
-        naive = [np.sum(np.outer(a1[i], a2[i]) * q[i][jb]) for i in range(400)]
-        assert val == pytest.approx(float(np.mean(naive)), rel=1e-10)
+        return float(np.mean([np.sum(np.outer(a[0][i], a[1][i]) * q[i][jb]) for i in range(n_bessel)]))
 
+    def test_two_pair_decomposition_matches_naive_mesh(self):
+        # the prefix decomposition must agree with the explicit double sum
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        pairs = ((smoothed_bump(0.2, 0.8, 0.1), 0.8, g), (smoothed_bump(0.4, 1.0, 0.1), 1.0, g))
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0, pairs=pairs)
+        r_grid = np.linspace(0, 6, 120)
+        val, se = target_rhs(F, n_bessel=400, dt=0.02, r_grid=r_grid, seed=7)
+        assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, r_grid, 7), rel=1e-10)
+
+    def test_step_windows_match_naive_mesh(self):
+        # f = 1 up to the window end: the last step of the shorter window has
+        # half weight, as in empirical_lhs, although the grid runs on past it
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        one = lambda t: np.ones_like(np.asarray(t, float))
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                                pairs=((one, 0.5, g), (one, 1.0, g)))
+        r_grid = np.linspace(0, 6, 120)
+        val, se = target_rhs(F, n_bessel=400, dt=0.02, r_grid=r_grid, seed=7)
+        assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, r_grid, 7), rel=1e-10)
 
     def test_fewer_than_two_bessel_paths_rejected(self):
         g = lambda x: np.minimum(np.asarray(x, float), 1.0)
