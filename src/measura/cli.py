@@ -81,8 +81,8 @@ class ExperimentConfig:
         for name, value in (("eps", self.eps), ("dt", self.dt), ("m-max", self.m_max), ("tol", self.tol)):
             if not (value > 0.0 and math.isfinite(value)):
                 raise UsageError(f"{name}: must be positive and finite")
-        if self.command == "sw-approx" and self.m_max < 1.0:
-            raise UsageError("m-max: the sw-approx degree budget must be at least 1")
+        if self.command == "sw-approx" and not (self.m_max >= 1.0 and self.m_max == int(self.m_max)):
+            raise UsageError("m-max: the sw-approx degree budget must be a whole number, at least 1")
         if self.n_paths < 1:
             raise UsageError("n-paths: must be at least 1")
         if self.command == "excursion" and self.n_paths < 100:
@@ -140,7 +140,7 @@ def _run_levy_recover(cfg: ExperimentConfig):
 
 
 def _run_levy_converge(cfg: ExperimentConfig):
-    rng = np.random.default_rng(cfg.seed if cfg.seed is not None else 0)
+    rng = np.random.default_rng(0)
     pairs = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(20)]
     fam = levy_family(1, pairs)
     space = fam.space
@@ -258,7 +258,7 @@ class Command(NamedTuple):
 COMMAND_TABLE = {
     "levy-recover": Command(_run_levy_recover, ("m_max", "tol"),
         "Levy-Khintchine triple recovery: drift and covariance from a synthetic characteristic exponent."),
-    "levy-converge": Command(_run_levy_converge, ("seed",),
+    "levy-converge": Command(_run_levy_converge, (),
         "Weak#-convergence of Levy measures delta_{1+1/n} -> delta_1 under sampled F_u*F_v products."),
     "random-measure": Command(_run_random_measure, (),
         "Laplace-functional product identity and drift-measure recovery for infinitely divisible random measures."),

@@ -129,6 +129,8 @@ class FragmentationConvergenceReport:
     ``implication_holds`` records the convergence-determining direction on the
     given data: family convergence at ``tol`` forces pointwise convergence at
     ``pointwise_tol``.  It is vacuously true when the family does not converge.
+    ``forward_holds`` is the other direction, which power sums on mass-1
+    states must also satisfy; ``ok`` asks for both.
     """
 
     member_gaps: tuple[tuple[str, tuple[float, ...]], ...]
@@ -141,6 +143,15 @@ class FragmentationConvergenceReport:
     @property
     def implication_holds(self) -> bool:
         return (not self.family_converged) or self.pointwise_converged
+
+    @property
+    def forward_holds(self) -> bool:
+        # pointwise convergence must carry the power sums along (mass is conserved)
+        return (not self.pointwise_converged) or self.family_converged
+
+    @property
+    def ok(self) -> bool:
+        return self.forward_holds and self.implication_holds
 
 
 def _pointwise_gap(a: FragmentationSequence, b: FragmentationSequence) -> float:
@@ -171,38 +182,17 @@ def convergence_determining_check(
     )
 
 
-@dataclass(frozen=True)
-class TopologyEquivalenceReport:
-    """Both directions between power-sum convergence and pointwise convergence."""
-
-    base: FragmentationConvergenceReport
-
-    @property
-    def forward_holds(self) -> bool:
-        # pointwise convergence must carry the power sums along (mass is conserved)
-        return (not self.base.pointwise_converged) or self.base.family_converged
-
-    @property
-    def backward_holds(self) -> bool:
-        return self.base.implication_holds
-
-    @property
-    def ok(self) -> bool:
-        return self.forward_holds and self.backward_holds
-
-
 def topology_equivalence_check_s1(
     seq: Sequence[FragmentationSequence],
     limit: FragmentationSequence,
     max_p: int,
     tol: float,
-) -> TopologyEquivalenceReport:
+) -> FragmentationConvergenceReport:
     """On mass-1 states, power sums and pointwise convergence generate the same topology."""
     for s in list(seq) + [limit]:
         if not s.is_proper:
             raise ValueError("improper sequence: total mass must equal 1")
-    report = convergence_determining_check(seq, limit, power_sum_functions(max_p), tol, tol)
-    return TopologyEquivalenceReport(report)
+    return convergence_determining_check(seq, limit, power_sum_functions(max_p), tol, tol)
 
 
 def block_uniform_state(n: int) -> FragmentationSequence:

@@ -2,8 +2,11 @@
 
 The characteristic exponent of an infinitely divisible law is evaluated from
 its triple (drift b, covariance C, jump measure mu); the recovery routines run
-the inverse direction, turning large-argument limits into finite schedules
-with extrapolation and a consistency check.
+the inverse direction under one limit rule: along an increasing schedule of
+arguments m, the raw estimates are fitted with a + c * m^-p on the full
+schedule and on its tail half, and the tail fit is the limit once the two
+agree (``_schedule_limit``).  ``recover_C`` uses p = 2, ``recover_b`` and
+``recover_b_measure`` use p = 1.
 
 Drift recovery caveat: the limit -(i/m)(Psi(m e_k) + m^2 C_kk / 2) converges
 to b_k minus the compensator first moment ∫ x_k 1_{|x|<=1} dmu(x) whenever mu
@@ -111,19 +114,35 @@ def default_m_schedule(m_max: float = 1e3, points: int = 8) -> np.ndarray:
 
 
 def _extrapolate(ms: np.ndarray, vals: np.ndarray, power: float) -> float:
-    """Least-squares fit of vals ~ a + b * m^-power; returns a.
+    """Fit of vals ~ a + c * m^-power; returns a.
 
-    With two points this is plain Richardson extrapolation; more points damp
-    oscillatory error terms that a two-point rule would amplify.
+    Two points give plain Richardson extrapolation, computed in closed form;
+    more points are a least-squares fit, which damps oscillatory error terms
+    that a two-point rule would amplify.
     """
     if len(ms) == 1:
         return float(vals[0])
+    if len(ms) == 2:
+        w1, w2 = ms**power
+        return float((w2 * vals[1] - w1 * vals[0]) / (w2 - w1))
     design = np.column_stack([np.ones_like(ms), ms ** (-power)])
     coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
     return float(coef[0])
 
 
-def _consistent_limit(ms: np.ndarray, vals: np.ndarray, power: float, tol: float, what: str) -> float:
+def _schedule_limit(
+    m_schedule: Sequence[float], estimate: Callable[[float], float], power: float, tol: float, what: str
+) -> float:
+    """The one limit rule: lim estimate(m) as m grows, read off a finite schedule.
+
+    The raw estimates are fitted with a + c * m^-power on the full schedule
+    and on its tail half; the tail fit is returned once the two agree within
+    ``tol``, and NonConvergenceError reports both fits otherwise.
+    """
+    ms = np.asarray(m_schedule, dtype=float)
+    if ms.size < 2 or np.any(np.diff(ms) <= 0):
+        raise ValueError("m_schedule must be increasing with at least 2 entries")
+    vals = np.array([estimate(m) for m in ms], dtype=float)
     full = _extrapolate(ms, vals, power)
     tail = _extrapolate(ms[len(ms) // 2 :], vals[len(ms) // 2 :], power)
     if not (math.isfinite(full) and math.isfinite(tail)) or abs(full - tail) > tol:
@@ -134,32 +153,20 @@ def _consistent_limit(ms: np.ndarray, vals: np.ndarray, power: float, tol: float
     return tail
 
 
-def _check_schedule(m_schedule: Sequence[float]) -> np.ndarray:
-    ms = np.asarray(m_schedule, dtype=float)
-    if ms.size < 2 or np.any(np.diff(ms) <= 0):
-        raise ValueError("m_schedule must be increasing with at least 2 entries")
-    return ms
-
-
-def recover_C(psi: ExponentFn, dim: int, m_schedule: Sequence[float], tol: float = 1e-2) -> np.ndarray:
+def recover_C(psi: ExponentFn, dim: int, m_schedule: Sequence[float]) -> np.ndarray:
     """Covariance from the exponent: C_kj = -lim m^-2 [Psi(m(e_k+e_j)) - Psi(m e_k) - Psi(m e_j)].
 
-    Each entry is extrapolated along the schedule with a 1/m^2 error model and
-    cross-checked between the full and tail fits; disagreement above ``tol``
-    raises NonConvergenceError with diagnostics.
+    Each entry is a schedule limit with a 1/m^2 error model; full and tail
+    fits more than 1e-2 apart raise NonConvergenceError with diagnostics.
     """
-    ms = _check_schedule(m_schedule)
     eye = np.eye(dim)
     C = np.zeros((dim, dim))
     for k in range(dim):
         for j in range(k, dim):
-            raw = np.empty(ms.size)
-            for i, m in enumerate(ms):
-                bracket = (
-                    psi(m * (eye[k] + eye[j])) - psi(m * eye[k]) - psi(m * eye[j])
-                )
-                raw[i] = -bracket.real / (m * m)
-            C[k, j] = C[j, k] = _consistent_limit(ms, raw, 2.0, tol, f"C[{k},{j}]")
+            def estimate(m):
+                return -(psi(m * (eye[k] + eye[j])) - psi(m * eye[k]) - psi(m * eye[j])).real / (m * m)
+
+            C[k, j] = C[j, k] = _schedule_limit(m_schedule, estimate, 2.0, 1e-2, f"C[{k},{j}]")
     return C
 
 
@@ -169,27 +176,29 @@ def recover_b(
     dim: int,
     m_schedule: Sequence[float],
     compensator_moment: Sequence[float] | None = None,
-    tol: float = 5e-2,
 ) -> np.ndarray:
     """Drift from the exponent once C is known.
 
     b_k = lim -(i/m)(Psi(m e_k) + m^2 C_kk / 2) plus, when supplied, the
     compensator moment ∫ x_k 1_{|x|<=1} dmu (see the module docstring for why
-    that correction is needed as soon as mu charges the unit ball).  A
-    non-vanishing imaginary residue in the bracket triggers a warning.
+    that correction is needed as soon as mu charges the unit ball).  Each
+    component is a schedule limit with a 1/m error model and a 5e-2 fit
+    tolerance.  A non-vanishing imaginary residue in the bracket triggers a
+    warning.
     """
-    ms = _check_schedule(m_schedule)
     C = np.asarray(C, dtype=float)
     eye = np.eye(dim)
     b = np.zeros(dim)
     for k in range(dim):
-        raw = np.empty(ms.size)
-        resid = 0.0
-        for i, m in enumerate(ms):
+        residues = []
+
+        def estimate(m):
             val = (-1j / m) * (psi(m * eye[k]) + 0.5 * m * m * C[k, k])
-            raw[i] = val.real
-            resid = max(resid, abs(val.imag))
-        est = _consistent_limit(ms, raw, 1.0, tol, f"b[{k}]")
+            residues.append(abs(val.imag))
+            return val.real
+
+        est = _schedule_limit(m_schedule, estimate, 1.0, 5e-2, f"b[{k}]")
+        resid = max(residues)
         if resid > 0.05 * (1.0 + abs(est)):
             warnings.warn(
                 f"recover_b: imaginary residue {resid:.3g} in component {k}; "
@@ -302,36 +311,21 @@ def f_phi_family(labels: Sequence, phi_samples: Sequence[Callable]) -> FunctionF
     return FunctionFamily(members, finite_measure_space(reference))
 
 
-def recover_b_measure(
-    L: Callable[[Callable], float],
-    labels: Sequence,
-    m_schedule: Sequence[float],
-    tol: float = 1e-6,
-    weight_floor: float = 1e-12,
-) -> AtomicMeasure:
+def recover_b_measure(L: Callable[[Callable], float], labels: Sequence, m_schedule: Sequence[float]) -> AtomicMeasure:
     """Drift measure from a Laplace functional: <b, 1_e> = lim (1/m) L(m 1_e).
 
     The jump contribution (1 - exp(-m <1_e, nu>))/m decays smoothly like 1/m,
-    so two-point Richardson on the schedule tail is exact up to exponentially
-    small terms; successive extrapolants must agree within ``tol``.
+    so the schedule limit with a 1/m error model is exact up to exponentially
+    small terms; full and tail fits must agree within 1e-6, and weights at or
+    below 1e-12 are dropped.
     """
-    ms = _check_schedule(m_schedule)
     ground = finite_ground_space(labels)
     atoms = []
     for e in labels:
-        def phi(x, _e=e):
-            return 1.0 if x == _e else 0.0
+        def estimate(m):
+            return L(lambda x: m if x == e else 0.0) / m
 
-        vals = np.array([L(lambda x, _m=m: _m * phi(x)) / m for m in ms])
-        rich = [
-            (ms[i + 1] * vals[i + 1] - ms[i] * vals[i]) / (ms[i + 1] - ms[i])
-            for i in range(ms.size - 1)
-        ]
-        if len(rich) >= 2 and abs(rich[-1] - rich[-2]) > tol:
-            raise NonConvergenceError(
-                f"non-convergent schedule for <b, 1_{e!r}>: extrapolants {rich}"
-            )
-        weight = rich[-1]
-        if weight > weight_floor:
+        weight = _schedule_limit(m_schedule, estimate, 1.0, 1e-6, f"<b, 1_{e!r}>")
+        if weight > 1e-12:
             atoms.append((e, weight))
     return AtomicMeasure.from_atoms(ground, atoms)

@@ -60,11 +60,22 @@ class TestConfigValidation:
             ExperimentConfig(command="sw-approx", m_max=0.5).validate()
         ExperimentConfig(command="sw-approx", m_max=1.0).validate()
 
+    def test_sw_approx_non_integer_degree_budget(self, tmp_path, capsys):
+        # the budget is a polynomial degree: 512.9 must not run as 512
+        with pytest.raises(UsageError, match="m-max: the sw-approx degree budget must be a whole number"):
+            ExperimentConfig(command="sw-approx", m_max=512.9).validate()
+        out = tmp_path / "sw.csv"
+        assert main(["--command", "sw-approx", "--m-max", "512.9", "--out", str(out)]) == 2
+        assert "m-max" in capsys.readouterr().err
+        assert not out.exists()
+        ExperimentConfig(command="sw-approx", m_max=512.0).validate()
+        ExperimentConfig(command="levy-recover", m_max=512.9).validate()
+
 
 # The ExperimentConfig fields each command reads besides out and format.
 READS = {
     "levy-recover": ("m_max", "tol"),
-    "levy-converge": ("seed",),
+    "levy-converge": (),
     "random-measure": (),
     "excursion": ("seed", "eps", "dt", "n_paths"),
     "fragmentation": (),
@@ -86,7 +97,7 @@ def _flag_argv(command, field, tmp_path):
 class TestCommandFlags:
     def test_each_command_has_its_flags(self):
         assert set(READS) == set(COMMANDS)
-        assert len(READ_PAIRS) == 10 and len(UNREAD_PAIRS) == 32
+        assert len(READ_PAIRS) == 9 and len(UNREAD_PAIRS) == 33
 
     @pytest.mark.parametrize("command, field", UNREAD_PAIRS)
     def test_unread_flag_is_usage_error(self, command, field, tmp_path, capsys):
@@ -201,7 +212,36 @@ class TestEmit:
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+# CSV bytes at the defaults of two commands whose arithmetic is math, fsum and
+# closed-form Richardson extrapolation, with no BLAS call that could round
+# differently between builds.
+PINNED_CSV = {
+    "random-measure": (
+        "label,true_b,recovered_b,abs_err\n"
+        "a,0.5,0.5,0\n"
+        "b,0,0,0\n"
+        "c,2,2,0\n"
+        "product-identity,0,2.2204460492503131e-16,2.2204460492503131e-16\n"
+    ),
+    "fragmentation": (
+        "n,G_1,max_coordinate\n"
+        "1,1,1\n"
+        "2,1,0.5\n"
+        "5,1,0.20000000000000001\n"
+        "10,1,0.10000000000000001\n"
+        "100,1,0.01\n"
+        "1000,1,0.001\n"
+    ),
+}
+
+
 class TestCommands:
+    @pytest.mark.parametrize("command", sorted(PINNED_CSV))
+    def test_default_csv_bytes_are_pinned(self, command, tmp_path):
+        out = tmp_path / f"{command}.csv"
+        assert main(["--command", command, "--out", str(out)]) == 0
+        assert out.read_bytes() == PINNED_CSV[command].encode()
+
     def test_levy_recover(self):
         res = run(ExperimentConfig(command="levy-recover"))
         assert res.passed

@@ -161,8 +161,8 @@ class TestConvergenceChecks:
         states = [ProperFragmentation((1.0 - 1.0 / n, 1.0 / n)) for n in (8, 32, 128, 512, 2048)]
         limit = ProperFragmentation((1.0,))
         report = topology_equivalence_check_s1(states, limit, max_p=4, tol=1e-2)
-        assert report.ok and report.forward_holds and report.backward_holds
-        g2 = dict(report.base.member_gaps)["G_2"]
+        assert report.ok and report.forward_holds and report.implication_holds
+        g2 = dict(report.member_gaps)["G_2"]
         assert g2[-1] < 1e-2
 
     def test_improper_states_rejected(self):

@@ -1,8 +1,10 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from measura.algebra import NonConvergenceError
 from measura.levy import (
     LevyTriple,
     RandomMeasureLaw,
@@ -290,6 +292,36 @@ class TestLaplaceFunctionals:
             lambda f: laplace_functional(law, f), self.LABELS, [100.0, 200.0, 400.0]
         )
         assert len(b_hat) == 0
+
+    def test_recover_b_measure_slow_jump_raises(self):
+        # a jump atom with mass 1e-3 on b: (1 - exp(-m 1e-3)) / m is far from
+        # its 1/m tail on m <= 800, so full and tail fits disagree
+        ground = finite_ground_space(self.LABELS)
+        law = RandomMeasureLaw(
+            self.LABELS,
+            AtomicMeasure.empty(ground),
+            AtomicMeasure.from_atoms(
+                finite_ground_space(self.LABELS), [(AtomicMeasure.dirac(ground, "b", 1e-3), 5.0)]
+            ),
+        )
+        with pytest.raises(NonConvergenceError, match=re.escape("<b, 1_'b'>")):
+            recover_b_measure(lambda f: laplace_functional(law, f), self.LABELS, [100.0, 200.0, 400.0, 800.0])
+
+    def test_recover_b_measure_random_measure_law_is_exact(self):
+        # the law of the random-measure command: the two-point tail fit is
+        # closed-form Richardson, which returns the drift weights exactly
+        ground = finite_ground_space(self.LABELS)
+        nu1 = AtomicMeasure.from_atoms(ground, [("a", 0.7), ("b", 0.4)])
+        nu2 = AtomicMeasure.from_atoms(ground, [("c", 1.1)])
+        law = RandomMeasureLaw(
+            self.LABELS,
+            AtomicMeasure.from_atoms(ground, [("a", 0.5), ("c", 2.0)]),
+            AtomicMeasure.from_atoms(finite_ground_space(self.LABELS), [(nu1, 0.6), (nu2, 0.9)]),
+        )
+        b_hat = recover_b_measure(
+            lambda f: laplace_functional(law, f), self.LABELS, [200.0, 400.0, 800.0, 1600.0]
+        )
+        assert dict(b_hat.atoms) == {"a": 0.5, "c": 2.0}
 
     def test_recover_b_measure_zero_functional(self):
         b_hat = recover_b_measure(lambda f: 0.0, self.LABELS, [10.0, 20.0, 40.0])
