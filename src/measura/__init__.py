@@ -18,7 +18,6 @@ from .metric_core import (
     BoundedSetWitness,
     MetricStructure,
     hilbert_cube_metric,
-    is_bounded,
     point_removal_metric,
 )
 from .measures import (
@@ -32,7 +31,7 @@ from .measures import (
 from .algebra import CubePolynomial, FunctionFamily, NonConvergenceError, TestFunction, stone_weierstrass_p0
 from .levy import LevyTriple, RandomMeasureLaw, psi_exponent, recover_C, recover_b
 from .excursion import ExcursionFunctional, ExcursionPath, excursion_metric, sample_killed_bm
-from .fragmentation import FragmentationSequence, ProperFragmentation, g_p, h_alpha, phi, phi_inverse
+from .fragmentation import FragmentationSequence, ProperFragmentation, g_p, phi, phi_inverse
 
 __all__ = [
     "__version__",
@@ -52,10 +51,8 @@ __all__ = [
     "TestFunction",
     "excursion_metric",
     "g_p",
-    "h_alpha",
     "hilbert_cube_metric",
     "integrate",
-    "is_bounded",
     "mf_measure_metric",
     "phi",
     "phi_inverse",

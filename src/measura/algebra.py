@@ -1,9 +1,10 @@
 """Test-function families and the constructive weighted polynomial approximation.
 
-The checkers in this module are sampled certificates: a ``True`` verdict means
-"no counterexample found at the given tolerance on the given sample", never a
-proof.  Function identity is the ``id`` string; extensional equality is not
-decidable, so deduplication is purely syntactic.
+The three checkers test the abstract's hypotheses on a ``FunctionFamily``:
+the family separates points, vanishes nowhere, and has a member bounded away
+from 0 on a bounded set (acceptance criteria 04 and 13 run them).  They are
+sampled certificates: a ``True`` verdict means "no counterexample found at the
+given tolerance on the given sample", never a proof.
 
 :func:`stone_weierstrass_p0` builds, for a continuous g: H -> [0,1] supported
 on the slice {x_1 >= delta} of the cube of [0,1]-sequences, a polynomial p
@@ -47,10 +48,6 @@ class TestFunction:
     def __call__(self, x: Point) -> complex:
         return complex(self.fn(x))
 
-    def conjugate(self) -> "TestFunction":
-        f = self.fn
-        return TestFunction(f"conj({self.id})", lambda x: complex(f(x)).conjugate(), self.sup_bound)
-
 
 @dataclass(frozen=True)
 class FunctionFamily:
@@ -62,45 +59,6 @@ class FunctionFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def close_multiplicatively(fam: FunctionFamily, depth: int) -> FunctionFamily:
-    """All products of at most ``depth`` members and their conjugates.
-
-    Factors are drawn with repetition from the members and their conjugates;
-    products are deduplicated by the sorted multiset of factor ids, which also
-    makes the output closed under conjugation (conj of a product is a product
-    of conjugated factors, already in the enumeration).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    base: dict[str, TestFunction] = {}
-    for f in fam.members:
-        base.setdefault(f.id, f)
-        c = f.conjugate()
-        base.setdefault(c.id, c)
-
-    out: dict[str, TestFunction] = {}
-    factors = sorted(base.values(), key=lambda f: f.id)
-    for size in range(1, depth + 1):
-        for combo in itertools.combinations_with_replacement(factors, size):
-            pid = " * ".join(f.id for f in combo)
-            if pid in out:
-                continue
-            if size == 1:
-                out[pid] = combo[0]
-                continue
-            fns = tuple(f.fn for f in combo)
-            bound = math.prod(f.sup_bound for f in combo)
-
-            def product(x, _fns=fns):
-                val = complex(1.0)
-                for g in _fns:
-                    val *= complex(g(x))
-                return val
-
-            out[pid] = TestFunction(pid, product, bound)
-    return FunctionFamily(tuple(out.values()), fam.space)
 
 
 def check_separates_points(
@@ -130,9 +88,12 @@ def check_bounded_below_on(
 ) -> tuple[bool, str | None, float]:
     """Find a member whose modulus stays away from zero on the sampled set.
 
-    The sample must lie inside the witness ball.  Returns (found, member id,
-    delta) where delta is the best achieved sampled minimum modulus.
+    The sample must be nonempty and lie inside the witness ball.  Returns
+    (found, member id, delta) where delta is the best achieved sampled minimum
+    modulus.
     """
+    if len(sample) == 0:
+        raise ValueError("the sample is empty: nothing to bound below")
     if not fam.members:
         return False, None, 0.0
     for x in sample:
@@ -144,56 +105,6 @@ def check_bounded_below_on(
         if m > best_min:
             best_id, best_min = f.id, m
     return best_min > 0.0, best_id, best_min
-
-
-def embed_hilbert_cube(fam: FunctionFamily, x: Point, tol: float = 1e-9) -> tuple[float, ...]:
-    """Coordinate map x -> (f_1(x), f_2(x), ...) for [0,1]-valued members.
-
-    Injective on samples whenever the family separates points; the image is a
-    finitely supported cube point compatible with ``hilbert_cube_metric``.
-    """
-    coords = []
-    for f in fam.members:
-        v = f(x)
-        if abs(v.imag) > tol or v.real < -tol or v.real > 1.0 + tol:
-            raise ValueError(f"member {f.id} out of [0,1] range at sample point: {v}")
-        coords.append(min(max(v.real, 0.0), 1.0))
-    return tuple(coords)
-
-
-def normalize_to_unit(fam: FunctionFamily) -> FunctionFamily:
-    """Rework a family into [0,1]-valued members spanning the same algebra.
-
-    Each member is split into real and imaginary parts; each real part g with
-    bound B contributes g^2 and g^2 (B - g), both nonnegative, which are then
-    divided by their conservative sup bounds (B^2 and 2 B^3) so every output
-    maps into [0,1].  The scale factors are recorded in the member ids.
-    """
-    out: dict[str, TestFunction] = {}
-    for f in fam.members:
-        g = f.fn
-        parts = (
-            (f"re({f.id})", lambda x, _g=g: complex(_g(x)).real),
-            (f"im({f.id})", lambda x, _g=g: complex(_g(x)).imag),
-        )
-        bound = f.sup_bound
-        for pid, part in parts:
-            sq_scale = max(bound * bound, 1.0)
-            gap_scale = max(2.0 * bound**3, 1.0)
-
-            def sq(x, _p=part, _s=sq_scale):
-                v = _p(x)
-                return v * v / _s
-
-            def gap(x, _p=part, _b=bound, _s=gap_scale):
-                v = _p(x)
-                return v * v * (_b - v) / _s
-
-            out.setdefault(f"sq({pid})/{sq_scale:g}", TestFunction(f"sq({pid})/{sq_scale:g}", sq, 1.0))
-            out.setdefault(
-                f"sqgap({pid})/{gap_scale:g}", TestFunction(f"sqgap({pid})/{gap_scale:g}", gap, 1.0)
-            )
-    return FunctionFamily(tuple(out.values()), fam.space)
 
 
 # ---------------------------------------------------------------------------

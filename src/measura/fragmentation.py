@@ -1,11 +1,13 @@
-"""Mass-fragmentation sequences and their separating function families.
+"""Mass-fragmentation sequences and their power-sum family.
 
 A fragmentation state is a nonincreasing sequence in (0, 1] with total mass
 at most 1.  Embedded as a point measure on (0, 1] carrying the |1/x - 1/y|
 metric, pointwise convergence of states matches weak#-convergence of their
-images as long as mass does not leak toward 0; the power sums G_p(s) = sum
-s_i^p and the exponential sums H_alpha(s) = sum (1 - exp(-alpha s_i)) are the
-workhorse diagnostics.  G_1 is the canonical discontinuity witness: the
+images as long as mass does not leak toward 0.  The power sums
+G_p(s) = sum s_i^p are the integrals of x^p against the embedding, so
+:func:`power_family` is an ordinary ``FunctionFamily`` on
+:func:`fragment_space` and the convergence checks run through
+``weak_sharp_report``.  G_1 is the canonical discontinuity witness: the
 states (1/n, ..., 1/n) with n blocks converge pointwise to the zero state
 while G_1 stays pinned at 1.
 """
@@ -14,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .measures import AtomicMeasure
+from .algebra import FunctionFamily, TestFunction
+from .measures import AtomicMeasure, weak_sharp_report
 from .metric_core import MetricStructure
 
 MASS_TOL = 1e-12
@@ -45,7 +48,7 @@ class FragmentationSequence:
                 raise ValueError("sequence must be nonincreasing")
         if vals and (vals[-1] <= 0.0 or vals[0] > 1.0 + MASS_TOL):
             raise ValueError("entries must lie in (0, 1]")
-        if sum(vals) > 1.0 + MASS_TOL:
+        if self.mass > 1.0 + MASS_TOL:
             raise ValueError("total mass must not exceed 1")
 
     @property
@@ -95,7 +98,7 @@ def phi_inverse(mu: AtomicMeasure) -> FragmentationSequence:
         if not 0.0 < x <= 1.0:
             raise ValueError(f"not in Phi(S_down): atom {x} outside (0, 1]")
         expanded.extend([x] * k)
-    if sum(expanded) > 1.0 + 1e-9:
+    if math.fsum(expanded) > 1.0 + MASS_TOL:
         raise ValueError("not in Phi(S_down): total mass exceeds 1")
     return FragmentationSequence(tuple(sorted(expanded, reverse=True)))
 
@@ -107,28 +110,21 @@ def g_p(s: FragmentationSequence, p: int) -> float:
     return math.fsum(v**p for v in s.values)
 
 
-def h_alpha(s: FragmentationSequence, alpha: float) -> float:
-    """Exponential sum sum_i (1 - exp(-alpha s_i))."""
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    return math.fsum(1.0 - math.exp(-alpha * v) for v in s.values)
-
-
-def power_sum_functions(max_p: int) -> tuple[tuple[str, Callable], ...]:
-    return tuple((f"G_{p}", lambda s, _p=p: g_p(s, _p)) for p in range(1, max_p + 1))
-
-
-def exponential_functions(alphas: Sequence[float]) -> tuple[tuple[str, Callable], ...]:
-    return tuple((f"H_{a:g}", lambda s, _a=a: h_alpha(s, _a)) for a in alphas)
+def power_family(max_p: int) -> FunctionFamily:
+    """Members G_p: x -> x^p on (0, 1] for p = 1..max_p; G_p integrates to g_p(s) against phi(s)."""
+    return FunctionFamily(
+        tuple(TestFunction(f"G_{p}", lambda x, _p=p: x**_p, 1.0) for p in range(1, max_p + 1)),
+        fragment_space(),
+    )
 
 
 @dataclass(frozen=True)
 class FragmentationConvergenceReport:
-    """Family gaps vs pointwise gaps along a sequence of states.
+    """Power-sum gaps vs pointwise gaps along a sequence of mass-1 states.
 
     ``implication_holds`` records the convergence-determining direction on the
-    given data: family convergence at ``tol`` forces pointwise convergence at
-    ``pointwise_tol``.  It is vacuously true when the family does not converge.
+    given data: power-sum convergence at ``tol`` forces pointwise convergence
+    at ``tol``.  It is vacuously true when the family does not converge.
     ``forward_holds`` is the other direction, which power sums on mass-1
     states must also satisfy; ``ok`` asks for both.
     """
@@ -136,7 +132,6 @@ class FragmentationConvergenceReport:
     member_gaps: tuple[tuple[str, tuple[float, ...]], ...]
     pointwise_gaps: tuple[float, ...]
     tol: float
-    pointwise_tol: float
     family_converged: bool
     pointwise_converged: bool
 
@@ -161,38 +156,25 @@ def _pointwise_gap(a: FragmentationSequence, b: FragmentationSequence) -> float:
     return max(abs(a.coordinate(i) - b.coordinate(i)) for i in range(n))
 
 
-def convergence_determining_check(
-    seq: Sequence[FragmentationSequence],
-    limit: FragmentationSequence,
-    family: Sequence[tuple[str, Callable]],
-    tol: float,
-    pointwise_tol: float | None = None,
-) -> FragmentationConvergenceReport:
-    """Compare family-gap decay with coordinatewise decay along a state sequence."""
-    if pointwise_tol is None:
-        pointwise_tol = 10.0 * tol
-    member_gaps = tuple(
-        (name, tuple(abs(fn(s) - fn(limit)) for s in seq)) for name, fn in family
-    )
-    pointwise = tuple(_pointwise_gap(s, limit) for s in seq)
-    family_conv = bool(seq) and all(g[-1] < tol for _, g in member_gaps)
-    pointwise_conv = bool(seq) and pointwise[-1] < pointwise_tol
-    return FragmentationConvergenceReport(
-        member_gaps, pointwise, tol, pointwise_tol, family_conv, pointwise_conv
-    )
-
-
 def topology_equivalence_check_s1(
     seq: Sequence[FragmentationSequence],
     limit: FragmentationSequence,
     max_p: int,
     tol: float,
 ) -> FragmentationConvergenceReport:
-    """On mass-1 states, power sums and pointwise convergence generate the same topology."""
+    """On mass-1 states, power sums and pointwise convergence generate the same topology.
+
+    The power-sum gaps are ``weak_sharp_report``'s gaps of phi(seq) against
+    phi(limit) over ``power_family(max_p)``.
+    """
     for s in list(seq) + [limit]:
         if not s.is_proper:
             raise ValueError("improper sequence: total mass must equal 1")
-    return convergence_determining_check(seq, limit, power_sum_functions(max_p), tol, tol)
+    family = weak_sharp_report([phi(s) for s in seq], phi(limit), power_family(max_p), tol)
+    pointwise = tuple(_pointwise_gap(s, limit) for s in seq)
+    return FragmentationConvergenceReport(
+        family.member_gaps, pointwise, tol, family.converged, bool(seq) and pointwise[-1] < tol
+    )
 
 
 def block_uniform_state(n: int) -> FragmentationSequence:

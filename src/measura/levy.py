@@ -44,18 +44,8 @@ def levy_ground_space(dim: int) -> MetricStructure:
 
 
 def indicator_compensator(x) -> float:
-    """Default compensator weight 1_{||x||_inf <= 1}."""
+    """Compensator weight 1_{||x||_inf <= 1}: the unit sup-norm ball."""
     return 1.0 if float(np.max(np.abs(np.asarray(x, dtype=float)))) <= 1.0 else 0.0
-
-
-def tent_compensator(x) -> float:
-    """Piecewise-linear weight max(0, 1 - ||x||_inf).
-
-    A compactly supported substitute for the indicator with value 1 at the
-    origin.  It is only piecewise C^1; callers needing a genuinely smooth
-    weight should supply their own.
-    """
-    return max(0.0, 1.0 - float(np.max(np.abs(np.asarray(x, dtype=float)))))
 
 
 @dataclass(frozen=True)
@@ -82,19 +72,19 @@ class LevyTriple:
     def dim(self) -> int:
         return self.b.size
 
-    def compensator_moment(self, compensator: Callable = indicator_compensator) -> Vector:
-        """∫ x h(x) dmu, the linear term the compensator injects into the exponent."""
+    def compensator_moment(self) -> Vector:
+        """∫ x 1_{||x||_inf <= 1} dmu, the linear term the compensator injects into the exponent."""
         out = np.zeros(self.dim)
         for p, w in self.mu.atoms:
-            out += w * compensator(p) * np.asarray(p, dtype=float)
+            out += w * indicator_compensator(p) * np.asarray(p, dtype=float)
         return out
 
 
-def psi_exponent(triple: LevyTriple, u: Sequence[float], compensator: Callable = indicator_compensator) -> complex:
+def psi_exponent(triple: LevyTriple, u: Sequence[float]) -> complex:
     """log E[exp(i u . Z)] for the law with the given triple.
 
     i u.b - u.Cu/2 + sum_atoms w (exp(i u.x) - 1 - i u.x h(x)) with h the
-    compensator weight (indicator of the unit sup-norm ball by default).
+    compensator weight, the indicator of the unit sup-norm ball.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (triple.dim,):
@@ -103,7 +93,7 @@ def psi_exponent(triple: LevyTriple, u: Sequence[float], compensator: Callable =
     for p, w in triple.mu.atoms:
         x = np.asarray(p, dtype=float)
         phase = float(u @ x)
-        val += w * (np.exp(1j * phase) - 1.0 - 1j * phase * compensator(x))
+        val += w * (np.exp(1j * phase) - 1.0 - 1j * phase * indicator_compensator(x))
     return complex(val)
 
 
@@ -219,18 +209,6 @@ def f_u(u: Sequence[float]) -> TestFunction:
         return np.exp(1j * float(u @ np.atleast_1d(np.asarray(x, dtype=float)))) - 1.0
 
     return TestFunction(f"F[{np.array2string(u, precision=4)}]", fn, 2.0)
-
-
-def g_u(u: Sequence[float], compensator: Callable = indicator_compensator) -> TestFunction:
-    """G_u = F_u - psi_u with psi_u(x) = i u.x h(x)."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def fn(x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        phase = float(u @ x)
-        return np.exp(1j * phase) - 1.0 - 1j * phase * compensator(x)
-
-    return TestFunction(f"G[{np.array2string(u, precision=4)}]", fn, math.inf)
 
 
 def levy_family(dim: int, u_samples: Sequence[tuple[Sequence[float], Sequence[float]]]) -> FunctionFamily:

@@ -79,25 +79,11 @@ def integrate(mu: AtomicMeasure, f: Callable[[Point], complex]) -> complex:
     return complex(math.fsum(z.real for z in terms), math.fsum(z.imag for z in terms))
 
 
-def integrates_family(mu: AtomicMeasure, fam: FunctionFamily) -> bool:
-    """True iff |f| integrates (= evaluates finitely at every atom) for all members."""
-    for f in fam.members:
-        for p, _ in mu.atoms:
-            try:
-                v = abs(f(p))
-            except Exception:
-                return False
-            if not math.isfinite(v):
-                return False
-    return True
-
-
-def _require_same_space(nu1: AtomicMeasure, nu2: AtomicMeasure) -> MetricStructure:
-    if nu1.space.label != nu2.space.label:
-        raise ValueError(
-            f"mismatched base spaces: {nu1.space.label!r} vs {nu2.space.label!r}"
-        )
-    return nu1.space
+def _require_same_space(first: MetricStructure, *others: MetricStructure) -> MetricStructure:
+    for other in others:
+        if other.label != first.label:
+            raise ValueError(f"mismatched base spaces: {first.label!r} vs {other.label!r}")
+    return first
 
 
 def _residual_search(rem_a, adj_a, flow_b, rem_b):
@@ -199,7 +185,7 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     the distance, is found by binary search: one max flow per probe, no cap
     on the atom count.
     """
-    space = _require_same_space(nu1, nu2)
+    space = _require_same_space(nu1.space, nu2.space)
     if not nu1.atoms and not nu2.atoms:
         return 0.0
     w1, w2 = [w for _, w in nu1.atoms], [w for _, w in nu2.atoms]
@@ -230,7 +216,7 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure, tol: fl
     converges to the infimum.  Kept algorithmically independent of
     :func:`prohorov_distance` on purpose.
     """
-    space = _require_same_space(nu1, nu2)
+    space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
     n = len(pts)
     if n == 0:
@@ -295,8 +281,10 @@ def weak_sharp_report(
 
     The verdict is ``converged`` iff the final gap is below ``tol`` for every
     member.  This tests the hypothesis side of convergence determination; it
-    does not certify weak#-convergence by itself.
+    does not certify weak#-convergence by itself.  Raises ValueError when
+    ``limit`` or a measure of ``seq`` lives on a space other than ``fam.space``.
     """
+    _require_same_space(fam.space, limit.space, *(mu.space for mu in seq))
     gaps = []
     for f in fam.members:
         ref = integrate(limit, f)

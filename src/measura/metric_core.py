@@ -14,7 +14,7 @@ metrics the rest of the library relies on:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -157,14 +157,6 @@ def hilbert_cube_metric() -> MetricStructure:
         return total
 
     return MetricStructure(dist, (1.0,), "hilbert-cube")
-
-
-def is_bounded(sample: Iterable[Point], space: MetricStructure, radius_cap: float) -> bool:
-    """True iff every sampled point lies within ``radius_cap`` of the reference."""
-    pts = list(sample)
-    if not pts:
-        raise ValueError("empty sample")
-    return max(space.distance_to_reference(x) for x in pts) <= radius_cap
 
 
 def sample_metric_axioms(

@@ -11,7 +11,14 @@ import time
 import numpy as np
 from scipy.integrate import quad
 
-from measura.algebra import stone_weierstrass_p0
+from measura.algebra import (
+    FunctionFamily,
+    TestFunction,
+    check_bounded_below_on,
+    check_separates_points,
+    check_vanishes_nowhere,
+    stone_weierstrass_p0,
+)
 from measura.excursion import (
     ExcursionFunctional,
     ExcursionPath,
@@ -28,16 +35,17 @@ from measura.fragmentation import (
     FragmentationSequence,
     ProperFragmentation,
     block_uniform_state,
-    fragment_space,
     g_p,
     phi,
     phi_inverse,
+    power_family,
     topology_equivalence_check_s1,
 )
 from measura.levy import (
     LevyTriple,
     RandomMeasureLaw,
     default_m_schedule,
+    f_phi_family,
     f_u,
     finite_ground_space,
     laplace_functional,
@@ -56,6 +64,7 @@ from measura.measures import (
     weak_sharp_report,
 )
 from measura.metric_core import (
+    BoundedSetWitness,
     hilbert_cube_metric,
     point_removal_metric,
     real_line,
@@ -137,6 +146,7 @@ def test_criterion_04_step4_lower_bound():
     # |F_{u*}|^2 with u* = eps*pi/2 meets the closed-form floor
     start = time.perf_counter()
     rng = np.random.default_rng(404)
+    space = levy_ground_space(1)
     ok = True
     margin = math.inf
     for _ in range(100):
@@ -144,12 +154,15 @@ def test_criterion_04_step4_lower_bound():
         ustar = eps * math.pi / 2.0
         floor = (1.0 - math.cos(math.pi * eps**2 / 2.0)) ** 2
         fu = f_u([ustar])
+        fam = FunctionFamily((TestFunction("|F_u*|^2", lambda x: abs(fu(x)) ** 2, 4.0),), space)
+        # the ball around the reference 1 through -1/eps holds the whole annulus
+        annulus = BoundedSetWitness(space.dist(space.reference_point, -1.0 / eps), space.reference_point)
         pts = np.concatenate([
             rng.uniform(eps, 1.0 / eps, 400),
             -rng.uniform(eps, 1.0 / eps, 400),
         ])
-        sampled_min = min(abs(fu(x)) ** 2 for x in pts)
-        ok = ok and sampled_min > 0.0 and sampled_min >= floor - 1e-12
+        found, _, sampled_min = check_bounded_below_on(fam, annulus, pts)
+        ok = ok and found and sampled_min >= floor - 1e-12
         margin = min(margin, sampled_min - floor)
     check(4, "plane-wave modulus floor on annuli", ok, time.perf_counter() - start, 5.0,
           f"min_margin={margin:.2e}")
@@ -305,12 +318,7 @@ def test_criterion_11_fragmentation():
 
     # sampled homeomorphism: pointwise convergence of states (atoms bounded
     # away from 0) iff integral gaps of the embedded measures vanish
-    from measura.algebra import FunctionFamily, TestFunction
-
-    fam = FunctionFamily(
-        tuple(TestFunction(f"x^{p}", lambda x, _p=p: x**_p, 1.0) for p in range(1, 5)),
-        fragment_space(),
-    )
+    fam = power_family(4)
     states = [FragmentationSequence((0.5 + 0.1 * 4.0**-n, 0.25, 0.2)) for n in range(1, 14)]
     limit = FragmentationSequence((0.5, 0.25, 0.2))
     fwd = weak_sharp_report([phi(s) for s in states], phi(limit), fam, tol=1e-6)
@@ -363,3 +371,44 @@ def test_criterion_12_metric_axioms():
         f"{k}:tri={r.triangle:.1e}" for k, r in reports.items()
     )
     check(12, "metric axioms", ok, time.perf_counter() - start, 10.0, detail)
+
+
+def test_criterion_13_abstract_hypotheses():
+    # the abstract's conditions on the three example families, sampled at 1e-9:
+    # each separates points and vanishes nowhere, and on the ball of radius R
+    # around 1 in (0,1] (that is [1/(1+R), 1]) some x^p stays above 1/(1+R)
+    start = time.perf_counter()
+    rng = np.random.default_rng(1313)
+    tol = 1e-9
+
+    plane = levy_family(1, [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(20)])
+    line_pts = list(rng.choice([-1.0, 1.0], 200) * rng.uniform(0.05, 5.0, 200))
+
+    labels = ("a", "b", "c")
+    weights = [rng.uniform(0.1, 2.0, 3) for _ in range(4)]
+    fphi = f_phi_family(labels, [lambda e, _w=w: float(_w[labels.index(e)]) for w in weights])
+    ground = finite_ground_space(labels)
+    measures_e = []
+    for _ in range(60):
+        chosen = rng.choice(len(labels), int(rng.integers(1, len(labels) + 1)), replace=False)
+        measures_e.append(AtomicMeasure.from_atoms(ground, [(labels[i], float(rng.uniform(0.05, 2.0)))
+                                                            for i in chosen]))
+
+    powers = power_family(4)
+    frag_pts = list(rng.uniform(1e-3, 1.0, 200))
+
+    hypotheses = {}
+    for name, fam, pts in (("plane", plane, line_pts), ("fphi", fphi, measures_e), ("power", powers, frag_pts)):
+        pairs = list(zip(pts[::2], pts[1::2]))
+        hypotheses[name] = (check_separates_points(fam, pairs, tol), check_vanishes_nowhere(fam, pts, tol))
+
+    R = 3.0
+    ball = BoundedSetWitness(R, powers.space.reference_point)
+    inside = list(rng.uniform(1.0 / (1.0 + R), 1.0, 200))
+    found, member, delta = check_bounded_below_on(powers, ball, inside)
+    floor = 1.0 / (1.0 + R)
+
+    ok = all(sep and vanish for sep, vanish in hypotheses.values()) and found and delta >= floor
+    detail = " ".join(f"{k}:sep={a} vanish={b}" for k, (a, b) in hypotheses.items())
+    check(13, "abstract hypotheses on the example families", ok, time.perf_counter() - start, 2.0,
+          f"{detail} floor:{member}={delta:.4f}>={floor:g}")

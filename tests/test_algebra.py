@@ -14,9 +14,6 @@ from measura.algebra import (
     check_bounded_below_on,
     check_separates_points,
     check_vanishes_nowhere,
-    close_multiplicatively,
-    embed_hilbert_cube,
-    normalize_to_unit,
     stone_weierstrass_p0,
 )
 from measura.metric_core import BoundedSetWitness, real_line
@@ -26,48 +23,6 @@ SPACE = real_line()
 
 def tf(name, fn, bound=1.0):
     return TestFunction(name, fn, bound)
-
-
-class TestCloseMultiplicatively:
-    def test_single_function_depth_two(self):
-        fam = FunctionFamily((tf("f", lambda x: complex(x, x)),), SPACE)
-        closed = close_multiplicatively(fam, 2)
-        # {f, conj(f), f^2, f conj(f), conj(f)^2}
-        assert len(closed) == 5
-        x = 0.7
-        vals = {f.id: f(x) for f in closed}
-        assert vals["f * f"] == pytest.approx(complex(x, x) ** 2)
-        assert vals["conj(f) * f"] == pytest.approx(abs(complex(x, x)) ** 2)
-
-    def test_product_identity_for_plane_waves(self):
-        from measura.levy import f_u, levy_ground_space
-
-        fam = FunctionFamily((f_u([0.6]), f_u([-1.1])), levy_ground_space(1))
-        closed = close_multiplicatively(fam, 2)
-        fu, fv, fuv = f_u([0.6]), f_u([-1.1]), f_u([-0.5])
-        prod = next(
-            f for f in closed
-            if " * " in f.id and fu.id in f.id and fv.id in f.id and "conj" not in f.id
-        )
-        for x in (0.3, 1.7, -2.2):
-            assert prod(x) == pytest.approx(fuv(x) - fu(x) - fv(x), abs=1e-12)
-
-    def test_empty_family(self):
-        closed = close_multiplicatively(FunctionFamily((), SPACE), 3)
-        assert len(closed) == 0
-
-    def test_closed_under_conjugation(self):
-        fam = FunctionFamily((tf("g", lambda x: complex(math.cos(x), math.sin(x))),), SPACE)
-        closed = close_multiplicatively(fam, 2)
-        members = list(closed)
-        for f in members:
-            want = f(0.9).conjugate()
-            assert any(abs(g(0.9) - want) < 1e-12 for g in members)
-
-    def test_sup_bounds_multiply(self):
-        fam = FunctionFamily((tf("f", lambda x: 2.0, bound=2.0),), SPACE)
-        closed = close_multiplicatively(fam, 2)
-        assert max(f.sup_bound for f in closed) == pytest.approx(4.0)
 
 
 class TestCheckers:
@@ -146,65 +101,10 @@ class TestCheckers:
         with pytest.raises(ValueError, match="witness"):
             check_bounded_below_on(fam, BoundedSetWitness(1.0, 0.0), [5.0])
 
-
-class TestEmbedding:
-    def test_identity_embed(self):
-        fam = FunctionFamily((tf("id", lambda x: x),), SPACE)
-        assert embed_hilbert_cube(fam, 0.3) == (0.3,)
-
-    def test_two_coordinates(self):
-        fam = FunctionFamily((tf("id", lambda x: x), tf("sq", lambda x: x * x)), SPACE)
-        assert embed_hilbert_cube(fam, 0.5) == (0.5, 0.25)
-
-    def test_range_violation_raises(self):
-        fam = FunctionFamily((tf("big", lambda x: 2.0 * x),), SPACE)
-        with pytest.raises(ValueError, match="range"):
-            embed_hilbert_cube(fam, 0.9)
-
-    def test_injective_under_separating_family(self):
-        fam = FunctionFamily((tf("id", lambda x: x), tf("sq", lambda x: x * x)), SPACE)
-        rng = np.random.default_rng(9)
-        for _ in range(1000):
-            x, y = rng.uniform(0, 1, 2)
-            if x != y:
-                assert embed_hilbert_cube(fam, x) != embed_hilbert_cube(fam, y)
-
-
-class TestNormalizeToUnit:
-    def test_unit_range_function(self):
-        f = tf("f", lambda x: x, bound=1.0)  # maps [0,1] to [0,1]
-        out = normalize_to_unit(FunctionFamily((f,), SPACE))
-        vals = {g.id: g for g in out}
-        xs = np.linspace(0, 1, 21)
-        sq = vals["sq(re(f))/1"]
-        gap = vals["sqgap(re(f))/2"]
-        for x in xs:
-            assert sq(x).real == pytest.approx(x * x, abs=1e-15)
-            # recorded scale: f^2 (1 - f) divided by its conservative bound 2
-            assert gap(x).real == pytest.approx(x * x * (1 - x) / 2.0, abs=1e-15)
-
-    def test_all_members_land_in_unit_interval(self):
-        f = tf("f", lambda x: complex(math.sin(3 * x), math.cos(2 * x)), bound=1.0)
-        out = normalize_to_unit(FunctionFamily((f,), SPACE))
-        xs = np.linspace(-3, 3, 101)
-        for g in out:
-            for x in xs:
-                v = g(x)
-                assert abs(v.imag) < 1e-15
-                assert -1e-12 <= v.real <= 1.0 + 1e-12
-
-    def test_purely_imaginary_input(self):
-        f = tf("ig", lambda x: complex(0.0, min(max(x, 0.0), 1.0)), bound=1.0)
-        out = normalize_to_unit(FunctionFamily((f,), SPACE))
-        assert any("im(ig)" in g.id for g in out)
-        re_sq = next(g for g in out if g.id == "sq(re(ig))/1")
-        assert re_sq(0.7) == 0.0  # real part is the zero function, kept but harmless
-
-    def test_constant_one(self):
-        f = tf("one", lambda x: 1.0, bound=1.0)
-        out = normalize_to_unit(FunctionFamily((f,), SPACE))
-        vals = sorted({round(abs(g(0.42)), 12) for g in out})
-        assert vals == [0.0, 1.0]
+    def test_empty_sample_rejected(self):
+        fam = FunctionFamily((tf("one", lambda x: 1.0),), SPACE)
+        with pytest.raises(ValueError, match="sample is empty"):
+            check_bounded_below_on(fam, BoundedSetWitness(1.0, 0.0), [])
 
 
 def ramp(u):

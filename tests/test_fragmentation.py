@@ -1,4 +1,3 @@
-import math
 
 import numpy as np
 import pytest
@@ -9,18 +8,14 @@ from measura.fragmentation import (
     FragmentationSequence,
     ProperFragmentation,
     block_uniform_state,
-    convergence_determining_check,
-    exponential_functions,
     fragment_space,
     g_p,
-    h_alpha,
     phi,
     phi_inverse,
-    power_sum_functions,
+    power_family,
     topology_equivalence_check_s1,
 )
 from measura.measures import AtomicMeasure, integrate, weak_sharp_report
-from measura.algebra import FunctionFamily, TestFunction
 
 
 def seq(*vals):
@@ -70,6 +65,12 @@ class TestPhi:
         with pytest.raises(ValueError, match="Phi"):
             phi_inverse(mu)
 
+    def test_inverse_rejects_mass_above_tolerance(self):
+        # 4e-10 above 1 is beyond MASS_TOL, so phi_inverse itself refuses it
+        mu = AtomicMeasure.from_atoms(fragment_space(), [(0.5 + 4e-10, 1.0), (0.5, 1.0)])
+        with pytest.raises(ValueError, match=r"not in Phi\(S_down\): total mass exceeds 1"):
+            phi_inverse(mu)
+
     def test_inverse_rejects_fractional_weight(self):
         mu = AtomicMeasure.from_atoms(fragment_space(), [(0.5, 1.5)])
         with pytest.raises(ValueError, match="non-integer"):
@@ -115,47 +116,31 @@ class TestPowerAndExponentialSums:
             for p in (2, 3, 5):
                 assert g_p(s, p) <= g_p(s, 1) + 1e-15 <= 1.0 + 1e-15
 
-    def test_h_alpha_values(self):
-        assert h_alpha(FragmentationSequence(()), 1.0) == 0.0
-        assert h_alpha(seq(1.0), math.log(2.0)) == pytest.approx(0.5, abs=1e-15)
-
-    def test_h_alpha_monotone_in_alpha(self):
-        s = seq(0.4, 0.3, 0.1)
-        vals = [h_alpha(s, a) for a in (0.5, 1.0, 2.0, 4.0)]
-        assert all(b > a for a, b in zip(vals, vals[1:]))
-
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             g_p(seq(0.5), 0)
-        with pytest.raises(ValueError):
-            h_alpha(seq(0.5), 0.0)
 
 
 class TestConvergenceChecks:
     def test_symmetric_split_sequence(self):
         states = [seq(0.5 + 1.0 / n, 0.5 - 1.0 / n) for n in range(4, 200, 8)]
         limit = seq(0.5, 0.5)
-        report = convergence_determining_check(states, limit, power_sum_functions(4), tol=1e-2)
+        report = topology_equivalence_check_s1(states, limit, max_p=4, tol=1e-2)
         assert report.family_converged and report.pointwise_converged
         assert report.implication_holds
 
-    def test_constant_sequence(self):
-        s = seq(0.3, 0.2)
-        report = convergence_determining_check([s, s, s], s, exponential_functions([0.5, 1.0]), 1e-12)
-        assert report.family_converged and report.pointwise_converged
-
     def test_block_witness_vacuous_for_full_family(self):
         # G_p(s(n)) = n^{1-p} -> 0 for p >= 2, but G_1 stays 1, so the family
-        # hypothesis fails and the implication is vacuously true
+        # hypothesis fails and the implication is vacuously true (the zero
+        # limit has mass 0, so the gaps come from weak_sharp_report directly)
         states = [block_uniform_state(n) for n in (4, 16, 64, 256)]
         limit = FragmentationSequence(())
-        report = convergence_determining_check(states, limit, power_sum_functions(3), tol=1e-2)
+        report = weak_sharp_report([phi(s) for s in states], phi(limit), power_family(3), tol=1e-2)
         g1 = dict(report.member_gaps)["G_1"]
         g3 = dict(report.member_gaps)["G_3"]
         assert all(v == 1.0 for v in g1)
         assert g3[-1] == pytest.approx(256.0 ** (1 - 3), rel=1e-9)
-        assert not report.family_converged
-        assert report.implication_holds
+        assert not report.converged
 
     def test_topology_equivalence_on_proper_states(self):
         states = [ProperFragmentation((1.0 - 1.0 / n, 1.0 / n)) for n in (8, 32, 128, 512, 2048)]
@@ -171,23 +156,17 @@ class TestConvergenceChecks:
 
 
 class TestSampledHomeomorphism:
-    def _power_family(self, max_p):
-        return FunctionFamily(
-            tuple(TestFunction(f"x^{p}", lambda x, _p=p: x**_p, 1.0) for p in range(1, max_p + 1)),
-            fragment_space(),
-        )
-
     def test_forward_direction(self):
         # pointwise convergence with atoms bounded away from 0 drives the
         # integral gaps of the embedded measures to 0
-        fam = self._power_family(4)
+        fam = power_family(4)
         states = [seq(0.5 + 0.1 * 4.0**-n, 0.25, 0.125) for n in range(1, 12)]
         limit = seq(0.5, 0.25, 0.125)
         report = weak_sharp_report([phi(s) for s in states], phi(limit), fam, tol=1e-6)
         assert report.converged
 
     def test_reverse_direction_on_diverging_states(self):
-        fam = self._power_family(4)
+        fam = power_family(4)
         states = [seq(0.5), seq(0.5), seq(0.5)]
         limit = seq(0.25)
         report = weak_sharp_report([phi(s) for s in states], phi(limit), fam, tol=1e-6)

@@ -12,8 +12,6 @@ from measura.levy import (
     f_phi_family,
     f_u,
     finite_ground_space,
-    g_u,
-    indicator_compensator,
     laplace_functional,
     levy_family,
     levy_ground_space,
@@ -21,7 +19,6 @@ from measura.levy import (
     recover_C,
     recover_b,
     recover_b_measure,
-    tent_compensator,
 )
 from measura.measures import AtomicMeasure, weak_sharp_report
 
@@ -70,14 +67,6 @@ class TestPsiExponent:
             t = random_triple(rng, 2)
             u = rng.uniform(-3, 3, 2)
             assert abs(psi_exponent(t, -u) - psi_exponent(t, u).conjugate()) < 1e-12
-
-    def test_compensator_is_pluggable(self):
-        t = triple(0.0, 0.0, [(np.array([0.5]), 1.0)])
-        u = [1.3]
-        ind = psi_exponent(t, u, indicator_compensator)
-        tent = psi_exponent(t, u, tent_compensator)
-        # tent weight at 0.5 is 0.5, indicator weight is 1
-        assert (ind - tent) == pytest.approx(-1j * 1.3 * 0.5 * (1.0 - 0.5), abs=1e-14)
 
     def test_dimension_mismatch(self):
         t = triple([0.0, 0.0], np.eye(2), [], dim=2)
@@ -170,13 +159,15 @@ class TestPlaneWaveFamilies:
         assert worst < 1e-12
 
     def test_tr72_g_version(self):
+        # for the unit Dirac triple at x, psi(u) = G_u(x) = F_u(x) - i u.x 1_{|x|<=1}
         rng = np.random.default_rng(4)
         worst = 0.0
         for _ in range(500):
             u, v, x = rng.uniform(-2, 2, (3, 2))
             fu, fv = f_u(u), f_u(v)
-            gu, gv, guv = g_u(u), g_u(v), g_u(u + v)
-            worst = max(worst, abs(fu(x) * fv(x) - (guv(x) - gu(x) - gv(x))))
+            t = triple([0.0, 0.0], np.zeros((2, 2)), [(x, 1.0)], dim=2)
+            gu, gv, guv = psi_exponent(t, u), psi_exponent(t, v), psi_exponent(t, u + v)
+            worst = max(worst, abs(fu(x) * fv(x) - (guv - gu - gv)))
         assert worst < 1e-12
 
     def test_weak_sharp_convergence_of_levy_measures(self):

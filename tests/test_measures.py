@@ -7,7 +7,6 @@ from measura.algebra import FunctionFamily, TestFunction
 from measura.measures import (
     AtomicMeasure,
     integrate,
-    integrates_family,
     mf_measure_metric,
     prohorov_distance,
     prohorov_distance_bruteforce,
@@ -66,36 +65,6 @@ class TestIntegrate:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             measure((0.0, -1.0))
-
-
-class TestIntegratesFamily:
-    def family(self, *fns):
-        return FunctionFamily(
-            tuple(TestFunction(f"f{i}", fn, 10.0) for i, fn in enumerate(fns)), SPACE
-        )
-
-    def test_bounded_family(self):
-        mu = measure((0.2, 1.0), (1.5, 0.5))
-        assert integrates_family(mu, self.family(lambda x: math.sin(x), lambda x: 1.0))
-
-    def test_power_family_on_embedded_state(self):
-        from measura.fragmentation import FragmentationSequence, phi
-
-        mu = phi(FragmentationSequence((0.4, 0.3, 0.2)))
-        fam = self.family(*(lambda x, _p=p: x**_p for p in range(1, 6)))
-        assert integrates_family(mu, fam)
-        for p in range(1, 6):
-            assert integrate(mu, lambda x: x**p).real <= 1.0 + 1e-12
-
-    def test_empty_measure(self):
-        mu = AtomicMeasure.empty(SPACE)
-        fam = self.family(lambda x: 1.0 / x)
-        assert integrates_family(mu, fam)
-        assert integrate(mu, lambda x: 1.0 / x) == 0.0
-
-    def test_evaluation_failure_means_false(self):
-        mu = AtomicMeasure.dirac(SPACE, 0.0)
-        assert not integrates_family(mu, self.family(lambda x: 1.0 / x))
 
 
 class TestProhorov:
@@ -261,3 +230,14 @@ class TestWeakSharpReport:
         report = weak_sharp_report(seq, AtomicMeasure.empty(space), fam, tol=1e-3)
         assert not report.converged
         assert report.member_gaps[0][1][-1] >= 16.0  # gap = n * f(1/n)
+
+    def test_mismatched_spaces_raise(self):
+        # plane waves live on the punctured line; Diracs on R must not be integrated against them
+        fam = self._family()
+        on_line = AtomicMeasure.dirac(SPACE, 1.0)
+        on_family_space = AtomicMeasure.dirac(fam.space, 1.0)
+        for seq, limit in (([on_line], on_family_space), ([on_family_space, on_line], on_family_space),
+                           ([on_family_space], on_line)):
+            with pytest.raises(ValueError, match="mismatched") as err:
+                weak_sharp_report(seq, limit, fam, tol=1e-3)
+            assert repr(fam.space.label) in str(err.value) and repr(SPACE.label) in str(err.value)

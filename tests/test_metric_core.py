@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from measura.metric_core import (
     BoundedSetWitness,
     hilbert_cube_metric,
-    is_bounded,
     point_removal_metric,
     real_line,
     sample_metric_axioms,
@@ -87,25 +86,6 @@ class TestHilbertCube:
         assert dists[2] < dists[1] < dists[0] and dists[2] < 1e-2
         # ... and a coordinate staying apart keeps r away from 0
         assert r.dist(x, (0.5, 0.9, 0.75)) > 0.1
-
-
-class TestIsBounded:
-    def test_finite_sample_under_punctured_metric(self):
-        d = point_removal_metric(real_line(), 0.0, reference_point=1.0)
-        assert is_bounded([1.0, 2.0], d, radius_cap=10.0)
-
-    def test_reference_only(self):
-        d = real_line()
-        assert is_bounded([0.0], d, radius_cap=0.0)
-
-    def test_sample_approaching_removed_point_unbounded(self):
-        d = point_removal_metric(real_line(), 0.0, reference_point=1.0)
-        sample = [1.0 / n for n in range(1, 101)]
-        assert not is_bounded(sample, d, radius_cap=10.0)
-
-    def test_empty_sample_raises(self):
-        with pytest.raises(ValueError, match="empty"):
-            is_bounded([], real_line(), 1.0)
 
 
 class TestWitness:
