@@ -1,5 +1,10 @@
 """Experiment harness: each worked example as a reproducible command.
 
+Each claim is computed by one claim function (``<command>_claim``) that takes
+explicit inputs and returns (rows, verdicts); the acceptance criteria call the
+same functions with their own inputs.  A command's runner only adapts the
+configuration onto its claim function's inputs.
+
 One process runs one command, selected with --command; results are written as
 CSV (header row, 17-significant-digit decimals, fields with commas quoted) or
 JSON ({config, rows, verdicts, meta}).  Each flag sets the ExperimentConfig
@@ -45,6 +50,7 @@ from .levy import (
     recover_b_measure,
 )
 from .measures import AtomicMeasure, prohorov_distance, prohorov_distance_bruteforce, weak_sharp_report
+from .metric_core import real_line
 
 FORMATS = ("csv", "json")
 
@@ -74,6 +80,9 @@ class ExperimentConfig:
         for field in dataclasses.fields(self):
             if field.name not in settable and getattr(self, field.name) != field.default:
                 raise UsageError(f"{field.name.replace('_', '-')}: not read by {self.command}")
+        for name, value in (("seed", self.seed), ("n-paths", self.n_paths)):
+            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+                raise UsageError(f"{name}: must be an int, not {type(value).__name__}")
         if self.command in STOCHASTIC_COMMANDS and self.seed is None:
             raise UsageError(f"seed: required for stochastic command {self.command!r}")
         if self.seed is not None and not (0 <= self.seed < 2**64):
@@ -115,15 +124,15 @@ class ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# Command implementations
+# Claim functions: explicit inputs in, (rows, verdicts) out
 # ---------------------------------------------------------------------------
 
 
-def _run_levy_recover(cfg: ExperimentConfig):
+def levy_recover_claim(m_max: float, tol: float):
     space = levy_ground_space(2)
     mu = AtomicMeasure.from_atoms(space, [((1.5, -0.4), 0.8), ((0.3, 0.2), 0.5), ((4.0, 1.0), 0.2)])
     triple = LevyTriple(np.array([0.5, -0.25]), np.array([[2.0, 1.0], [1.0, 3.0]]), mu)
-    schedule = default_m_schedule(cfg.m_max)
+    schedule = default_m_schedule(m_max)
     psi = lambda u: psi_exponent(triple, u)
     C_hat = recover_C(psi, 2, schedule)
     b_hat = recover_b(psi, C_hat, 2, schedule, compensator_moment=triple.compensator_moment())
@@ -136,20 +145,115 @@ def _run_levy_recover(cfg: ExperimentConfig):
         rows.append({"entry": f"b[{k}]", "true": triple.b[k], "recovered": b_hat[k],
                      "abs_err": abs(triple.b[k] - b_hat[k])})
     worst = max(r["abs_err"] for r in rows)
-    return rows, {"recovered_within_tol": worst < cfg.tol}
+    return rows, {"recovered_within_tol": worst < tol}
 
 
-def _run_levy_converge(cfg: ExperimentConfig):
-    rng = np.random.default_rng(0)
+def levy_converge_claim(pair_seed: int):
+    """delta_{1+1/n} -> delta_1 under 20 F_u*F_v members, (u, v) drawn from pair_seed."""
+    rng = np.random.default_rng(pair_seed)
     pairs = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(20)]
     fam = levy_family(1, pairs)
-    space = fam.space
     ns = [1, 10, 100, 1000, 10_000]
-    seq = [AtomicMeasure.dirac(space, 1.0 + 1.0 / n) for n in ns]
-    report = weak_sharp_report(seq, AtomicMeasure.dirac(space, 1.0), fam, tol=1e-3)
+    seq = [AtomicMeasure.dirac(fam.space, 1.0 + 1.0 / n) for n in ns]
+    report = weak_sharp_report(seq, AtomicMeasure.dirac(fam.space, 1.0), fam, tol=1e-3)
     max_gaps = [max(g[i] for _, g in report.member_gaps) for i in range(len(ns))]
     rows = [{"n": n, "max_gap": g} for n, g in zip(ns, max_gaps)]
     return rows, {"gaps_below_1e-3_at_n_1e4": report.converged}
+
+
+def random_measure_claim(law: RandomMeasureLaw, identity_samples, schedule: Sequence[float]):
+    """F_phi product identity on each (phi, psi, nu-weights) sample over law.ground_set,
+    and recovery of the drift b from the Laplace functional along schedule."""
+    labels = law.ground_set
+    ground = finite_ground_space(labels)
+    worst_identity = 0.0
+    for phi_v, psi_v, weights in identity_samples:
+        nu = AtomicMeasure.from_atoms(ground, list(zip(labels, weights)))
+        fam = f_phi_family(labels, [lambda e, v=v: v[labels.index(e)] for v in (phi_v, psi_v, phi_v + psi_v)])
+        fp, fq, fpq = (m(nu).real for m in fam)
+        worst_identity = max(worst_identity, abs(fp * fq - (fp + fq - fpq)))
+    b_hat = recover_b_measure(lambda f: laplace_functional(law, f), labels, schedule)
+    recovered = {**dict.fromkeys(labels, 0.0), **dict(b_hat.atoms)}
+    truth = {**dict.fromkeys(labels, 0.0), **dict(law.b.atoms)}
+    rows = [{"label": e, "true_b": truth[e], "recovered_b": recovered[e],
+             "abs_err": abs(truth[e] - recovered[e])} for e in labels]
+    ok_b = max(r["abs_err"] for r in rows) < 1e-3
+    rows.append({"label": "product-identity", "true_b": 0.0, "recovered_b": worst_identity,
+                 "abs_err": worst_identity})
+    return rows, {"product_identity_1e-12": worst_identity < 1e-12, "b_recovered_1e-3": ok_b}
+
+
+def excursion_claim(eps: float, n_paths: int, dt: float, seeds: Sequence[int], horizon_margin: float):
+    """(1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) at t = 0.5, 1, 2, seeds[i] for the i-th t.
+
+    h is constant after t, so the paths run to t + horizon_margin; a margin of
+    at least dt always reaches past t (a horizon of t can round short of it).
+    """
+    rows = []
+    ok = True
+    for t, seed in zip((0.5, 1.0, 2.0), seeds):
+        F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
+        lhs, se = empirical_lhs(F, eps, n_paths, dt, horizon=t + horizon_margin, seed=seed)
+        target = math.sqrt(2.0 / (math.pi * t))
+        rows.append({"t": t, "lhs": lhs, "se": se, "target": target, "ratio": lhs / target})
+        ok = ok and abs(lhs - target) <= 3.0 * se
+    return rows, {"tail_matches_within_3se": ok}
+
+
+def fragmentation_claim(ns: Sequence[int]):
+    """The G_1 discontinuity witness: G_1 of the uniform n-block state is exactly 1."""
+    rows = []
+    all_one = True
+    for n in ns:
+        s = block_uniform_state(n)
+        g1 = g_p(s, 1)
+        rows.append({"n": n, "G_1": g1, "max_coordinate": 1.0 / n})
+        all_one = all_one and g1 == 1.0
+    return rows, {"G1_exactly_one": all_one}
+
+
+def sw_approx_claim(degree_budget: int):
+    def ramp(u):
+        return min(max(u, 0.0), 1.0)
+
+    def g(x):
+        return x[0] * ramp((x[0] - 0.25) / 0.25)
+
+    eps = 0.05
+    poly = stone_weierstrass_p0(g, delta=0.25, eps=eps, degree_budget=degree_budget, arity=1)
+    grid = np.linspace(0.0, 1.0, 50)
+    errs = np.array([abs(g((x,)) - poly.evaluate((x,))) - eps * x for x in grid])
+    rows = [{"degree": poly.degree, "max_excess_over_bound": float(errs.max()),
+             "in_p0": int(poly.in_p0())}]
+    return rows, {"weighted_bound_holds": bool(np.all(errs <= 1e-12)), "in_p0": poly.in_p0()}
+
+
+def prohorov_oracle_claim(seed: int, n_instances: int, weight_floor: float):
+    """Max flow against brute force on pairs of 1-4 atoms at U(-2, 2) with weights U(weight_floor, 2)."""
+    rng = np.random.default_rng(seed)
+    space = real_line()
+
+    def draw():
+        k = int(rng.integers(1, 5))
+        return AtomicMeasure.from_atoms(
+            space, [(float(rng.uniform(-2, 2)), float(rng.uniform(weight_floor, 2))) for _ in range(k)]
+        )
+
+    rows = []
+    worst = 0.0
+    for i in range(n_instances):
+        nu1, nu2 = draw(), draw()
+        fast = prohorov_distance(nu1, nu2)
+        oracle = prohorov_distance_bruteforce(nu1, nu2)
+        diff = abs(fast - oracle)
+        worst = max(worst, diff)
+        rows.append({"instance": i, "fast": fast, "oracle": oracle, "abs_diff": diff})
+    return rows, {"matches_oracle_1e-4": worst < 1e-4}
+
+
+# ---------------------------------------------------------------------------
+# Runners: each maps an ExperimentConfig onto its claim function's inputs
+# ---------------------------------------------------------------------------
 
 
 def _run_random_measure(cfg: ExperimentConfig):
@@ -163,90 +267,14 @@ def _run_random_measure(cfg: ExperimentConfig):
         AtomicMeasure.from_atoms(finite_ground_space(labels), [(nu1, 0.6), (nu2, 0.9)]),
     )
     rng = np.random.default_rng(0)
-    worst_identity = 0.0
-    for _ in range(200):
-        phi_v, psi_v = rng.uniform(0, 2, (2, len(labels)))
-        nu = AtomicMeasure.from_atoms(ground, [(e, w) for e, w in zip(labels, rng.uniform(0.1, 2, len(labels)))])
-        fam = f_phi_family(labels, [lambda e, v=v: v[labels.index(e)] for v in (phi_v, psi_v, phi_v + psi_v)])
-        fp, fq, fpq = (m(nu).real for m in fam)
-        worst_identity = max(worst_identity, abs(fp * fq - (fp + fq - fpq)))
-    schedule = [200.0, 400.0, 800.0, 1600.0]
-    b_hat = recover_b_measure(lambda f: laplace_functional(law, f), labels, schedule)
-    recovered = {e: 0.0 for e in labels}
-    recovered.update({e: w for e, w in b_hat.atoms})
-    truth = {e: 0.0 for e in labels}
-    truth.update({e: w for e, w in law.b.atoms})
-    rows = [{"label": e, "true_b": truth[e], "recovered_b": recovered[e],
-             "abs_err": abs(truth[e] - recovered[e])} for e in labels]
-    rows.append({"label": "product-identity", "true_b": 0.0, "recovered_b": worst_identity,
-                 "abs_err": worst_identity})
-    ok_b = max(abs(truth[e] - recovered[e]) for e in labels) < 1e-3
-    return rows, {"product_identity_1e-12": worst_identity < 1e-12, "b_recovered_1e-3": ok_b}
+    samples = [(*rng.uniform(0, 2, (2, len(labels))), rng.uniform(0.1, 2, len(labels))) for _ in range(200)]
+    return random_measure_claim(law, samples, [200.0, 400.0, 800.0, 1600.0])
 
 
 def _run_excursion(cfg: ExperimentConfig):
-    rows = []
-    ok = True
-    for i, t in enumerate((0.5, 1.0, 2.0)):
-        F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
-        # h is constant after t, and round((t + dt) / dt) steps always reach
-        # past t (a horizon of t can round short of it); 3 seed + i gives
-        # every (root seed, threshold) pair its own stream
-        lhs, se = empirical_lhs(F, cfg.eps, cfg.n_paths, cfg.dt, horizon=t + cfg.dt, seed=3 * cfg.seed + i)
-        target = math.sqrt(2.0 / (math.pi * t))
-        rows.append({"t": t, "lhs": lhs, "se": se, "target": target, "ratio": lhs / target})
-        ok = ok and abs(lhs - target) <= 3.0 * se
-    return rows, {"tail_matches_within_3se": ok}
-
-
-def _run_fragmentation(cfg: ExperimentConfig):
-    rows = []
-    all_one = True
-    for n in (1, 2, 5, 10, 100, 1000):
-        s = block_uniform_state(n)
-        g1 = g_p(s, 1)
-        rows.append({"n": n, "G_1": g1, "max_coordinate": 1.0 / n})
-        all_one = all_one and g1 == 1.0
-    return rows, {"G1_exactly_one": all_one}
-
-
-def _run_sw_approx(cfg: ExperimentConfig):
-    def ramp(u):
-        return min(max(u, 0.0), 1.0)
-
-    def g(x):
-        return x[0] * ramp((x[0] - 0.25) / 0.25)
-
-    eps = 0.05
-    poly = stone_weierstrass_p0(g, delta=0.25, eps=eps, degree_budget=int(cfg.m_max), arity=1)
-    grid = np.linspace(0.0, 1.0, 50)
-    errs = np.array([abs(g((x,)) - poly.evaluate((x,))) - eps * x for x in grid])
-    rows = [{"degree": poly.degree, "max_excess_over_bound": float(errs.max()),
-             "in_p0": int(poly.in_p0())}]
-    return rows, {"weighted_bound_holds": bool(np.all(errs <= 1e-12)), "in_p0": poly.in_p0()}
-
-
-def _run_prohorov_oracle(cfg: ExperimentConfig):
-    from .metric_core import real_line
-
-    rng = np.random.default_rng(cfg.seed)
-    space = real_line()
-    n_instances = min(cfg.n_paths, 500)
-    rows = []
-    worst = 0.0
-    for i in range(n_instances):
-        def draw():
-            k = int(rng.integers(1, 5))
-            return AtomicMeasure.from_atoms(
-                space, [(float(rng.uniform(-2, 2)), float(rng.uniform(0.1, 2))) for _ in range(k)]
-            )
-        nu1, nu2 = draw(), draw()
-        fast = prohorov_distance(nu1, nu2)
-        oracle = prohorov_distance_bruteforce(nu1, nu2)
-        diff = abs(fast - oracle)
-        worst = max(worst, diff)
-        rows.append({"instance": i, "fast": fast, "oracle": oracle, "abs_diff": diff})
-    return rows, {"matches_oracle_1e-4": worst < 1e-4}
+    # 3 seed + i gives every (root seed, threshold) pair its own stream
+    seeds = [3 * cfg.seed + i for i in range(3)]
+    return excursion_claim(cfg.eps, cfg.n_paths, cfg.dt, seeds, horizon_margin=cfg.dt)
 
 
 class Command(NamedTuple):
@@ -256,19 +284,20 @@ class Command(NamedTuple):
 
 
 COMMAND_TABLE = {
-    "levy-recover": Command(_run_levy_recover, ("m_max", "tol"),
+    "levy-recover": Command(lambda cfg: levy_recover_claim(cfg.m_max, cfg.tol), ("m_max", "tol"),
         "Levy-Khintchine triple recovery: drift and covariance from a synthetic characteristic exponent."),
-    "levy-converge": Command(_run_levy_converge, (),
+    "levy-converge": Command(lambda cfg: levy_converge_claim(pair_seed=0), (),
         "Weak#-convergence of Levy measures delta_{1+1/n} -> delta_1 under sampled F_u*F_v products."),
     "random-measure": Command(_run_random_measure, (),
         "Laplace-functional product identity and drift-measure recovery for infinitely divisible random measures."),
     "excursion": Command(_run_excursion, ("seed", "eps", "dt", "n_paths"),
         "Ito excursion measure tail: (1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) for killed Brownian motion."),
-    "fragmentation": Command(_run_fragmentation, (),
+    "fragmentation": Command(lambda cfg: fragmentation_claim((1, 2, 5, 10, 100, 1000)), (),
         "Fragmentation power sums, including the G_1 discontinuity witness on uniform block states."),
-    "sw-approx": Command(_run_sw_approx, ("m_max",),
+    "sw-approx": Command(lambda cfg: sw_approx_claim(int(cfg.m_max)), ("m_max",),
         "Stone-Weierstrass weighted approximation on the cube by polynomials vanishing on the first-coordinate face."),
-    "prohorov-oracle": Command(_run_prohorov_oracle, ("seed", "n_paths"),
+    "prohorov-oracle": Command(
+        lambda cfg: prohorov_oracle_claim(cfg.seed, min(cfg.n_paths, 500), weight_floor=0.1), ("seed", "n_paths"),
         "Max-flow Prokhorov distance between small atomic measures against subset-enumeration brute force."),
 }
 COMMANDS = tuple(COMMAND_TABLE)

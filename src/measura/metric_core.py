@@ -34,12 +34,6 @@ class MetricStructure:
     reference_point: Point
     label: str = "metric"
 
-    def __call__(self, x: Point, y: Point) -> float:
-        return self.dist(x, y)
-
-    def distance_to_reference(self, x: Point) -> float:
-        return self.dist(self.reference_point, x)
-
 
 @dataclass(frozen=True)
 class BoundedSetWitness:

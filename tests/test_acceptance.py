@@ -2,7 +2,9 @@
 
 Each test runs one numbered criterion at its stated tolerance and prints a
 single PASS/FAIL line (run pytest with -s to see them live).  Runtime budgets
-are asserted together with correctness.
+are asserted together with correctness.  A criterion that checks the claim of a
+measura command calls that command's claim function in measura.cli with its
+own inputs, so both go through one code path.
 """
 
 import math
@@ -17,7 +19,15 @@ from measura.algebra import (
     check_bounded_below_on,
     check_separates_points,
     check_vanishes_nowhere,
-    stone_weierstrass_p0,
+)
+from measura.cli import (
+    ExperimentConfig,
+    excursion_claim,
+    fragmentation_claim,
+    levy_converge_claim,
+    prohorov_oracle_claim,
+    random_measure_claim,
+    run,
 )
 from measura.excursion import (
     ExcursionFunctional,
@@ -28,13 +38,11 @@ from measura.excursion import (
     levy_hitting_density,
     smoothed_bump,
     smoothed_cutoff,
-    step_indicator,
     target_rhs,
 )
 from measura.fragmentation import (
     FragmentationSequence,
     ProperFragmentation,
-    block_uniform_state,
     g_p,
     phi,
     phi_inverse,
@@ -48,21 +56,13 @@ from measura.levy import (
     f_phi_family,
     f_u,
     finite_ground_space,
-    laplace_functional,
     levy_family,
     levy_ground_space,
     psi_exponent,
     recover_C,
     recover_b,
-    recover_b_measure,
 )
-from measura.measures import (
-    AtomicMeasure,
-    integrate,
-    prohorov_distance,
-    prohorov_distance_bruteforce,
-    weak_sharp_report,
-)
+from measura.measures import AtomicMeasure, integrate, weak_sharp_report
 from measura.metric_core import (
     BoundedSetWitness,
     hilbert_cube_metric,
@@ -129,16 +129,11 @@ def test_criterion_02_levy_triple_roundtrip():
 
 def test_criterion_03_levy_measure_convergence():
     # mu_n = delta_{1+1/n} -> delta_1: gaps over 20 sampled F_u F_v members
-    # drop below 1e-3 by n = 1e4
+    # drop below 1e-3 by n = 1e4 (the levy-converge claim, pair seed 303)
     start = time.perf_counter()
-    rng = np.random.default_rng(303)
-    fam = levy_family(1, [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(20)])
-    ns = [1, 10, 100, 1000, 10_000]
-    seq = [AtomicMeasure.dirac(fam.space, 1.0 + 1.0 / n) for n in ns]
-    report = weak_sharp_report(seq, AtomicMeasure.dirac(fam.space, 1.0), fam, tol=1e-3)
-    final = max(g[-1] for _, g in report.member_gaps)
-    check(3, "Levy measure weak# convergence", report.converged, time.perf_counter() - start, 5.0,
-          f"final_gap={final:.2e}")
+    rows, verdicts = levy_converge_claim(pair_seed=303)
+    check(3, "Levy measure weak# convergence", all(verdicts.values()), time.perf_counter() - start, 5.0,
+          f"final_gap={rows[-1]['max_gap']:.2e}")
 
 
 def test_criterion_04_step4_lower_bound():
@@ -170,38 +165,22 @@ def test_criterion_04_step4_lower_bound():
 
 def test_criterion_05_stone_weierstrass():
     # g(x) = x1 * ramp((x1 - 0.25)/0.25): returned p lies in P_0 and obeys
-    # |g - p| <= 0.05 x1 on a 50-point grid including the x1 = 0 face
+    # |g - p| <= 0.05 x1 on a 50-point grid including the x1 = 0 face (the
+    # sw-approx command at degree budget 512)
     start = time.perf_counter()
-
-    def g(x):
-        return x[0] * min(max((x[0] - 0.25) / 0.25, 0.0), 1.0)
-
-    poly = stone_weierstrass_p0(g, delta=0.25, eps=0.05, degree_budget=512)
-    grid = np.linspace(0.0, 1.0, 50)
-    excess = max(abs(g((x,)) - poly.evaluate((x,))) - 0.05 * x for x in grid)
-    ok = poly.in_p0() and excess <= 1e-12 and poly.evaluate((0.0,)) == 0.0
-    check(5, "weighted Stone-Weierstrass bound", ok, time.perf_counter() - start, 5.0,
-          f"degree={poly.degree} excess={excess:.2e}")
+    res = run(ExperimentConfig("sw-approx", m_max=512))
+    row = res.rows[0]
+    check(5, "weighted Stone-Weierstrass bound", res.passed, time.perf_counter() - start, 5.0,
+          f"degree={row['degree']} excess={row['max_excess_over_bound']:.2e}")
 
 
 def test_criterion_06_prohorov_oracle():
     # exact computation matches subset-enumeration brute force within 1e-4 on
-    # 500 random pairs of <= 4-atom measures
+    # 500 random pairs of <= 4-atom measures, weights U(0.05, 2)
     start = time.perf_counter()
-    rng = np.random.default_rng(606)
-    space = real_line()
-
-    def draw():
-        k = int(rng.integers(1, 5))
-        return AtomicMeasure.from_atoms(
-            space, [(float(rng.uniform(-2, 2)), float(rng.uniform(0.05, 2.0))) for _ in range(k)]
-        )
-
-    worst = 0.0
-    for _ in range(500):
-        nu1, nu2 = draw(), draw()
-        worst = max(worst, abs(prohorov_distance(nu1, nu2) - prohorov_distance_bruteforce(nu1, nu2)))
-    check(6, "Prokhorov distance vs brute force", worst < 1e-4, time.perf_counter() - start, 10.0,
+    rows, verdicts = prohorov_oracle_claim(seed=606, n_instances=500, weight_floor=0.05)
+    worst = max(r["abs_diff"] for r in rows)
+    check(6, "Prokhorov distance vs brute force", all(verdicts.values()), time.perf_counter() - start, 10.0,
           f"worst={worst:.2e}")
 
 
@@ -212,15 +191,8 @@ def test_criterion_07_laplace_functional():
     rng = np.random.default_rng(707)
     labels = ("a", "b", "c", "d", "e")
     ground = finite_ground_space(labels)
-    worst_ident = 0.0
-    for _ in range(2000):
-        pv, qv = rng.uniform(0.0, 3.0, (2, len(labels)))
-        wts = rng.uniform(0.05, 2.0, len(labels))
-        ip = float(np.dot(pv, wts))
-        iq = float(np.dot(qv, wts))
-        fp, fq, fpq = 1 - math.exp(-ip), 1 - math.exp(-iq), 1 - math.exp(-(ip + iq))
-        worst_ident = max(worst_ident, abs(fp * fq - (fp + fq - fpq)))
-
+    samples = [(*rng.uniform(0.0, 3.0, (2, len(labels))), rng.uniform(0.05, 2.0, len(labels)))
+               for _ in range(2000)]
     nu1 = AtomicMeasure.from_atoms(ground, [("a", 0.6), ("c", 1.4)])
     nu2 = AtomicMeasure.from_atoms(ground, [("b", 0.2), ("e", 0.9)])
     law = RandomMeasureLaw(
@@ -228,31 +200,20 @@ def test_criterion_07_laplace_functional():
         AtomicMeasure.from_atoms(ground, [("a", 2.0), ("b", 0.25), ("d", 1.1)]),
         AtomicMeasure.from_atoms(finite_ground_space(labels), [(nu1, 0.8), (nu2, 0.5)]),
     )
-    b_hat = recover_b_measure(
-        lambda f: laplace_functional(law, f), labels, [100.0, 200.0, 400.0, 800.0, 1600.0]
-    )
-    got = dict(b_hat.atoms)
-    truth = dict(law.b.atoms)
-    worst_b = max(abs(got.get(e, 0.0) - truth.get(e, 0.0)) for e in labels)
-    ok = worst_ident < 1e-12 and worst_b < 1e-3
-    check(7, "Laplace functional identities", ok, time.perf_counter() - start, 2.0,
-          f"ident={worst_ident:.2e} b_err={worst_b:.2e}")
+    rows, verdicts = random_measure_claim(law, samples, [100.0, 200.0, 400.0, 800.0, 1600.0])
+    worst_b = max(r["abs_err"] for r in rows[:-1])
+    check(7, "Laplace functional identities", all(verdicts.values()), time.perf_counter() - start, 2.0,
+          f"ident={rows[-1]['abs_err']:.2e} b_err={worst_b:.2e}")
 
 
 def test_criterion_08_excursion_tail():
     # (1/eps) P_eps(zeta > t) vs sqrt(2/(pi t)) at t in {0.5, 1, 2} within
-    # 3 standard errors; eps = 0.01, dt = 1e-4, 1e5 paths per t
+    # 3 standard errors; eps = 0.01, dt = 1e-4, 1e5 paths per t, horizon t + 1
     start = time.perf_counter()
-    ok = True
-    details = []
-    for i, t in enumerate((0.5, 1.0, 2.0)):
-        F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
-        lhs, se = empirical_lhs(F, eps=0.01, n_paths=100_000, dt=1e-4, horizon=t + 1.0,
-                                seed=8000 + i)
-        target = math.sqrt(2.0 / (math.pi * t))
-        ok = ok and abs(lhs - target) <= 3.0 * se
-        details.append(f"t={t:g}: z={(lhs - target) / se:+.2f}")
-    check(8, "excursion lifetime tail", ok, time.perf_counter() - start, 300.0, " ".join(details))
+    rows, verdicts = excursion_claim(0.01, 100_000, 1e-4, seeds=(8000, 8001, 8002), horizon_margin=1.0)
+    details = [f"t={r['t']:g}: z={(r['lhs'] - r['target']) / r['se']:+.2f}" for r in rows]
+    check(8, "excursion lifetime tail", all(verdicts.values()), time.perf_counter() - start, 300.0,
+          " ".join(details))
 
 
 def test_criterion_09_excursion_functional_match():
@@ -313,8 +274,8 @@ def test_criterion_11_fragmentation():
             if abs(g_p(s, p) - integrate(phi(s), lambda x: x**p).real) > 1e-15:
                 gp_ok = False
 
-    # the discontinuity witness is exactly 1 for n <= 1e3
-    witness_ok = all(g_p(block_uniform_state(n), 1) == 1.0 for n in range(1, 1001))
+    # the discontinuity witness is exactly 1 for n <= 1e3 (the fragmentation claim)
+    witness_ok = fragmentation_claim(range(1, 1001))[1]["G1_exactly_one"]
 
     # sampled homeomorphism: pointwise convergence of states (atoms bounded
     # away from 0) iff integral gaps of the embedded measures vanish

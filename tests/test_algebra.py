@@ -205,9 +205,10 @@ class TestStoneWeierstrass:
         assert len(set(calls)) == tried
         assert len(calls) <= 2 * 25 * tried
 
-    def test_p0_face_value_is_zero(self):
+    @pytest.mark.parametrize("eps, budget", [(0.1, 64), (0.05, 512)])  # the second is criterion 05's case
+    def test_p0_face_value_is_zero(self, eps, budget):
         g = lambda x: x[0] * ramp((x[0] - 0.25) / 0.25)
-        poly = stone_weierstrass_p0(g, delta=0.25, eps=0.1, degree_budget=64)
+        poly = stone_weierstrass_p0(g, delta=0.25, eps=eps, degree_budget=budget)
         assert poly.evaluate((0.0,)) == 0.0
         assert poly.evaluate_exact((0,)) == 0
 

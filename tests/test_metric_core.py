@@ -74,7 +74,7 @@ class TestHilbertCube:
         cap = 7.0
         for _ in range(200):
             x = tuple(rng.uniform(0.01, 1.0, size=4))
-            if r.distance_to_reference(x) <= cap:
+            if r.dist(r.reference_point, x) <= cap:
                 # |1 - 1/x1| <= cap forces x1 >= 1/(1+cap)
                 assert x[0] >= 1.0 / (1.0 + cap) - 1e-12
 
