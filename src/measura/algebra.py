@@ -13,7 +13,7 @@ The construction is p = x_1 * B_n(g/x_1) with B_n a tensor Bernstein operator
 on one exact lattice of g/x_1 values; the degree is escalated until the bound
 holds on a verification grid, where B_n is evaluated by one weight-matrix
 contraction per axis.  The polynomial keeps that Bernstein form for float
-evaluation and its exact power-basis terms as the oracle and the fallback.
+evaluation and its exact power-basis terms as the oracle.
 """
 
 from __future__ import annotations
@@ -118,16 +118,16 @@ class CubePolynomial:
 
     ``terms`` maps exponent multi-indices to exact rational coefficients, so
     membership in the face-vanishing class is a syntactic check.  ``evaluate``
-    uses the attached Bernstein form x_1 * B_n when present (numerically
-    stable at high degree); ``evaluate_exact`` goes through the terms in exact
-    rational arithmetic, is the oracle for the Bernstein form, and is what
-    ``evaluate`` rounds when no Bernstein form is attached.
+    uses the Bernstein form x_1 * B_n on the lattice ``bernstein_values``
+    (numerically stable at high degree); ``evaluate_exact`` goes through the
+    terms in exact rational arithmetic and is the oracle for the Bernstein
+    form.
     """
 
     terms: dict[tuple[int, ...], Fraction]
     arity: int
     degree: int
-    _bernstein_values: np.ndarray | None = field(default=None, repr=False, compare=False)
+    bernstein_values: np.ndarray = field(repr=False, compare=False)
 
     def in_p0(self) -> bool:
         """Every term has a positive first-coordinate exponent (syntactic)."""
@@ -135,9 +135,7 @@ class CubePolynomial:
 
     def evaluate(self, x: Sequence[float]) -> float:
         xs = [float(x[i]) if i < len(x) else 0.0 for i in range(self.arity)]
-        if self._bernstein_values is None:
-            return float(self.evaluate_exact(xs))
-        return xs[0] * _bernstein_eval(self._bernstein_values, self.degree, [[xi] for xi in xs]).item()
+        return xs[0] * _bernstein_eval(self.bernstein_values, self.degree, [[xi] for xi in xs]).item()
 
     def evaluate_exact(self, x: Sequence[float | Fraction]) -> Fraction:
         xs = [Fraction(x[i]) if i < len(x) else Fraction(0) for i in range(self.arity)]
@@ -278,7 +276,7 @@ def stone_weierstrass_p0(
         values = lattice.astype(float)
         approx = _bernstein_eval(values, n, [axis] * arity)
         if np.all(np.abs(gvals - x1 * approx) <= eps * x1 + 1e-12):
-            return CubePolynomial(_power_terms(lattice, n), arity, n, _bernstein_values=values)
+            return CubePolynomial(_power_terms(lattice, n), arity, n, values)
     raise NonConvergenceError(
         f"degree budget exhausted: no degree <= {degree_budget} meets the weighted bound {eps}"
     )

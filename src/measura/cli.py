@@ -88,6 +88,8 @@ class ExperimentConfig:
         if self.seed is not None and not (0 <= self.seed < 2**64):
             raise UsageError("seed: must be an unsigned 64-bit integer")
         for name, value in (("eps", self.eps), ("dt", self.dt), ("m-max", self.m_max), ("tol", self.tol)):
+            if isinstance(value, bool):
+                raise UsageError(f"{name}: must be a number, not bool")
             if not (value > 0.0 and math.isfinite(value)):
                 raise UsageError(f"{name}: must be positive and finite")
         if self.command == "sw-approx" and not (self.m_max >= 1.0 and self.m_max == int(self.m_max)):

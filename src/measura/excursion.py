@@ -9,13 +9,16 @@ Path functionals are products of time-window integrals F_{f,g}(e) =
 ∫ f(t) g(e(t)) dt and a lifetime weight h(zeta).  Their scaled expectations
 under killed Brownian motion started at eps are compared against the target
 computed from the 3-dimensional Bessel representation: for lifetime weight h
-and window pairs (f_i, g_i),
+and at least one window pair (f_i, g_i),
 
     target = ∫ f(t) ∫_0^inf h(tbar + r) E_0[ g(rho_t)/rho_tbar * l^{rho_tbar}(r) ] dr dt,
 
 with rho a 3-d Bessel process from 0 (simulated exactly as the norm of a
 3-d Brownian motion) and l^a the first-hitting-time density of level 0 from
-level a, l^a(r) = a (2 pi r^3)^(-1/2) exp(-a^2 / (2r)).
+level a, l^a(r) = a (2 pi r^3)^(-1/2) exp(-a^2 / (2r)).  The marginal laws
+of rho have the closed-form distribution function ``_bessel_cdf``, which
+``bessel_semigroup_check`` tests against exact samples.  Everything here runs
+on numpy and the math module.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-# numpy has no erf; math.erf keeps scipy off the import path of every command
+# numpy has no erf: math.erf, applied elementwise, serves levy_survival and _bessel_cdf
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
@@ -408,40 +411,27 @@ def target_rhs(
 ) -> tuple[float, float]:
     """∫ F dmu_exc via the Bessel representation; returns (value, std error).
 
-    With no window pairs the value is the deterministic quadrature
-    ∫ h(r) kappa(r) dr, requiring h to vanish near 0 (the excursion measure
-    has infinite total mass) and using the closed-form tail
-    h_tail * sqrt(2 / (pi * cutoff)) beyond the point where h is constant.
+    F must have at least one window pair.  Without one the target is the
+    plain integral ∫ h(r) kappa(r) dr of the length intensity, which the
+    ``excursion`` claim takes in closed form.
 
-    With pairs, n_bessel >= 2 paths of a 3-d Bessel process from 0 are
-    stepped exactly (as the norm of a 3-d Brownian motion) along the f-support
-    grid, and the r-integral against the hitting density is truncated at
-    r_grid's end with the erf tail.  Each pair's t-integral uses the window
-    rule of ``empirical_lhs`` and ``eval_functional``, the trapezoid rule on
-    the steps inside that pair's window (``_window_weights``), so the last
-    step of a window has half weight.  The t-quadrature runs over all orderings
-    of the pairs' time indices through the max-index decomposition, carried
-    as running prefix sums, so any number of pairs costs O(grid) per path and
+    n_bessel >= 2 paths of a 3-d Bessel process from 0 are stepped exactly
+    (as the norm of a 3-d Brownian motion) along the f-support grid, and the
+    r-integral against the hitting density is truncated at r_grid's end with
+    the erf tail.  Each pair's t-integral uses the window rule of
+    ``empirical_lhs`` and ``eval_functional``, the trapezoid rule on the steps
+    inside that pair's window (``_window_weights``), so the last step of a
+    window has half weight.  The t-quadrature runs over all orderings of the
+    pairs' time indices through the max-index decomposition, carried as
+    running prefix sums, so any number of pairs costs O(grid) per path and
     the working memory is O(paths x (pairs + len(r_grid))), independent of
     the number of time steps.
     """
+    if not F.pairs:
+        raise ValueError("target_rhs needs at least one window pair (f, f_support_end, g)")
     if n_bessel < 2:
         raise ValueError("n_bessel must be at least 2")
     r = np.asarray(r_grid, dtype=float)
-    if not F.pairs:
-        probe = np.geomspace(1e-8, 1e-2, 16)
-        if max(abs(float(F.h(p))) for p in probe) > 1e-12:
-            raise ValueError(
-                "integral against the excursion measure may be infinite: "
-                "h must vanish near 0 when no window pair is present"
-            )
-        from scipy.integrate import quad
-
-        cutoff = max(F.h_constant_after, 1e-2)
-        head, _ = quad(lambda s: float(F.h(s)) * float(kappa(s)), 0.0, cutoff, points=(1e-2,), limit=200)
-        tail = F.h_tail_value * math.sqrt(2.0 / (math.pi * cutoff))
-        return float(head + tail), 0.0
-
     if r.size < 2 or r[0] < 0.0 or np.any(np.diff(r) <= 0):
         raise ValueError("r_grid must be increasing and nonnegative")
     t_max = max(t_end for _, t_end, _ in F.pairs)
@@ -483,6 +473,9 @@ def target_rhs(
 # ---------------------------------------------------------------------------
 
 
+_BESSEL_BINS = 24  # equal-width histogram bins on [0, x + 4.5 sqrt(t)]
+
+
 @dataclass(frozen=True)
 class BesselCheckReport:
     t: float
@@ -498,43 +491,32 @@ class BesselCheckReport:
         return self.sup_deviation < 3.0 * self.se_max
 
 
-def _entrance_bin_probs(edges: np.ndarray, t: float) -> np.ndarray:
-    """Bin masses of the entrance density 2 kappa(t) y^2 exp(-y^2 / (2t))."""
-    from scipy.stats import maxwell
+def _bessel_cdf(y, t: float, x: float) -> np.ndarray:
+    """P(rho_t <= y) for the 3-d Bessel process rho from x >= 0, elementwise in y >= 0.
 
-    cdf = maxwell.cdf(edges, scale=math.sqrt(t))
-    return np.diff(cdf)
-
-
-def _htransform_bin_probs(edges: np.ndarray, t: float, x: float) -> np.ndarray:
-    """Bin masses of x^-1 y (phi_t(y - x) - phi_t(y + x)) dy, in closed form."""
-    from scipy.stats import norm
-
-    s = math.sqrt(t)
-
-    def piece(a, b, shift, sign):
-        # ∫_a^b y phi_t(y + shift) dy = t (phi(a+shift) - phi(b+shift)) - shift (Phi(b+shift)-Phi(a+shift))
-        return t * (norm.pdf(a + shift, scale=s) - norm.pdf(b + shift, scale=s)) - shift * (
-            norm.cdf(b + shift, scale=s) - norm.cdf(a + shift, scale=s)
-        )
-
-    a, b = edges[:-1], edges[1:]
-    return (piece(a, b, -x, +1) - piece(a, b, +x, -1)) / x
+    From x > 0 the law is the h-transform x^-1 y (phi_t(y - x) - phi_t(y + x)) dy
+    of killed Brownian motion, so
+    P(rho_t <= y) = (erf((y - x)/sqrt(2t)) + erf((y + x)/sqrt(2t)))/2 - (t/x)(phi_t(y - x) - phi_t(y + x));
+    from 0 it is the Maxwell limit erf(y/sqrt(2t)) - y sqrt(2/(pi t)) exp(-y^2/(2t)).
+    """
+    y = np.asarray(y, dtype=float)
+    s = math.sqrt(2.0 * t)
+    if x == 0.0:
+        return np.asarray(_erf(y / s), dtype=float) - y * math.sqrt(2.0 / (math.pi * t)) * np.exp(-((y / s) ** 2))
+    lo, hi = (y - x) / s, (y + x) / s
+    # phi_t(y - x) - phi_t(y + x) = (exp(-lo^2) - exp(-hi^2)) / (sqrt(pi) s)
+    kernel = (np.exp(-(lo**2)) - np.exp(-(hi**2))) / (math.sqrt(math.pi) * s)
+    return 0.5 * np.asarray(_erf(lo) + _erf(hi), dtype=float) - (t / x) * kernel
 
 
-def bessel_semigroup_check(
-    t: float,
-    x: float,
-    n_samples: int,
-    seed,
-    n_bins: int = 24,
-) -> BesselCheckReport:
-    """Histogram of the 3-d Bessel marginal at time t against its stated density.
+def bessel_semigroup_check(t: float, x: float, n_samples: int, seed) -> BesselCheckReport:
+    """Histogram of the 3-d Bessel marginal at time t against its stated law.
 
     Started at x > 0 the marginal is the h-transform x^-1 Q_t(x, dy) y of
     killed Brownian motion (reflection-principle kernel); started at 0 it is
     the entrance law 2 kappa(t) y^2 exp(-y^2/(2t)) dy.  The marginal is drawn
-    exactly as the norm of a shifted 3-d Gaussian.
+    exactly as the norm of a shifted 3-d Gaussian; the exact bin masses are
+    differences of ``_bessel_cdf``.
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
@@ -543,10 +525,10 @@ def bessel_semigroup_check(
         np.array([x, 0.0, 0.0]) + rng.standard_normal((n_samples, 3)) * math.sqrt(t), axis=1
     )
     y_max = x + 4.5 * math.sqrt(t)
-    edges = np.linspace(0.0, y_max, n_bins + 1)
+    edges = np.linspace(0.0, y_max, _BESSEL_BINS + 1)
     counts, _ = np.histogram(samples, bins=edges)
     empirical = counts / n_samples
-    exact = _entrance_bin_probs(edges, t) if x == 0.0 else _htransform_bin_probs(edges, t, x)
+    exact = np.diff(_bessel_cdf(edges, t, x))
     se = np.sqrt(np.clip(exact * (1.0 - exact), 0.0, None) / n_samples)
     return BesselCheckReport(
         t=t,

@@ -265,7 +265,7 @@ def laplace_functional(law: RandomMeasureLaw, phi: Callable) -> float:
     return float(linear + jump)
 
 
-def f_phi(ground_space: MetricStructure, phi: Callable, name: str) -> TestFunction:
+def f_phi(phi: Callable, name: str) -> TestFunction:
     """F_phi(nu) = 1 - exp(-<phi, nu>) as a function of the measure nu."""
 
     def fn(nu: AtomicMeasure):
@@ -283,9 +283,7 @@ def f_phi_family(labels: Sequence, phi_samples: Sequence[Callable]) -> FunctionF
     """
     ground = finite_ground_space(labels)
     reference = AtomicMeasure.dirac(ground, tuple(labels)[0], 1.0)
-    members = tuple(
-        f_phi(ground, phi, f"Fphi[{i}]") for i, phi in enumerate(phi_samples)
-    )
+    members = tuple(f_phi(phi, f"Fphi[{i}]") for i, phi in enumerate(phi_samples))
     return FunctionFamily(members, finite_measure_space(reference))
 
 

@@ -26,6 +26,7 @@ from .metric_core import MetricStructure, Point
 
 # prohorov_distance_bruteforce enumerates all 2^n unions of the n support atoms
 SUBSET_LIMIT = 14
+_ORACLE_TOL = 1e-7  # width of the oracle's final bisection bracket
 
 
 @dataclass(frozen=True)
@@ -208,13 +209,13 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     return candidate(hi) if best is None else best
 
 
-def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure, tol: float = 1e-7) -> float:
+def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     """Reference oracle: direct feasibility check per eps, bisected.
 
     For each eps the two defining inequalities are checked verbatim over all
     unions of support atoms; feasibility is monotone in eps, so bisection
-    converges to the infimum.  Kept algorithmically independent of
-    :func:`prohorov_distance` on purpose.
+    converges to the infimum, within ``_ORACLE_TOL`` above it.  Kept
+    algorithmically independent of :func:`prohorov_distance` on purpose.
     """
     space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
@@ -246,7 +247,7 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure, tol: fl
     if feasible(0.0):
         return 0.0
     lo, hi = 0.0, float(max(w1.sum(), w2.sum(), dmat.max()) + 1.0)
-    while hi - lo > tol:
+    while hi - lo > _ORACLE_TOL:
         mid = 0.5 * (lo + hi)
         if feasible(mid):
             hi = mid

@@ -35,6 +35,9 @@ class MetricStructure:
     label: str = "metric"
 
 
+_BALL_SLACK = 1e-12  # absolute rounding allowance on the ball radius
+
+
 @dataclass(frozen=True)
 class BoundedSetWitness:
     """Closed-ball certificate: a point belongs iff dist(center, x) <= radius."""
@@ -42,8 +45,8 @@ class BoundedSetWitness:
     radius: float
     center: Point
 
-    def contains(self, space: MetricStructure, x: Point, slack: float = 1e-12) -> bool:
-        return space.dist(self.center, x) <= self.radius + slack
+    def contains(self, space: MetricStructure, x: Point) -> bool:
+        return space.dist(self.center, x) <= self.radius + _BALL_SLACK
 
 
 @dataclass(frozen=True)
@@ -60,20 +63,18 @@ class MetricAxiomReport:
         return max(self.identity, self.symmetry, self.triangle) <= self.tol
 
 
-def real_line(reference_point: float = 0.0) -> MetricStructure:
-    """The usual |x - y| metric on the reals."""
-    return MetricStructure(lambda x, y: abs(float(x) - float(y)), reference_point, "R")
+def real_line() -> MetricStructure:
+    """The usual |x - y| metric on the reals; reference 0."""
+    return MetricStructure(lambda x, y: abs(float(x) - float(y)), 0.0, "R")
 
 
-def sup_norm_space(dim: int, reference_point: Point | None = None) -> MetricStructure:
-    """R^dim with the max-norm distance."""
-    if reference_point is None:
-        reference_point = np.zeros(dim)
+def sup_norm_space(dim: int) -> MetricStructure:
+    """R^dim with the max-norm distance; reference the origin."""
 
     def dist(x: Point, y: Point) -> float:
         return float(np.max(np.abs(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))))
 
-    return MetricStructure(dist, reference_point, f"R^{dim}-sup")
+    return MetricStructure(dist, np.zeros(dim), f"R^{dim}-sup")
 
 
 def discrete_space(points: Sequence[Point]) -> MetricStructure:
@@ -88,11 +89,7 @@ def discrete_space(points: Sequence[Point]) -> MetricStructure:
     return MetricStructure(dist, pts[0], f"discrete({len(pts)})")
 
 
-def point_removal_metric(
-    base: MetricStructure,
-    removed: Point,
-    reference_point: Point | None = None,
-) -> MetricStructure:
+def point_removal_metric(base: MetricStructure, removed: Point, reference_point: Point) -> MetricStructure:
     """Send one point of ``base`` infinitely far away.
 
     The returned metric on the punctured space is
@@ -103,17 +100,12 @@ def point_removal_metric(
     sequence that d-converges to ``removed`` leave each d'-ball.  Evaluating at
     the removed point itself raises.
 
-    ``reference_point`` must be a point of the punctured space; it defaults to
-    the base reference when that differs from ``removed``.  The label names
-    the removed point, so measures on spaces punctured at different points
-    are not compared.
+    ``reference_point`` must be a point of the punctured space: one at the
+    removed point raises.  The label names the removed point, so measures on
+    spaces punctured at different points are not compared.
     """
-    if reference_point is None:
-        reference_point = base.reference_point
-        if base.dist(removed, reference_point) == 0.0:
-            raise ValueError(
-                "base reference coincides with the removed point; pass reference_point"
-            )
+    if base.dist(removed, reference_point) == 0.0:
+        raise ValueError("reference_point lies at the removed point")
 
     def dist(y: Point, z: Point) -> float:
         dy = base.dist(removed, y)

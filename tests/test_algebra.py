@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -6,7 +7,6 @@ import pytest
 
 from measura import algebra
 from measura.algebra import (
-    CubePolynomial,
     FunctionFamily,
     TestFunction,
     _bernstein_eval,
@@ -181,7 +181,7 @@ class TestStoneWeierstrass:
     def test_product_grid_matches_pointwise_evaluation(self):
         poly = stone_weierstrass_p0(smooth_step_2d, delta=0.25, eps=0.05, degree_budget=256, arity=2)
         axis = np.linspace(0.0, 1.0, 13)  # both faces of both axes included
-        grid = _bernstein_eval(poly._bernstein_values, poly.degree, [axis, axis])
+        grid = _bernstein_eval(poly.bernstein_values, poly.degree, [axis, axis])
         assert grid.shape == (13, 13)
         for i, x1 in enumerate(axis):
             for j, x2 in enumerate(axis):
@@ -213,7 +213,10 @@ class TestStoneWeierstrass:
         assert poly.evaluate_exact((0,)) == 0
 
     def test_syntactic_p0_check_catches_constant_terms(self):
-        poly = CubePolynomial({(0,): Fraction(1), (1,): Fraction(2)}, arity=1, degree=1)
+        base = stone_weierstrass_p0(lambda x: x[0] * ramp((x[0] - 0.25) / 0.25), delta=0.25, eps=0.1,
+                                    degree_budget=64)
+        assert base.in_p0()
+        poly = dataclasses.replace(base, terms={(0,): Fraction(1), (1,): Fraction(2)})
         assert not poly.in_p0()
 
 

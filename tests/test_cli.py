@@ -55,10 +55,16 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match=f"{name}: must be positive and finite"):
             ExperimentConfig(command=command, seed=seed, **{field: value}).validate()
 
-    @pytest.mark.parametrize("field, value", [("seed", 7.5), ("seed", True), ("n_paths", 10.5)])
+    @pytest.mark.parametrize("field, value", [("seed", 7.5), ("seed", True), ("n_paths", 10.5), ("eps", True),
+                                              ("dt", True), ("m_max", True), ("tol", True)])
     def test_non_integral_seed_or_n_paths_named(self, field, value):
-        config = ExperimentConfig(command="prohorov-oracle", **{"seed": 7, "n_paths": 10, field: value})
-        with pytest.raises(UsageError, match=f"{field.replace('_', '-')}: must be an int, not"):
+        # also a bool for a float field: True must not run as 1.0
+        command = {"eps": "excursion", "dt": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}.get(
+            field, "prohorov-oracle")
+        fields = {"seed": 7, "n_paths": 100} if command in STOCHASTIC_COMMANDS else {}
+        config = ExperimentConfig(command=command, **{**fields, field: value})
+        kind = "an int" if field in ("seed", "n_paths") else "a number"
+        with pytest.raises(UsageError, match=f"{field.replace('_', '-')}: must be {kind}, not"):
             run(config)
 
     def test_sw_approx_degree_budget_below_one(self):
@@ -376,10 +382,44 @@ class TestMain:
         assert not out.exists()
 
 
+SCIPY_BLOCKED_RUN = """
+import importlib, pkgutil, sys
+import numpy as np
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"scipy is blocked: {name}")
+
+
+sys.meta_path.insert(0, BlockScipy())
+import measura
+for info in pkgutil.iter_modules(measura.__path__):
+    importlib.import_module(f"measura.{info.name}")
+from measura import cli
+from measura.excursion import ExcursionFunctional, bessel_semigroup_check, smoothed_bump, smoothed_cutoff, target_rhs
+
+for t, x in ((1.0, 0.0), (0.7, 1.3)):
+    assert abs(bessel_semigroup_check(t, x, n_samples=4000, seed=1).exact.sum() - 1.0) < 1e-3
+g = lambda y: np.minimum(np.asarray(y, float), 1.0)
+F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                        pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, g),))
+value, se = target_rhs(F, n_bessel=300, dt=0.05, r_grid=np.linspace(0.0, 8.0, 50), seed=0)
+assert value > 0.0 and se > 0.0
+assert cli.main(["--command", "fragmentation", "--out", sys.argv[1]]) == 0
+print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
 class TestStartup:
-    def test_import_loads_no_scipy(self):
+    def test_import_loads_no_scipy(self, tmp_path):
+        # every module, both Bessel laws, a one-pair target and a command run with scipy unimportable
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-        code = "import sys, measura.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert proc.stdout.strip() == "[]"
+        out = tmp_path / "witness.csv"
+        proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, str(out)], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "scipy modules: []"
+        assert out.read_text().startswith("n,")

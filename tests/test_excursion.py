@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
-from scipy.stats import norm
+from scipy.stats import maxwell, norm
 
 from measura.excursion import (
     BesselCheckReport,
     ExcursionFunctional,
     ExcursionPath,
+    _bessel_cdf,
     bessel_semigroup_check,
     empirical_lhs,
     eval_functional,
@@ -409,22 +410,11 @@ class TestTargetRhs:
             np.testing.assert_allclose(H, naive, rtol=1e-13, atol=0.0)
             assert np.all(H[1] == 0.0) and H[3, 2] == 0.0
 
-    def test_lifetime_step_target_is_kappa_tail(self):
-        # no pairs, h = 1_{r > 1}: integral of kappa over (1, inf) = sqrt(2/pi)
+    def test_pair_free_functional_rejected(self):
+        # the pair-free integral ∫ h kappa has no Bessel expectation to estimate
         F = ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0)
-        val, se = target_rhs(F, n_bessel=10, dt=0.01, r_grid=np.linspace(0.0, 5.0, 10), seed=0)
-        assert se == 0.0
-        assert val == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-10)
-
-    def test_zero_h_gives_zero(self):
-        F = ExcursionFunctional(h=lambda r: np.zeros_like(np.asarray(r, float)), h_constant_after=0.0)
-        val, se = target_rhs(F, 10, 0.01, np.linspace(0, 3, 5), seed=0)
-        assert val == 0.0 and se == 0.0
-
-    def test_h_not_vanishing_near_zero_rejected(self):
-        F = ExcursionFunctional(h=lambda r: np.ones_like(np.asarray(r, float)), h_constant_after=0.0)
-        with pytest.raises(ValueError, match="infinite"):
-            target_rhs(F, 10, 0.01, np.linspace(0, 3, 5), seed=0)
+        with pytest.raises(ValueError, match="at least one window pair"):
+            target_rhs(F, n_bessel=10, dt=0.01, r_grid=np.linspace(0.0, 5.0, 10), seed=0)
 
     def test_one_pair_constant_h_matches_bessel_moment(self):
         # with h = 1 the r-integral is exactly 1, so the target reduces to
@@ -528,12 +518,35 @@ class TestTargetRhs:
         assert peak <= 2 * n_paths * r_grid.size * 8
 
 
+def scipy_bin_probs(edges, t, x):
+    """Bessel bin masses through scipy.stats: the Maxwell law from 0, the h-transform from x > 0."""
+    if x == 0.0:
+        return np.diff(maxwell.cdf(edges, scale=math.sqrt(t)))
+    s = math.sqrt(t)
+
+    def piece(a, b, shift):
+        # ∫_a^b y phi_t(y + shift) dy = t (phi(a+shift) - phi(b+shift)) - shift (Phi(b+shift)-Phi(a+shift))
+        return t * (norm.pdf(a + shift, scale=s) - norm.pdf(b + shift, scale=s)) - shift * (
+            norm.cdf(b + shift, scale=s) - norm.cdf(a + shift, scale=s)
+        )
+
+    a, b = edges[:-1], edges[1:]
+    return (piece(a, b, -x) - piece(a, b, +x)) / x
+
+
 class TestBesselSemigroup:
     def test_entrance_density_normalizes(self):
-        from measura.excursion import _entrance_bin_probs
-
         edges = np.linspace(0.0, 12.0, 400)
-        assert _entrance_bin_probs(edges, 1.0).sum() == pytest.approx(1.0, abs=1e-8)
+        assert _bessel_cdf(0.0, 1.0, 0.0) == 0.0
+        assert np.diff(_bessel_cdf(edges, 1.0, 0.0)).sum() == pytest.approx(1.0, abs=1e-8)
+
+    @pytest.mark.parametrize("t, x", [(1.0, 0.0), (0.7, 1.3), (25.0, 1.0), (0.01, 0.0), (0.01, 3.0), (5.0, 0.0),
+                                      (2.0, 1e-3)])
+    def test_bin_masses_match_scipy_laws(self, t, x):
+        # at (2, 1e-3) both forms cancel in their 1/x term
+        edges = np.linspace(0.0, x + 4.5 * math.sqrt(t), 25)
+        np.testing.assert_allclose(np.diff(_bessel_cdf(edges, t, x)), scipy_bin_probs(edges, t, x),
+                                   rtol=0.0, atol=1e-12)
 
     def test_entrance_density_mode(self):
         # mode of 2 kappa(1) y^2 exp(-y^2/2) is at sqrt(2)

@@ -34,8 +34,12 @@ class TestPointRemoval:
             d.dist(0.0, 1.0)
 
     def test_reference_collision_needs_explicit_reference(self):
-        with pytest.raises(ValueError, match="reference"):
-            point_removal_metric(real_line(), 0.0)
+        # a reference at the removed point is refused when the space is built,
+        # not at its first distance query
+        with pytest.raises(ValueError, match="reference_point lies at the removed point"):
+            point_removal_metric(real_line(), 0.0, reference_point=0.0)
+        with pytest.raises(ValueError, match="reference_point lies at the removed point"):
+            point_removal_metric(sup_norm_space(2), np.ones(2), reference_point=np.ones(2))
 
     def test_sequences_to_removed_point_escape_every_ball(self):
         d = point_removal_metric(real_line(), 0.0, reference_point=1.0)
