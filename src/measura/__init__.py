@@ -31,7 +31,7 @@ from .measures import (
 from .algebra import CubePolynomial, FunctionFamily, NonConvergenceError, TestFunction, stone_weierstrass_p0
 from .levy import LevyTriple, RandomMeasureLaw, psi_exponent, recover_C, recover_b
 from .excursion import ExcursionFunctional, ExcursionPath, excursion_metric, sample_killed_bm
-from .fragmentation import FragmentationSequence, ProperFragmentation, g_p, phi, phi_inverse
+from .fragmentation import FragmentationSequence, g_p, phi, phi_inverse
 
 __all__ = [
     "__version__",
@@ -46,7 +46,6 @@ __all__ = [
     "LevyTriple",
     "MetricStructure",
     "NonConvergenceError",
-    "ProperFragmentation",
     "RandomMeasureLaw",
     "TestFunction",
     "excursion_metric",

@@ -37,13 +37,12 @@ class NonConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """An evaluable bounded function with a declared sup bound on its modulus."""
+    """An evaluable bounded function; each builder states its bound (``levy.f_u``: |F_u| <= 2)."""
 
     __test__ = False  # not a pytest collection target
 
     id: str
     fn: ComplexFn
-    sup_bound: float
 
     def __call__(self, x: Point) -> complex:
         return complex(self.fn(x))

@@ -7,9 +7,10 @@ images as long as mass does not leak toward 0.  The power sums
 G_p(s) = sum s_i^p are the integrals of x^p against the embedding, so
 :func:`power_family` is an ordinary ``FunctionFamily`` on
 :func:`fragment_space` and the convergence checks run through
-``weak_sharp_report``.  G_1 is the canonical discontinuity witness: the
-states (1/n, ..., 1/n) with n blocks converge pointwise to the zero state
-while G_1 stays pinned at 1.
+``weak_sharp_report``.  On mass-1 states (``is_proper``) power-sum and
+pointwise convergence agree; :func:`topology_equivalence_check_s1` compares
+them.  G_1 is the canonical discontinuity witness: the states (1/n, ..., 1/n)
+with n blocks converge pointwise to the zero state while G_1 stays pinned at 1.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import FunctionFamily, TestFunction
-from .measures import AtomicMeasure, weak_sharp_report
+from .measures import AtomicMeasure, ConvergenceReport, weak_sharp_report
 from .metric_core import MetricStructure
 
 MASS_TOL = 1e-12
@@ -66,15 +67,6 @@ class FragmentationSequence:
         return len(self.values)
 
 
-class ProperFragmentation(FragmentationSequence):
-    """Fragmentation state with total mass exactly 1."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.is_proper:
-            raise ValueError(f"mass must equal 1, got {self.mass!r}")
-
-
 def phi(s: FragmentationSequence) -> AtomicMeasure:
     """Point-measure embedding: one atom per distinct value, weighted by multiplicity."""
     atoms: dict[float, int] = {}
@@ -111,42 +103,11 @@ def g_p(s: FragmentationSequence, p: int) -> float:
 
 
 def power_family(max_p: int) -> FunctionFamily:
-    """Members G_p: x -> x^p on (0, 1] for p = 1..max_p; G_p integrates to g_p(s) against phi(s)."""
+    """G_p: x -> x^p on (0, 1] for p = 1..max_p, |G_p| <= 1; G_p integrates to g_p(s) against phi(s)."""
     return FunctionFamily(
-        tuple(TestFunction(f"G_{p}", lambda x, _p=p: x**_p, 1.0) for p in range(1, max_p + 1)),
+        tuple(TestFunction(f"G_{p}", lambda x, _p=p: x**_p) for p in range(1, max_p + 1)),
         fragment_space(),
     )
-
-
-@dataclass(frozen=True)
-class FragmentationConvergenceReport:
-    """Power-sum gaps vs pointwise gaps along a sequence of mass-1 states.
-
-    ``implication_holds`` records the convergence-determining direction on the
-    given data: power-sum convergence at ``tol`` forces pointwise convergence
-    at ``tol``.  It is vacuously true when the family does not converge.
-    ``forward_holds`` is the other direction, which power sums on mass-1
-    states must also satisfy; ``ok`` asks for both.
-    """
-
-    member_gaps: tuple[tuple[str, tuple[float, ...]], ...]
-    pointwise_gaps: tuple[float, ...]
-    tol: float
-    family_converged: bool
-    pointwise_converged: bool
-
-    @property
-    def implication_holds(self) -> bool:
-        return (not self.family_converged) or self.pointwise_converged
-
-    @property
-    def forward_holds(self) -> bool:
-        # pointwise convergence must carry the power sums along (mass is conserved)
-        return (not self.pointwise_converged) or self.family_converged
-
-    @property
-    def ok(self) -> bool:
-        return self.forward_holds and self.implication_holds
 
 
 def _pointwise_gap(a: FragmentationSequence, b: FragmentationSequence) -> float:
@@ -161,20 +122,20 @@ def topology_equivalence_check_s1(
     limit: FragmentationSequence,
     max_p: int,
     tol: float,
-) -> FragmentationConvergenceReport:
-    """On mass-1 states, power sums and pointwise convergence generate the same topology.
+) -> tuple[ConvergenceReport, bool]:
+    """Power-sum and pointwise convergence of mass-1 states, to be compared.
 
-    The power-sum gaps are ``weak_sharp_report``'s gaps of phi(seq) against
-    phi(limit) over ``power_family(max_p)``.
+    Returns ``weak_sharp_report``'s report of phi(seq) against phi(limit) over
+    ``power_family(max_p)`` and the pointwise verdict: the last sup-gap between
+    coordinates is below ``tol``.  On mass-1 states the two generate the same
+    topology, so the claim is ``report.converged == pointwise_converged``.
+    States whose mass is not 1 are rejected as improper.
     """
     for s in list(seq) + [limit]:
         if not s.is_proper:
             raise ValueError("improper sequence: total mass must equal 1")
-    family = weak_sharp_report([phi(s) for s in seq], phi(limit), power_family(max_p), tol)
-    pointwise = tuple(_pointwise_gap(s, limit) for s in seq)
-    return FragmentationConvergenceReport(
-        family.member_gaps, pointwise, tol, family.converged, bool(seq) and pointwise[-1] < tol
-    )
+    report = weak_sharp_report([phi(s) for s in seq], phi(limit), power_family(max_p), tol)
+    return report, bool(seq) and _pointwise_gap(seq[-1], limit) < tol
 
 
 def block_uniform_state(n: int) -> FragmentationSequence:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .algebra import FunctionFamily, NonConvergenceError, TestFunction
 from .measures import AtomicMeasure, finite_measure_space, integrate
-from .metric_core import MetricStructure, discrete_space, point_removal_metric, sup_norm_space
+from .metric_core import MetricStructure, Point, point_removal_metric, sup_norm_space
 
 Vector = np.ndarray
 ExponentFn = Callable[[Vector], complex]
@@ -208,21 +208,15 @@ def f_u(u: Sequence[float]) -> TestFunction:
     def fn(x):
         return np.exp(1j * float(u @ np.atleast_1d(np.asarray(x, dtype=float)))) - 1.0
 
-    return TestFunction(f"F[{np.array2string(u, precision=4)}]", fn, 2.0)
+    return TestFunction(f"F[{np.array2string(u, precision=4)}]", fn)
 
 
 def levy_family(dim: int, u_samples: Sequence[tuple[Sequence[float], Sequence[float]]]) -> FunctionFamily:
     """Sampled family of products F_u * F_v on the punctured space; |F_u F_v| <= 4."""
     members = []
     for i, (u, v) in enumerate(u_samples):
-        u = np.atleast_1d(np.asarray(u, dtype=float))
-        v = np.atleast_1d(np.asarray(v, dtype=float))
-
-        def fn(x, _u=u, _v=v):
-            x = np.atleast_1d(np.asarray(x, dtype=float))
-            return (np.exp(1j * float(_u @ x)) - 1.0) * (np.exp(1j * float(_v @ x)) - 1.0)
-
-        members.append(TestFunction(f"FuFv[{i}]", fn, 4.0))
+        fu, fv = f_u(u), f_u(v)
+        members.append(TestFunction(f"FuFv[{i}]", lambda x, _fu=fu, _fv=fv: _fu(x) * _fv(x)))
     return FunctionFamily(tuple(members), levy_ground_space(dim))
 
 
@@ -249,8 +243,19 @@ class RandomMeasureLaw:
                 raise ValueError("jump-measure atoms must be nonzero finite measures on E")
 
 
-def finite_ground_space(labels: Sequence) -> MetricStructure:
-    return discrete_space(tuple(labels))
+def finite_ground_space(labels: Sequence[Point]) -> MetricStructure:
+    """0/1 metric on a finite ground set; reference is the first element.
+
+    The label lists the points, so measures on different ground sets are never compared.
+    """
+    pts = tuple(labels)
+    if not pts:
+        raise ValueError("discrete space needs at least one point")
+
+    def dist(x: Point, y: Point) -> float:
+        return 0.0 if x == y else 1.0
+
+    return MetricStructure(dist, pts[0], f"discrete{pts!r}")
 
 
 def laplace_functional(law: RandomMeasureLaw, phi: Callable) -> float:
@@ -266,12 +271,12 @@ def laplace_functional(law: RandomMeasureLaw, phi: Callable) -> float:
 
 
 def f_phi(phi: Callable, name: str) -> TestFunction:
-    """F_phi(nu) = 1 - exp(-<phi, nu>) as a function of the measure nu."""
+    """F_phi(nu) = 1 - exp(-<phi, nu>) as a function of the measure nu; in [0, 1) for phi >= 0."""
 
     def fn(nu: AtomicMeasure):
         return 1.0 - math.exp(-integrate(nu, phi).real)
 
-    return TestFunction(name, fn, 1.0)
+    return TestFunction(name, fn)
 
 
 def f_phi_family(labels: Sequence, phi_samples: Sequence[Callable]) -> FunctionFamily:

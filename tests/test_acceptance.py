@@ -42,7 +42,6 @@ from measura.excursion import (
 )
 from measura.fragmentation import (
     FragmentationSequence,
-    ProperFragmentation,
     g_p,
     phi,
     phi_inverse,
@@ -149,7 +148,7 @@ def test_criterion_04_step4_lower_bound():
         ustar = eps * math.pi / 2.0
         floor = (1.0 - math.cos(math.pi * eps**2 / 2.0)) ** 2
         fu = f_u([ustar])
-        fam = FunctionFamily((TestFunction("|F_u*|^2", lambda x: abs(fu(x)) ** 2, 4.0),), space)
+        fam = FunctionFamily((TestFunction("|F_u*|^2", lambda x: abs(fu(x)) ** 2),), space)
         # the ball around the reference 1 through -1/eps holds the whole annulus
         annulus = BoundedSetWitness(space.dist(space.reference_point, -1.0 / eps), space.reference_point)
         pts = np.concatenate([
@@ -288,12 +287,15 @@ def test_criterion_11_fragmentation():
     homeo_ok = fwd.converged and not rev.converged
 
     # mass-1 topology equivalence, both directions, tol 1e-6
-    proper = [ProperFragmentation((1.0 - 4.0**-n, 4.0**-n)) for n in range(2, 14)]
-    topo = topology_equivalence_check_s1(proper, ProperFragmentation((1.0,)), max_p=4, tol=1e-6)
+    proper = [FragmentationSequence((1.0 - 4.0**-n, 4.0**-n)) for n in range(2, 14)]
+    report, pointwise_converged = topology_equivalence_check_s1(
+        proper, FragmentationSequence((1.0,)), max_p=4, tol=1e-6
+    )
+    topo_ok = report.converged == pointwise_converged
 
-    ok = roundtrip_ok and gp_ok and witness_ok and homeo_ok and topo.ok
+    ok = roundtrip_ok and gp_ok and witness_ok and homeo_ok and topo_ok
     check(11, "fragmentation identities and topology", ok, time.perf_counter() - start, 10.0,
-          f"roundtrip={roundtrip_ok} gp={gp_ok} witness={witness_ok} homeo={homeo_ok} topo={topo.ok}")
+          f"roundtrip={roundtrip_ok} gp={gp_ok} witness={witness_ok} homeo={homeo_ok} topo={topo_ok}")
 
 
 def test_criterion_12_metric_axioms():

@@ -21,17 +21,13 @@ from measura.metric_core import BoundedSetWitness, real_line
 SPACE = real_line()
 
 
-def tf(name, fn, bound=1.0):
-    return TestFunction(name, fn, bound)
-
-
 class TestCheckers:
     def test_identity_separates(self):
-        fam = FunctionFamily((tf("id", lambda x: x),), SPACE)
+        fam = FunctionFamily((TestFunction("id", lambda x: x),), SPACE)
         assert check_separates_points(fam, [(0.0, 1.0)], tol=1e-9)
 
     def test_square_fails_at_sign_pair(self):
-        fam = FunctionFamily((tf("sq", lambda x: x * x),), SPACE)
+        fam = FunctionFamily((TestFunction("sq", lambda x: x * x),), SPACE)
         assert not check_separates_points(fam, [(-1.0, 1.0)], tol=1e-9)
 
     def test_power_sums_separate_fragmentations(self):
@@ -49,7 +45,7 @@ class TestCheckers:
                 assert max(gaps) > 1e-12
 
     def test_vanishes_nowhere_on_half_open_interval(self):
-        fam = FunctionFamily((tf("cap", lambda x: min(1.0, x)),), SPACE)
+        fam = FunctionFamily((TestFunction("cap", lambda x: min(1.0, x)),), SPACE)
         assert check_vanishes_nowhere(fam, [0.1, 0.5, 1.0], tol=1e-12)
 
     def test_plane_waves_vanish_nowhere_off_lattice(self):
@@ -62,11 +58,11 @@ class TestCheckers:
         assert check_vanishes_nowhere(fam, sample, tol=1e-6)
 
     def test_zero_at_sample_point_detected(self):
-        fam = FunctionFamily((tf("shift", lambda x: x - 1.0),), SPACE)
+        fam = FunctionFamily((TestFunction("shift", lambda x: x - 1.0),), SPACE)
         assert not check_vanishes_nowhere(fam, [1.0], tol=1e-12)
 
     def test_bounded_below_constant_one(self):
-        fam = FunctionFamily((tf("one", lambda x: 1.0),), SPACE)
+        fam = FunctionFamily((TestFunction("one", lambda x: 1.0),), SPACE)
         ok, member, delta = check_bounded_below_on(
             fam, BoundedSetWitness(5.0, 0.0), [0.5, 1.0, 2.0]
         )
@@ -80,7 +76,7 @@ class TestCheckers:
         eps = 0.5
         ustar = eps * math.pi / 2.0
         fu = f_u([ustar])
-        sq = TestFunction("absFu^2", lambda x: abs(fu(x)) ** 2, 4.0)
+        sq = TestFunction("absFu^2", lambda x: abs(fu(x)) ** 2)
         space = levy_ground_space(1)
         fam = FunctionFamily((sq,), space)
         witness = BoundedSetWitness(space.dist(space.reference_point, 2.0) + 1e-9, space.reference_point)
@@ -92,17 +88,17 @@ class TestCheckers:
         assert delta >= floor - 1e-12
 
     def test_vanishing_member_reports_false(self):
-        fam = FunctionFamily((tf("zero", lambda x: 0.0),), SPACE)
+        fam = FunctionFamily((TestFunction("zero", lambda x: 0.0),), SPACE)
         ok, _, delta = check_bounded_below_on(fam, BoundedSetWitness(3.0, 0.0), [1.0, 2.0])
         assert not ok and delta == 0.0
 
     def test_sample_outside_witness_rejected(self):
-        fam = FunctionFamily((tf("one", lambda x: 1.0),), SPACE)
+        fam = FunctionFamily((TestFunction("one", lambda x: 1.0),), SPACE)
         with pytest.raises(ValueError, match="witness"):
             check_bounded_below_on(fam, BoundedSetWitness(1.0, 0.0), [5.0])
 
     def test_empty_sample_rejected(self):
-        fam = FunctionFamily((tf("one", lambda x: 1.0),), SPACE)
+        fam = FunctionFamily((TestFunction("one", lambda x: 1.0),), SPACE)
         with pytest.raises(ValueError, match="sample is empty"):
             check_bounded_below_on(fam, BoundedSetWitness(1.0, 0.0), [])
 

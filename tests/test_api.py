@@ -18,7 +18,6 @@ EXPECTED = [
     "LevyTriple",
     "MetricStructure",
     "NonConvergenceError",
-    "ProperFragmentation",
     "RandomMeasureLaw",
     "TestFunction",
     "__version__",

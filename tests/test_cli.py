@@ -225,10 +225,19 @@ class TestEmit:
             assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
-# CSV bytes at the defaults of two commands whose arithmetic is math, fsum and
-# closed-form Richardson extrapolation, with no BLAS call that could round
-# differently between builds.
+# CSV bytes at the defaults of three commands whose arithmetic is math, fsum,
+# closed-form Richardson extrapolation and scalar plane waves exp(i u.x) on
+# one-coordinate points, with no BLAS call that could round differently
+# between builds.
 PINNED_CSV = {
+    "levy-converge": (
+        "n,max_gap\n"
+        "1,2.3732948413174473\n"
+        "10,0.19191417936994415\n"
+        "100,0.018456196532359838\n"
+        "1000,0.0018380464128814164\n"
+        "10000,0.0001837286958543558\n"
+    ),
     "random-measure": (
         "label,true_b,recovered_b,abs_err\n"
         "a,0.5,0.5,0\n"

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from measura.fragmentation import (
     FragmentationSequence,
-    ProperFragmentation,
     block_uniform_state,
     fragment_space,
     g_p,
@@ -35,9 +34,8 @@ class TestSequenceValidation:
             seq(0.8, 0.3)
 
     def test_proper_requires_unit_mass(self):
-        ProperFragmentation((0.5, 0.5))
-        with pytest.raises(ValueError, match="mass"):
-            ProperFragmentation((0.5, 0.25))
+        assert seq(0.5, 0.5).is_proper
+        assert not seq(0.5, 0.25).is_proper
 
 
 class TestPhi:
@@ -92,7 +90,7 @@ class TestPowerAndExponentialSums:
         assert g_p(seq(0.5, 0.5), 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_unit_mass_first_power(self):
-        assert g_p(ProperFragmentation((0.6, 0.4)), 1) == pytest.approx(1.0, abs=1e-15)
+        assert g_p(seq(0.6, 0.4), 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_block_witness_pinned_at_one(self):
         for n in (1, 7, 100, 1000):
@@ -125,9 +123,8 @@ class TestConvergenceChecks:
     def test_symmetric_split_sequence(self):
         states = [seq(0.5 + 1.0 / n, 0.5 - 1.0 / n) for n in range(4, 200, 8)]
         limit = seq(0.5, 0.5)
-        report = topology_equivalence_check_s1(states, limit, max_p=4, tol=1e-2)
-        assert report.family_converged and report.pointwise_converged
-        assert report.implication_holds
+        report, pointwise_converged = topology_equivalence_check_s1(states, limit, max_p=4, tol=1e-2)
+        assert report.converged and pointwise_converged
 
     def test_block_witness_vacuous_for_full_family(self):
         # G_p(s(n)) = n^{1-p} -> 0 for p >= 2, but G_1 stays 1, so the family
@@ -143,16 +140,22 @@ class TestConvergenceChecks:
         assert not report.converged
 
     def test_topology_equivalence_on_proper_states(self):
-        states = [ProperFragmentation((1.0 - 1.0 / n, 1.0 / n)) for n in (8, 32, 128, 512, 2048)]
-        limit = ProperFragmentation((1.0,))
-        report = topology_equivalence_check_s1(states, limit, max_p=4, tol=1e-2)
-        assert report.ok and report.forward_holds and report.implication_holds
+        states = [seq(1.0 - 1.0 / n, 1.0 / n) for n in (8, 32, 128, 512, 2048)]
+        limit = seq(1.0)
+        report, pointwise_converged = topology_equivalence_check_s1(states, limit, max_p=4, tol=1e-2)
+        assert report.converged == pointwise_converged
+        assert pointwise_converged
         g2 = dict(report.member_gaps)["G_2"]
         assert g2[-1] < 1e-2
 
+    def test_topology_equivalence_on_diverging_proper_states(self):
+        report, pointwise_converged = topology_equivalence_check_s1([seq(0.75, 0.25)] * 3, seq(0.5, 0.5), 4, 1e-2)
+        assert report.converged == pointwise_converged
+        assert not pointwise_converged
+
     def test_improper_states_rejected(self):
         with pytest.raises(ValueError, match="improper"):
-            topology_equivalence_check_s1([seq(0.5)], ProperFragmentation((1.0,)), 2, 1e-3)
+            topology_equivalence_check_s1([seq(0.5)], seq(1.0), 2, 1e-3)
 
 
 class TestSampledHomeomorphism:

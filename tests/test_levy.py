@@ -20,7 +20,7 @@ from measura.levy import (
     recover_b,
     recover_b_measure,
 )
-from measura.measures import AtomicMeasure, weak_sharp_report
+from measura.measures import AtomicMeasure, prohorov_distance, weak_sharp_report
 
 SPACE1 = levy_ground_space(1)
 
@@ -148,6 +148,16 @@ class TestPlaneWaveFamilies:
         fam = levy_family(1, [(np.array([math.pi]), np.array([math.pi]))])
         assert fam.members[0](1.0) == pytest.approx(4.0, abs=1e-12)
 
+    def test_members_equal_the_inline_plane_wave_product_bitwise(self):
+        rng = np.random.default_rng(19)
+        for d in (1, 2, 3):
+            pairs = [tuple(rng.uniform(-2, 2, (2, d))) for _ in range(20)]
+            fam = levy_family(d, pairs)
+            for x in rng.uniform(-5, 5, (50, d)):
+                for (u, v), member in zip(pairs, fam):
+                    inline = (np.exp(1j * float(u @ x)) - 1.0) * (np.exp(1j * float(v @ x)) - 1.0)
+                    assert member(x) == complex(inline)
+
     def test_tr72_identity_bulk(self):
         rng = np.random.default_rng(3)
         worst = 0.0
@@ -208,6 +218,13 @@ class TestLaplaceFunctionals:
             AtomicMeasure.empty(ground),
             AtomicMeasure.from_atoms(finite_ground_space(self.LABELS), [(nu, 1.0)]),
         )
+
+    def test_ground_sets_of_equal_size_are_different_spaces(self):
+        abc = finite_ground_space(("a", "b", "c"))
+        xyz = finite_ground_space(("x", "y", "z"))
+        assert abc.label != xyz.label
+        with pytest.raises(ValueError, match="mismatched base spaces"):
+            prohorov_distance(AtomicMeasure.dirac(abc, "a"), AtomicMeasure.dirac(xyz, "x"))
 
     def test_zero_test_function(self):
         assert laplace_functional(self.law(), lambda e: 0.0) == 0.0

@@ -58,7 +58,7 @@ class TestIntegrate:
         mu, reverse = measure(*atoms), measure(*atoms[::-1])
         for f in (lambda x: 1.0, lambda x: 1.0 + 1j * x):
             assert integrate(mu, f) == integrate(reverse, f)
-        fam = FunctionFamily((TestFunction("one", lambda x: 1.0, 1.0),), SPACE)
+        fam = FunctionFamily((TestFunction("one", lambda x: 1.0),), SPACE)
         report = weak_sharp_report([reverse], mu, fam, tol=1e-12)
         assert report.member_gaps[0][1] == (0.0,)
 
@@ -223,7 +223,7 @@ class TestWeakSharpReport:
     def test_escaping_mass_not_converged(self):
         space = SPACE
         fam = FunctionFamily(
-            (TestFunction("one-on-(0,1]", lambda x: 1.0 if 0 < x <= 1 else 0.0, 1.0),), space
+            (TestFunction("one-on-(0,1]", lambda x: 1.0 if 0 < x <= 1 else 0.0),), space
         )
         ns = [2, 4, 8, 16]
         seq = [AtomicMeasure.dirac(space, 1.0 / n, float(n)) for n in ns]

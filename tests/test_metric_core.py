@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from measura.metric_core import (
     BoundedSetWitness,
+    MetricStructure,
     hilbert_cube_metric,
     point_removal_metric,
     real_line,
@@ -50,6 +51,29 @@ class TestPointRemoval:
             assert cur > prev  # monotone lower bound in n
             prev = cur
         assert d.dist(z, 2.0**-40) > 1e10
+
+
+class TestSupNorm:
+    def test_dist_equals_the_numpy_form_bitwise(self):
+        rng = np.random.default_rng(41)
+        for dim in (1, 2, 3):
+            dist = sup_norm_space(dim).dist
+            for x, y in rng.standard_normal((500, 2, dim)) * 10.0 ** rng.integers(-6, 7, (500, 1, 1)):
+                assert dist(x, y) == float(np.max(np.abs(x - y)))
+                assert dist(tuple(x), list(y)) == float(np.max(np.abs(x - y)))
+        dist = sup_norm_space(1).dist
+        for x, y in rng.standard_normal((500, 2)):
+            assert dist(x, y) == float(np.max(np.abs(np.asarray(x) - np.asarray(y))))
+            assert dist(float(x), np.array([y])) == float(np.max(np.abs(x - np.array([y]))))
+
+    def test_dist_is_a_python_float(self):
+        assert type(sup_norm_space(2).dist(np.ones(2), (0, 3))) is float
+        assert type(sup_norm_space(1).dist(1.5, -2)) is float
+
+
+def test_a_space_needs_a_label():
+    with pytest.raises(TypeError):
+        MetricStructure(lambda x, y: abs(x - y), 0.0)
 
 
 class TestHilbertCube:
