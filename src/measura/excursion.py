@@ -101,34 +101,6 @@ class ExcursionPath:
         return float(self.grid[-1])
 
 
-def _endpoint_values(path: ExcursionPath, left: np.ndarray, right: np.ndarray):
-    """Piecewise-linear values at segment endpoints, zero past the grid end.
-
-    The path is treated as 0 on the open interval (end, inf); a segment whose
-    left endpoint sits at the grid end therefore starts from 0.
-    """
-    vl = np.interp(left, path.grid, path.values)
-    vr = np.interp(right, path.grid, path.values)
-    vl[left >= path.end] = 0.0
-    vr[right > path.end] = 0.0
-    return vl, vr
-
-
-def _mean_abs_clipped(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Mean of min(|x|, 1) for x uniform on [lo, hi], exact closed form."""
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-
-    def antideriv(x):
-        inner = np.abs(x) <= 1.0
-        return np.where(inner, np.sign(x) * x * x / 2.0, np.sign(x) * (np.abs(x) - 0.5))
-
-    span = hi - lo
-    flat = span <= 0.0
-    safe_span = np.where(flat, 1.0, span)
-    avg = (antideriv(hi) - antideriv(lo)) / safe_span
-    return np.where(flat, np.minimum(np.abs(lo), 1.0), avg)
-
-
 def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
     """(∫ |e1 - e2| ∧ 1 dt) ∧ 1 + |1/zeta_1 - 1/zeta_2|.
 
@@ -138,13 +110,28 @@ def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
     included, so the grid is never refined.  Plain trapezoid on the merged
     grid can violate the triangle inequality by O(dt); the exact value cannot.
     """
-    tau = np.union1d(e1.grid, e2.grid)
+    tau = np.concatenate((e1.grid, e2.grid))
+    tau.sort()
+    tau = tau[np.concatenate(([True], tau[1:] != tau[:-1]))]  # the merged grid, as np.union1d gives it
     left, right = tau[:-1], tau[1:]
-    v1l, v1r = _endpoint_values(e1, left, right)
-    v2l, v2r = _endpoint_values(e2, left, right)
-    lo = v1l - v2l
-    hi = v1r - v2r
-    integral = float(np.sum((right - left) * _mean_abs_clipped(lo, hi)))
+    ends = []
+    for path in (e1, e2):
+        # values at the segment ends, zero on the open interval (end, inf): a
+        # segment whose left end sits at the grid end starts from 0
+        v = np.interp(tau, path.grid, path.values, right=0.0)
+        ends.append((np.where(left >= path.end, 0.0, v[:-1]), v[1:]))
+    (v1l, v1r), (v2l, v2r) = ends
+    lo, hi = v1l - v2l, v1r - v2r
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    # mean of min(|x|, 1) for x uniform on [lo, hi], from its antiderivative
+    x = np.concatenate((hi, lo))
+    ax, sx = np.abs(x), np.sign(x)
+    anti = np.where(ax <= 1.0, sx * x * x / 2.0, sx * (ax - 0.5))
+    span = hi - lo
+    flat = span <= 0.0
+    avg = (anti[: span.size] - anti[span.size:]) / np.where(flat, 1.0, span)
+    mean = np.where(flat, np.minimum(np.abs(lo), 1.0), avg)
+    integral = float(np.sum((right - left) * mean))
     inv1 = 0.0 if math.isinf(e1.zeta) else 1.0 / e1.zeta
     inv2 = 0.0 if math.isinf(e2.zeta) else 1.0 / e2.zeta
     return min(integral, 1.0) + abs(inv1 - inv2)

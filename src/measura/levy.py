@@ -201,22 +201,22 @@ def recover_b(
     return b
 
 
+def _centered_wave(u: np.ndarray, x) -> complex:
+    return np.exp(1j * float(u @ np.atleast_1d(np.asarray(x, dtype=float)))) - 1.0
+
+
 def f_u(u: Sequence[float]) -> TestFunction:
     """F_u(x) = exp(i u . x) - 1, the centered plane wave; |F_u| <= 2."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
-
-    def fn(x):
-        return np.exp(1j * float(u @ np.atleast_1d(np.asarray(x, dtype=float)))) - 1.0
-
-    return TestFunction(f"F[{np.array2string(u, precision=4)}]", fn)
+    return TestFunction(f"F[{np.array2string(u, precision=4)}]", lambda x: _centered_wave(u, x))
 
 
 def levy_family(dim: int, u_samples: Sequence[tuple[Sequence[float], Sequence[float]]]) -> FunctionFamily:
     """Sampled family of products F_u * F_v on the punctured space; |F_u F_v| <= 4."""
     members = []
     for i, (u, v) in enumerate(u_samples):
-        fu, fv = f_u(u), f_u(v)
-        members.append(TestFunction(f"FuFv[{i}]", lambda x, _fu=fu, _fv=fv: _fu(x) * _fv(x)))
+        u, v = (np.atleast_1d(np.asarray(w, dtype=float)) for w in (u, v))
+        members.append(TestFunction(f"FuFv[{i}]", lambda x, u=u, v=v: _centered_wave(u, x) * _centered_wave(v, x)))
     return FunctionFamily(tuple(members), levy_ground_space(dim))
 
 

@@ -214,8 +214,10 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
 
     For each eps the two defining inequalities are checked verbatim over all
     unions of support atoms; feasibility is monotone in eps, so bisection
-    converges to the infimum, within ``_ORACLE_TOL`` above it.  Kept
-    algorithmically independent of :func:`prohorov_distance` on purpose.
+    converges to the infimum, within ``_ORACLE_TOL`` above it.  The mass of
+    every union is summed once; per eps the enlargement of every union is a
+    bitmask built by doubling, and its mass is read from those subset sums.
+    Kept algorithmically independent of :func:`prohorov_distance` on purpose.
     """
     space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
@@ -234,15 +236,16 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
             dmat[i, j] = dmat[j, i] = space.dist(pts[i], pts[j])
     masks = np.arange(2**n, dtype=np.int64)
     bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+    m1 = bits @ w1  # mass of every union, indexed by its bitmask
+    m2 = bits @ w2
+    pow2 = 1 << np.arange(n, dtype=np.int64)
+    enl = np.zeros(2**n, dtype=np.int64)  # bitmask of each union's eps-enlargement
 
     def feasible(eps: float) -> bool:
-        near = dmat <= eps
-        enlarged = bits @ near.astype(np.int64) > 0
-        m1 = bits @ w1
-        m2 = bits @ w2
-        e1 = enlarged @ w1
-        e2 = enlarged @ w2
-        return bool(np.all(m1 <= e2 + eps) and np.all(m2 <= e1 + eps))
+        near = (dmat <= eps) @ pow2  # near[i]: bitmask of the atoms within eps of atom i
+        for k in range(n):
+            np.bitwise_or(enl[: 1 << k], near[k], out=enl[1 << k: 2 << k])
+        return bool(np.all(m1 <= m2[enl] + eps) and np.all(m2 <= m1[enl] + eps))
 
     if feasible(0.0):
         return 0.0

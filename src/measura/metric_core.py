@@ -62,7 +62,7 @@ class MetricAxiomReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.identity, self.symmetry, self.triangle) <= self.tol
+        return all(v <= self.tol for v in (self.identity, self.symmetry, self.triangle))  # NaN fails
 
 
 def real_line() -> MetricStructure:
@@ -151,16 +151,24 @@ def sample_metric_axioms(
 
     Returns the worst observed violation of each axiom; a verdict of ``ok``
     means no counterexample was found at tolerance ``tol``, not a proof.
+    Each triple (x, y, z) needs d(x, y), d(x, x), d(y, x), d(x, z) and
+    d(y, z); every distinct ordered pair among them is evaluated once.  A
+    distance that is not finite raises ValueError naming its index pair.
     """
     pts = list(points)
-    if len(pts) < 2:
+    n = len(pts)
+    if n < 2:
         raise ValueError("need at least two sample points")
-    idx = rng.integers(0, len(pts), size=(n_triples, 3))
-    worst_id = worst_sym = worst_tri = 0.0
-    for i, j, k in idx:
-        x, y, z = pts[i], pts[j], pts[k]
-        dxy = space.dist(x, y)
-        worst_id = max(worst_id, abs(space.dist(x, x)))
-        worst_sym = max(worst_sym, abs(dxy - space.dist(y, x)))
-        worst_tri = max(worst_tri, space.dist(x, z) - dxy - space.dist(y, z))
-    return MetricAxiomReport(worst_id, worst_sym, max(worst_tri, 0.0), tol)
+    i, j, k = rng.integers(0, n, size=(n_triples, 3)).T
+    # ordered pairs per triple: (x, y), (x, x), (y, x), (x, z), (y, z)
+    codes = np.stack([i * n + j, i * n + i, j * n + i, i * n + k, j * n + k], axis=1)
+    pairs, inverse = np.unique(codes.ravel(), return_inverse=True)
+    dists = np.array([space.dist(pts[a], pts[b]) for a, b in zip(*np.divmod(pairs, n))], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(dists))
+    if bad.size:
+        a, b = divmod(int(pairs[bad[0]]), n)
+        raise ValueError(f"non-finite distance {dists[bad[0]]} between points {a} and {b}")
+    dxy, dxx, dyx, dxz, dyz = dists[inverse].reshape(n_triples, 5).T
+    worst = np.stack([np.abs(dxx), np.abs(dxy - dyx), dxz - dxy - dyz]).max(axis=1, initial=0.0)
+    # Python's max keeps +0.0 where numpy may return -0.0
+    return MetricAxiomReport(*(max(0.0, float(w)) for w in worst), tol)

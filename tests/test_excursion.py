@@ -114,6 +114,60 @@ class TestExcursionMetric:
             assert excursion_metric(e1, e2) >= floor - 1e-9
 
 
+    def test_equals_the_two_interp_form_bitwise(self):
+        rng = np.random.default_rng(20)
+
+        def rand_path():
+            dt = float(rng.choice([0.007, 0.01, 0.013, 0.02, 0.025]))
+            n = int(rng.integers(1, 60))
+            grid = np.arange(n + 1) * dt
+            vals = np.abs(np.cumsum(rng.standard_normal(n + 1))) * float(rng.choice([0.05, 0.3, 2.0]))
+            kind = int(rng.integers(3))
+            if kind == 0:  # censored: still positive at the grid end
+                return ExcursionPath(grid, vals + 0.1, zeta=math.inf)
+            absorbed = int(rng.integers(1, n + 1)) if kind == 1 else n  # kind 1: zeros after the lifetime
+            vals[absorbed:] = 0.0
+            return ExcursionPath(grid, vals, zeta=float(grid[absorbed]))
+
+        for _ in range(600):
+            a, b = rand_path(), rand_path()
+            copy = ExcursionPath(a.grid.copy(), a.values.copy(), zeta=a.zeta)
+            for e1, e2 in ((a, b), (b, a), (a, a), (a, copy)):
+                assert excursion_metric(e1, e2).hex() == _reference_excursion_metric(e1, e2).hex()
+
+
+def _reference_excursion_metric(e1, e2):
+    # the two-interp-per-path form excursion_metric replaced, kept as its oracle
+    def endpoint_values(path, left, right):
+        vl = np.interp(left, path.grid, path.values)
+        vr = np.interp(right, path.grid, path.values)
+        vl[left >= path.end] = 0.0
+        vr[right > path.end] = 0.0
+        return vl, vr
+
+    def mean_abs_clipped(lo, hi):
+        lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+
+        def antideriv(x):
+            inner = np.abs(x) <= 1.0
+            return np.where(inner, np.sign(x) * x * x / 2.0, np.sign(x) * (np.abs(x) - 0.5))
+
+        span = hi - lo
+        flat = span <= 0.0
+        safe_span = np.where(flat, 1.0, span)
+        avg = (antideriv(hi) - antideriv(lo)) / safe_span
+        return np.where(flat, np.minimum(np.abs(lo), 1.0), avg)
+
+    tau = np.union1d(e1.grid, e2.grid)
+    left, right = tau[:-1], tau[1:]
+    v1l, v1r = endpoint_values(e1, left, right)
+    v2l, v2r = endpoint_values(e2, left, right)
+    integral = float(np.sum((right - left) * mean_abs_clipped(v1l - v2l, v1r - v2r)))
+    inv1 = 0.0 if math.isinf(e1.zeta) else 1.0 / e1.zeta
+    inv2 = 0.0 if math.isinf(e2.zeta) else 1.0 / e2.zeta
+    return min(integral, 1.0) + abs(inv1 - inv2)
+
+
 class TestKilledBM:
     def test_deterministic_for_fixed_seed(self):
         p1 = sample_killed_bm(1.0, 1e-3, 5.0, seed=123)

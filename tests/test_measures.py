@@ -176,6 +176,74 @@ class TestProhorov:
             assert dab >= 0.0
 
 
+    def test_oracle_equals_the_per_eps_matmul_form(self):
+        # seeded instances of 0-14 atoms, on R and R^2-sup, with lattice ties
+        # on a quarter of them; the larger sizes are rarer to bound the run time
+        rng = np.random.default_rng(2020)
+        sizes = list(range(11)) * 18 + [11, 12, 13, 14] * 3
+        for it, n in enumerate(sizes):
+            space = sup_norm_space(2) if it % 2 else real_line()
+            lattice = it % 4 == 3
+
+            def point():
+                if lattice:
+                    return 0.25 * rng.integers(0, 5, 2) if it % 2 else 0.25 * int(rng.integers(0, 5))
+                return rng.uniform(-2, 2, 2) if it % 2 else float(rng.uniform(-2, 2))
+
+            k = int(rng.integers(0, n + 1))
+            nu1, nu2 = (AtomicMeasure.from_atoms(space, [(point(), float(rng.uniform(0.05, 2.0)))
+                                                         for _ in range(m)]) for m in (k, n - k))
+            got = prohorov_distance_bruteforce(nu1, nu2)
+            assert got.hex() == float(_reference_bruteforce(nu1, nu2)).hex(), (it, n)
+        for n in range(1, 7):  # equal measures, where eps = 0 can be feasible, also with one atom split in two
+            nu = measure(*[(float(rng.uniform(-2, 2)), float(rng.uniform(0.05, 2.0))) for _ in range(n)])
+            (p, w), *rest = nu.atoms
+            for other in (nu, measure((p, w / 2), (p, w / 2), *rest)):
+                assert prohorov_distance_bruteforce(nu, other) == _reference_bruteforce(nu, other)
+        empty = AtomicMeasure.empty(SPACE)
+        for other in (empty, measure((0.5, 1.2)), measure((0.0, 0.3), (1.0, 0.4))):
+            assert prohorov_distance_bruteforce(empty, other) == _reference_bruteforce(empty, other)
+            assert prohorov_distance_bruteforce(other, empty) == _reference_bruteforce(other, empty)
+
+
+def _reference_bruteforce(nu1, nu2):
+    # the oracle before subset sums: enlargements by int64 matmul on every eps
+    pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
+    n = len(pts)
+    if n == 0:
+        return 0.0
+    w1 = np.zeros(n)
+    w2 = np.zeros(n)
+    w1[: len(nu1.atoms)] = [w for _, w in nu1.atoms]
+    w2[len(nu1.atoms):] = [w for _, w in nu2.atoms]
+    dmat = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            dmat[i, j] = dmat[j, i] = nu1.space.dist(pts[i], pts[j])
+    masks = np.arange(2**n, dtype=np.int64)
+    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
+
+    def feasible(eps):
+        near = dmat <= eps
+        enlarged = bits @ near.astype(np.int64) > 0
+        m1 = bits @ w1
+        m2 = bits @ w2
+        e1 = enlarged @ w1
+        e2 = enlarged @ w2
+        return bool(np.all(m1 <= e2 + eps) and np.all(m2 <= e1 + eps))
+
+    if feasible(0.0):
+        return 0.0
+    lo, hi = 0.0, float(max(w1.sum(), w2.sum(), dmat.max()) + 1.0)
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 class TestMfMetric:
     def test_identical(self):
         mu = measure((0.3, 1.2))

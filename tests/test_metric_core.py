@@ -1,10 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from measura.excursion import ExcursionPath, excursion_metric
+from measura.levy import levy_ground_space
 from measura.metric_core import (
     BoundedSetWitness,
+    MetricAxiomReport,
     MetricStructure,
     hilbert_cube_metric,
     point_removal_metric,
@@ -150,3 +155,104 @@ def test_axiom_sampler_passes_the_constructed_metrics():
     assert sample_metric_axioms(d, pts, 2000, rng, tol=1e-9).ok
     cube_pts = [tuple(rng.uniform(0.05, 1, 4)) for _ in range(100)]
     assert sample_metric_axioms(hilbert_cube_metric(), cube_pts, 2000, rng, tol=1e-9).ok
+
+
+def _reference_axioms(space, points, n_triples, rng, tol=1e-12):
+    # the five-calls-per-triple loop sample_metric_axioms replaced, kept as its oracle
+    pts = list(points)
+    idx = rng.integers(0, len(pts), size=(n_triples, 3))
+    worst_id = worst_sym = worst_tri = 0.0
+    for i, j, k in idx:
+        x, y, z = pts[i], pts[j], pts[k]
+        dxy = space.dist(x, y)
+        worst_id = max(worst_id, abs(space.dist(x, x)))
+        worst_sym = max(worst_sym, abs(dxy - space.dist(y, x)))
+        worst_tri = max(worst_tri, space.dist(x, z) - dxy - space.dist(y, z))
+    return MetricAxiomReport(worst_id, worst_sym, max(worst_tri, 0.0), tol)
+
+
+def _criterion_12_spaces(rng):
+    # the four constructed metrics on criterion-12-style sample points
+    removal = point_removal_metric(real_line(), 0.0, reference_point=1.0)
+    yield removal, list(np.concatenate([rng.uniform(0.05, 5, 200), -rng.uniform(0.05, 5, 200)]))
+    yield levy_ground_space(2), [x for x in rng.uniform(-3, 3, (300, 2)) if np.max(np.abs(x)) > 0.05]
+    yield hilbert_cube_metric(), [tuple(rng.uniform(0.05, 1.0, int(rng.integers(1, 6)))) for _ in range(300)]
+    paths = []
+    for _ in range(120):
+        dt = float(rng.choice([0.01, 0.02, 0.025]))
+        n = int(rng.integers(5, 50))
+        vals = np.abs(np.cumsum(rng.standard_normal(n + 1))) * 0.3
+        vals[-1] = 0.0
+        paths.append(ExcursionPath(np.arange(n + 1) * dt, vals, zeta=float(n * dt)))
+    yield MetricStructure(excursion_metric, paths[0], "excursion"), paths
+
+
+def _hex(report):
+    return [float(v).hex() for v in (report.identity, report.symmetry, report.triangle, report.tol)]
+
+
+class TestAxiomSampler:
+    def test_report_equals_the_per_triple_loop_bitwise(self):
+        rng = np.random.default_rng(1212)
+        for space, pts in _criterion_12_spaces(rng):
+            for n_triples in (0, 1, 700):
+                state = rng.bit_generator.state
+                got = sample_metric_axioms(space, pts, n_triples, rng, tol=1e-9)
+                after = rng.bit_generator.state
+                rng.bit_generator.state = state
+                want = _reference_axioms(space, pts, n_triples, rng, tol=1e-9)
+                assert _hex(got) == _hex(want), space.label
+                assert rng.bit_generator.state == after  # the same draws, so a shared rng stays in step
+
+    @pytest.mark.parametrize("dist", [lambda x, y: x - y, lambda x, y: (x - y) ** 2], ids=["signed", "squared"])
+    def test_broken_metric_reports_equal_the_per_triple_loop(self, dist):
+        broken = MetricStructure(dist, 0.0, "broken")
+        pts = list(np.random.default_rng(3).uniform(-1, 1, 7))
+        got = sample_metric_axioms(broken, pts, 300, np.random.default_rng(4))
+        want = _reference_axioms(broken, pts, 300, np.random.default_rng(4))
+        assert _hex(got) == _hex(want) and not got.ok
+
+    def test_negative_zero_triangle_term_reads_plus_zero(self):
+        class OneTriple:
+            def integers(self, low, high, size):
+                return np.array([[0, 1, 2]])
+
+        # d(x, z) - d(x, y) - d(y, z) = -0.0 - 0.0 - 0.0 = -0.0; the per-triple loop reports +0.0
+        space = MetricStructure(lambda x, y: -0.0 if (x, y) == (0.0, 2.0) else 0.0, 0.0, "zeros")
+        got = sample_metric_axioms(space, [0.0, 1.0, 2.0], 1, OneTriple())
+        assert _hex(got) == _hex(_reference_axioms(space, [0.0, 1.0, 2.0], 1, OneTriple(), tol=1e-12))
+        assert got.triangle.hex() == "0x0.0p+0"
+
+    def test_each_distinct_ordered_pair_is_evaluated_once(self):
+        rng = np.random.default_rng(1213)
+        for space, pts in _criterion_12_spaces(rng):
+            index = {id(p): a for a, p in enumerate(pts)}
+            calls = []
+
+            def dist(x, y, _dist=space.dist):
+                calls.append((index[id(x)], index[id(y)]))
+                return _dist(x, y)
+
+            counted = MetricStructure(dist, space.reference_point, space.label)
+            state = rng.bit_generator.state
+            sample_metric_axioms(counted, pts, 2000, rng)
+            rng.bit_generator.state = state
+            i, j, k = rng.integers(0, len(pts), size=(2000, 3)).T
+            pairs = set()
+            for a, b, c in zip(i.tolist(), j.tolist(), k.tolist()):
+                pairs |= {(a, b), (a, a), (b, a), (a, c), (b, c)}
+            assert len(calls) == len(set(calls)) == len(pairs) < 5 * 2000
+            assert set(calls) == pairs
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distance_fails(self, bad):
+        # max(0.0, nan) is 0.0, so the per-triple loop passed a NaN metric
+        space = MetricStructure(lambda x, y: bad if x != y else 0.0, 0.0, "nan")
+        if math.isnan(bad):
+            assert _reference_axioms(space, [0.0, 1.0, 2.0], 100, np.random.default_rng(0)).ok
+        with pytest.raises(ValueError, match=r"non-finite distance .* between points \d+ and \d+"):
+            sample_metric_axioms(space, [0.0, 1.0, 2.0], 100, np.random.default_rng(0))
+
+    def test_a_nan_field_fails_the_report(self):
+        for fields in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
+            assert not MetricAxiomReport(*fields, tol=1e-9).ok
