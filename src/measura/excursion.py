@@ -15,10 +15,11 @@ and at least one window pair (f_i, g_i),
 
 with rho a 3-d Bessel process from 0 (simulated exactly as the norm of a
 3-d Brownian motion) and l^a the first-hitting-time density of level 0 from
-level a, l^a(r) = a (2 pi r^3)^(-1/2) exp(-a^2 / (2r)).  The marginal laws
-of rho have the closed-form distribution function ``_bessel_cdf``, which
-``bessel_semigroup_check`` tests against exact samples.  Everything here runs
-on numpy and the math module.
+level a, l^a(r) = a (2 pi r^3)^(-1/2) exp(-a^2 / (2r)), integrated over all r
+by ``_hitting_kernel``; ``target_oracle`` gives a one-pair target without
+Monte Carlo.  The marginal laws of rho have the closed-form distribution
+function ``_bessel_cdf``, which ``bessel_semigroup_check`` tests against
+exact samples.  Everything here runs on numpy and the math module.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 TWO_PI = 2.0 * math.pi
-# numpy has no erf: math.erf, applied elementwise, serves levy_survival and _bessel_cdf
+# numpy has no erf: math.erf, applied elementwise, serves _bessel_cdf
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
@@ -51,15 +52,6 @@ def levy_hitting_density(alpha, r):
     safe = np.where(r > 0.0, r, 1.0)
     val = alpha * (TWO_PI * safe**3) ** (-0.5) * np.exp(-(alpha**2) / (2.0 * safe))
     return np.where(r > 0.0, val, 0.0)
-
-
-def levy_survival(alpha, r_cut):
-    """P(hitting time > r_cut) = erf(alpha / sqrt(2 r_cut)), elementwise.
-
-    Returns a float array shaped like alpha, or a float scalar for a scalar.
-    """
-    alpha = np.asarray(alpha, dtype=float)
-    return np.asarray(_erf(alpha / np.sqrt(2.0 * r_cut)), dtype=float)[()]
 
 
 @dataclass(frozen=True)
@@ -268,15 +260,6 @@ def eval_functional(F: ExcursionFunctional, e: ExcursionPath) -> float:
     return out
 
 
-def _trapezoid_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w such that w @ y is the trapezoid integral of y over the nodes x."""
-    half_gaps = 0.5 * np.diff(x)
-    w = np.zeros(x.size)
-    w[:-1] += half_gaps
-    w[1:] += half_gaps
-    return w
-
-
 def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[tuple[np.ndarray, Callable]]:
     """(w f_i, g_i) per pair: trapezoid weights times f_i on the grid steps inside the window.
 
@@ -288,7 +271,11 @@ def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[t
     for f, t_end, g in F.pairs:
         times = np.arange(min(max_steps, int((t_end + 1e-12) / dt) + 1) + 1) * dt
         times = times[times <= t_end + 1e-12]
-        out.append((_trapezoid_weights(times) * np.asarray(f(times), dtype=float), g))
+        half_gaps = 0.5 * np.diff(times)
+        w = np.zeros(times.size)
+        w[:-1] += half_gaps
+        w[1:] += half_gaps
+        out.append((w * np.asarray(f(times), dtype=float), g))
     return out
 
 
@@ -366,25 +353,40 @@ def empirical_lhs(
     return mean / eps, math.sqrt(sq_dev / (n_paths - 1) / n_paths) / eps
 
 
-def _hitting_kernel(h: Callable, h_tail: float, r: np.ndarray, n_paths: int) -> Callable:
-    """hit(t, a)[k] = ∫ h(t + s) l^{a_k}(s) ds for n_paths levels a: trapezoid on r, erf tail beyond r[-1].
+def _hitting_kernel(h: Callable, h_tail: float, s_max: float) -> Callable:
+    """hit(t, a) = H(t, a) = ∫ h(t + s) l^a(s) ds elementwise in levels a >= 0, for t >= 0, h = h_tail past s_max.
 
-    With l^a(s) = a c(s) exp(-a^2 / (2s)) and c = kappa, the s-dependent
-    factor c(s) w(s) (w the trapezoid weights) is fixed, so each call costs one
-    (paths x grid) exponential written into a buffer reused across calls, one
-    matrix-vector product and one erf per path.  Grid points s <= 0 carry zero
-    density.
+    W[i, k] = l^{a_i}(s_k) w_k, built in place, maps h(t + s) - h_tail on
+    6-point Gauss-Legendre panels (doubling from 2e-16 to 0.06, then at most
+    0.03 wide) to H - h_tail on 400 levels log-spaced from 1e-7 to
+    5.5 sqrt(s_max); a 4-point Lagrange interpolation in log a reads off the
+    levels asked for, clamped into that range (below it H is within O(a) of
+    h(t); above it l^a has mass under 4e-8 on (0, s_max]).  The error stays
+    below 1e-6 for h smooth on the panel width.
     """
-    pos = r > 0.0
-    s = r[pos]
-    cw = kappa(s) * _trapezoid_weights(r)[pos]
-    neg_inv_2s = -0.5 / s
-    buf = np.empty((n_paths, s.size))
+    from numpy.polynomial.legendre import leggauss
 
-    def hit(t: float, a: np.ndarray) -> np.ndarray:
-        np.multiply.outer(a * a, neg_inv_2s, out=buf)
-        np.exp(buf, out=buf)
-        return a * (buf @ (cw * np.asarray(h(t + s), dtype=float))) + h_tail * levy_survival(a, r[-1])
+    s_max = max(s_max, 0.06)  # h(t + s) - h_tail vanishes beyond the given s_max
+    edges = np.concatenate((np.geomspace(2e-16, 0.06, 49)[:-1],
+                            np.linspace(0.06, s_max, 1 + math.ceil((s_max - 0.06) / 0.03))))
+    x, w = leggauss(6)
+    half = np.diff(edges)[:, None] / 2.0
+    s = (edges[:-1, None] + half * (1.0 + x)).ravel()
+    log_a = np.linspace(math.log(1e-7), math.log(5.5 * math.sqrt(s_max)), 400)
+    a = np.exp(log_a)
+    W = np.empty((a.size, s.size))
+    np.exp(np.multiply.outer(a * a, -0.5 / s, out=W), out=W)
+    W *= a[:, None]
+    W *= kappa(s) * (half * w).ravel()
+
+    def hit(t: float, levels: np.ndarray) -> np.ndarray:
+        on_grid = W @ (np.asarray(h(t + s), dtype=float) - h_tail) + h_tail
+        u = (np.clip(np.log(np.maximum(levels, a[0])), log_a[0], log_a[-1]) - log_a[0]) / (log_a[1] - log_a[0])
+        i = np.clip(u.astype(np.int64) - 1, 0, a.size - 4)
+        u -= i  # position among the four levels i..i+3, in [0, 3]
+        u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
+        return (u2 * u3 * (u * on_grid[i + 1] - u1 * on_grid[i] / 3.0)
+                + u * u1 * (u2 * on_grid[i + 3] / 3.0 - u3 * on_grid[i + 2])) / 2.0
 
     return hit
 
@@ -404,15 +406,16 @@ def target_rhs(
 
     n_bessel >= 2 paths of a 3-d Bessel process from 0 are stepped exactly
     (as the norm of a 3-d Brownian motion) along the f-support grid, and the
-    r-integral against the hitting density is truncated at r_grid's end with
-    the erf tail.  Each pair's t-integral uses the window rule of
-    ``empirical_lhs`` and ``eval_functional``, the trapezoid rule on the steps
-    inside that pair's window (``_window_weights``), so the last step of a
-    window has half weight.  The t-quadrature runs over all orderings of the
-    pairs' time indices through the max-index decomposition, carried as
-    running prefix sums, so any number of pairs costs O(grid) per path and
-    the working memory is O(paths x (pairs + len(r_grid))), independent of
-    the number of time steps.
+    r-integral against the hitting density comes from ``_hitting_kernel``,
+    untruncated; ``r_grid`` is checked but unused.  Each pair's t-integral
+    uses the window rule of ``empirical_lhs`` and ``eval_functional``, the
+    trapezoid rule on the steps inside that pair's window
+    (``_window_weights``), so the last step of a window has half weight.
+    The t-quadrature runs over all orderings of the pairs' time indices
+    through the max-index decomposition, carried as running prefix sums, so
+    any number of pairs costs O(grid) per path and the working memory,
+    O(paths x pairs) plus the kernel's table, does not grow with the number
+    of time steps.
     """
     if not F.pairs:
         raise ValueError("target_rhs needs at least one window pair (f, f_support_end, g)")
@@ -424,21 +427,22 @@ def target_rhs(
     t_max = max(t_end for _, t_end, _ in F.pairs)
     n_steps = int(math.ceil(t_max / dt))
     times = np.arange(n_steps + 1) * dt
-    if times[0] + r[-1] < F.h_constant_after:
-        raise ValueError("r_grid too short: h must be constant beyond times[0] + r_grid[-1]")
 
     # zero past each window on the common time grid
     wf = [np.pad(w, (0, times.size - w.size)) for w, _ in _window_weights(F, dt, n_steps)]
 
     rng = np.random.default_rng(seed)
-    hit = _hitting_kernel(F.h, F.h_tail_value, r, n_bessel)
-    pos = np.zeros((n_bessel, 3))
+    hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
+    pos = np.zeros((3, n_bessel))  # one row per coordinate, so rho sums three rows
     prefix = np.zeros((len(F.pairs), n_bessel))  # S_i = sum over k < j of P_ik
     per_path = np.zeros(n_bessel)
+    inside = np.any(np.array(wf) != 0.0, axis=0)  # outside every window, P_ij = 0 adds nothing
     for j in range(times.size):
         if j:
-            pos += rng.standard_normal((n_bessel, 3)) * math.sqrt(times[j] - times[j - 1])
-        rho = np.linalg.norm(pos, axis=1)
+            pos += rng.standard_normal((n_bessel, 3)).T * math.sqrt(times[j] - times[j - 1])
+        if not inside[j]:
+            continue
+        rho = np.sqrt(pos[0] * pos[0] + pos[1] * pos[1] + pos[2] * pos[2])
         # sum over index tuples, split by the position of the maximal time
         # index: prod_i (S_i + P_ij) - prod_i S_i collects exactly the tuples
         # whose maximum equals j, with P_ij = w_j f_i(t_j) g_i(rho_j).
@@ -526,6 +530,50 @@ def bessel_semigroup_check(t: float, x: float, n_samples: int, seed) -> BesselCh
         sup_deviation=float(np.max(np.abs(empirical - exact))),
         se_max=float(se.max()),
     )
+
+
+_ORACLE_PANELS = 100  # Gauss-Legendre panels of 8 nodes in y on [0, eps + 10 sqrt(t)]
+
+
+def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
+    """(1/eps) E_eps[F] for one window pair by deterministic quadrature; at eps = 0, ``target_rhs``'s mean.
+
+    By the Markov property at time t, with the killed kernel
+    q_t(x, y) = phi_t(y - x) - phi_t(y + x) and H(t, y) = E h(t + T_y),
+
+        (1/eps) E_eps[F] = ∫ f(t) ∫ (q_t(eps, y)/eps) g(y) H(t, y) dy dt,
+
+    and q_t(eps, y)/eps tends to (2y/t) phi_t(y) as eps -> 0, the law of
+    the 3-d Bessel marginal rho_t from 0 times the weight 1/y that
+    ``target_rhs`` samples.  The t-integral is the window rule of
+    ``target_rhs`` at step dt; at t = 0 the path sits at eps, which adds
+    g(eps) H(0, eps)/eps for eps > 0 and nothing in the limit.  The
+    y-integral runs over _ORACLE_PANELS Gauss-Legendre panels, and H comes
+    from ``_hitting_kernel``.  F must have exactly one window pair.
+    """
+    if len(F.pairs) != 1:
+        raise ValueError("target_oracle takes exactly one window pair")
+    if dt <= 0.0 or eps < 0.0:
+        raise ValueError("dt must be positive and eps nonnegative")
+    from numpy.polynomial.legendre import leggauss
+
+    [(w, g)] = _window_weights(F, dt, int(math.ceil(F.pairs[0][1] / dt)))
+    hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
+    x, wx = leggauss(8)
+    unit = ((np.arange(_ORACLE_PANELS)[:, None] + (1.0 + x) / 2.0) / _ORACLE_PANELS).ravel()  # nodes on [0, 1]
+    unit_w = np.tile(wx / (2.0 * _ORACLE_PANELS), _ORACLE_PANELS)
+    total = float(w[0] * g(eps) * hit(0.0, np.array([eps]))[0]) / eps if eps > 0.0 else 0.0
+    for j in np.flatnonzero(w[1:]) + 1:
+        t = j * dt
+        span = eps + 10.0 * math.sqrt(t)
+        y = span * unit
+        if eps > 0.0:
+            dens = (np.exp(-((y - eps) ** 2) / (2.0 * t)) - np.exp(-((y + eps) ** 2) / (2.0 * t))) / eps
+        else:
+            dens = 2.0 * y / t * np.exp(-(y * y) / (2.0 * t))
+        dens *= span * unit_w / math.sqrt(TWO_PI * t)
+        total += float(w[j]) * float(dens @ (np.asarray(g(y), dtype=float) * hit(t, y)))
+    return total
 
 
 # ---------------------------------------------------------------------------

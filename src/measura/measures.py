@@ -215,9 +215,10 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
     For each eps the two defining inequalities are checked verbatim over all
     unions of support atoms; feasibility is monotone in eps, so bisection
     converges to the infimum, within ``_ORACLE_TOL`` above it.  The mass of
-    every union is summed once; per eps the enlargement of every union is a
-    bitmask built by doubling, and its mass is read from those subset sums.
-    Kept algorithmically independent of :func:`prohorov_distance` on purpose.
+    every union is summed once, in atom order (no union outweighs a superset:
+    d(nu, nu) is 0); per eps the enlargement of every union is a bitmask built
+    by doubling, and its mass is read from those subset sums.  Kept
+    algorithmically independent of :func:`prohorov_distance` on purpose.
     """
     space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
@@ -234,10 +235,9 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
     for i in range(n):
         for j in range(i + 1, n):
             dmat[i, j] = dmat[j, i] = space.dist(pts[i], pts[j])
-    masks = np.arange(2**n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-    m1 = bits @ w1  # mass of every union, indexed by its bitmask
-    m2 = bits @ w2
+    m1, m2 = m = np.zeros((2, 2**n))  # mass of every union, indexed by its bitmask
+    for k in range(n):
+        np.add(m[:, : 1 << k], [[w1[k]], [w2[k]]], out=m[:, 1 << k: 2 << k])
     pow2 = 1 << np.arange(n, dtype=np.int64)
     enl = np.zeros(2**n, dtype=np.int64)  # bitmask of each union's eps-enlargement
 

@@ -421,14 +421,24 @@ print("scipy modules:", sorted(m for m in sys.modules if m.split(".")[0] == "sci
 """
 
 
+def _src_env() -> dict:
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 class TestStartup:
     def test_import_loads_no_scipy(self, tmp_path):
         # every module, both Bessel laws, a one-pair target and a command run with scipy unimportable
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
         out = tmp_path / "witness.csv"
-        proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, str(out)], env=env, capture_output=True,
+        proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, str(out)], env=_src_env(), capture_output=True,
                               text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "scipy modules: []"
         assert out.read_text().startswith("n,")
+
+    def test_cli_import_loads_no_numpy_polynomial(self):
+        # the Gauss-Legendre nodes are imported where they are used, not at start-up
+        code = "import sys, measura.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

@@ -16,11 +16,11 @@ from measura.excursion import (
     excursion_metric,
     kappa,
     levy_hitting_density,
-    levy_survival,
     sample_killed_bm,
     smoothed_bump,
     smoothed_cutoff,
     step_indicator,
+    target_oracle,
     target_rhs,
 )
 
@@ -394,7 +394,7 @@ class TestLockstepSimulator:
         for i, t in enumerate((0.05, 0.2, 0.5, 1.0)):
             F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
             mean, se = empirical_lhs(F, eps, 20_000, dt, horizon=t + 0.05, seed=(31, i))
-            exact = float(levy_survival(eps, t)) / eps
+            exact = math.erf(eps / math.sqrt(2.0 * t)) / eps
             assert abs(mean - exact) < 3.0 * se
 
     def test_working_memory_bounded_by_cell_cap(self):
@@ -426,43 +426,36 @@ class TestTargetRhs:
             val, _ = quad(lambda r: float(levy_hitting_density(alpha, r)), 0.0, np.inf, limit=200)
             assert val == pytest.approx(1.0, abs=1e-3)
 
-    def test_levy_survival_closed_form(self):
-        for alpha, rc in ((0.5, 1.0), (2.0, 0.3)):
-            tail, _ = quad(lambda r: float(levy_hitting_density(alpha, r)), rc, np.inf, limit=200)
-            assert tail == pytest.approx(float(levy_survival(alpha, rc)), abs=1e-6)
+    @staticmethod
+    def _quad_hitting(h, h_tail, s_max, kinks, t, a):
+        # E h(t + T_a) with T_a = a^2/Z^2 (reflection principle), adaptive in z
+        # up to 12: below a / sqrt(s_max - t) the hit lands where h = h_tail
+        lo = a / math.sqrt(s_max - t) if t < s_max else math.inf
+        if lo >= 12.0:
+            return h_tail
+        points = sorted(p for p in [a, 3 * a, 10 * a] + [a / math.sqrt(k - t) for k in kinks if k > t] if p > lo)
+        integrand = lambda z: (float(h(t + a * a / (z * z))) - h_tail) * math.sqrt(2.0 / math.pi) * math.exp(
+            -z * z / 2.0)
+        val, _ = quad(integrand, lo, 12.0, points=points, limit=500, epsabs=1e-13, epsrel=1e-12)
+        return h_tail + val
 
-    def test_levy_survival_matches_scipy_erf(self):
-        from scipy.special import erf
-
-        alpha = np.array([[0.0, 1e-3, 0.02, 0.5], [1.0, 2.5, 7.0, 40.0]])
-        for rc in (1e-3, 1.0, 8.0):
-            got = levy_survival(alpha, rc)
-            assert got.dtype == np.float64 and got.shape == alpha.shape
-            np.testing.assert_allclose(got, erf(alpha / np.sqrt(2.0 * rc)), rtol=0.0, atol=1e-15)
-        scalar = levy_survival(0.7, 2.0)
-        assert np.ndim(scalar) == 0
-        assert abs(float(scalar) - erf(0.35)) <= 1e-15
-
-    def test_hitting_integrals_match_per_step_trapezoid(self):
+    @pytest.mark.parametrize("h, s_max, kinks", [
+        (smoothed_cutoff(1.0, 1.0), 2.0, (1.0, 2.0)),
+        (step_indicator(0.5, width=1.0), 1.5, (0.5, 1.5)),
+    ], ids=["criterion-09-cutoff", "smoothed-step"])
+    def test_hitting_kernel_matches_quad(self, h, s_max, kinks):
+        # small levels put the spike of l^a at s ~ a^2/3, far below any
+        # uniform r grid; t = 0.999 sits just below the kink of h at 1
         from measura.excursion import _hitting_kernel
 
-        h = step_indicator(0.5, width=1.0)
-        h_tail = float(h(2.0))
-        times = np.arange(6) * 0.1
-        rho = np.random.default_rng(4).uniform(0.0, 2.0, (5, times.size))
-        rho[1] = 0.0
-        rho[3, 2] = 0.0
-        rho[0, 0] = 1e-3
-        for r in (np.linspace(0.0, 8.0, 200), np.geomspace(1e-3, 6.0, 90)):
-            hit = _hitting_kernel(h, h_tail, r, rho.shape[0])
-            H = np.column_stack([hit(t, rho[:, j]) for j, t in enumerate(times)])
-            naive = np.array([
-                [np.trapezoid(levy_hitting_density(a, r) * h(t + r), r) + h_tail * levy_survival(a, r[-1])
-                 for t, a in zip(times, row)]
-                for row in rho
-            ])
-            np.testing.assert_allclose(H, naive, rtol=1e-13, atol=0.0)
-            assert np.all(H[1] == 0.0) and H[3, 2] == 0.0
+        h_tail = float(h(s_max + 1.0))
+        hit = _hitting_kernel(h, h_tail, s_max)
+        levels = np.array([1e-5, 1e-3, 0.02, 0.05, 0.2, 0.5, 1.0, 3.0])
+        for t in (0.0, 0.3, 0.5, 0.999, 1.0, 1.2, 1.49, 1.8, 2.5):
+            exact = [self._quad_hitting(h, h_tail, s_max, kinks, t, a) for a in levels]
+            np.testing.assert_allclose(hit(t, levels), exact, rtol=0.0, atol=1e-6)
+            # rho = 0: the a -> 0 limit, a hit at s = 0, is h(t)
+            np.testing.assert_allclose(hit(t, np.zeros(3)), float(h(t)), rtol=0.0, atol=1e-6)
 
     def test_pair_free_functional_rejected(self):
         # the pair-free integral ∫ h kappa has no Bessel expectation to estimate
@@ -470,7 +463,8 @@ class TestTargetRhs:
         with pytest.raises(ValueError, match="at least one window pair"):
             target_rhs(F, n_bessel=10, dt=0.01, r_grid=np.linspace(0.0, 5.0, 10), seed=0)
 
-    def test_one_pair_constant_h_matches_bessel_moment(self):
+    @staticmethod
+    def _constant_h_target():
         # with h = 1 the r-integral is exactly 1, so the target reduces to
         # int f(t) E[g(rho_t)/rho_t] dt with rho_t = sqrt(t) * |N(0, I_3)|
         f = smoothed_bump(0.5, 1.5, 0.1)
@@ -480,7 +474,6 @@ class TestTargetRhs:
             h_constant_after=0.0,
             pairs=((f, 1.5, g),),
         )
-        val, se = target_rhs(F, n_bessel=40_000, dt=0.01, r_grid=np.linspace(0, 8, 200), seed=3)
 
         def chi3_moment(t):
             # E[min(R, 1)/R] for R = sqrt(t)|Z|, Z three-dimensional standard normal
@@ -491,17 +484,50 @@ class TestTargetRhs:
             return a + b
 
         expected, _ = quad(lambda t: f(t) * chi3_moment(t), 0.5, 1.5, limit=200)
+        return F, expected
+
+    def test_one_pair_constant_h_matches_bessel_moment(self):
+        F, expected = self._constant_h_target()
+        val, se = target_rhs(F, n_bessel=40_000, dt=0.01, r_grid=np.linspace(0, 8, 200), seed=3)
         assert abs(val - expected) < max(3.0 * se, 2e-3)
 
+    def test_oracle_with_constant_h_matches_bessel_moment(self):
+        # the oracle's t-rule is the trapezoid at dt = 0.01 on a C^1 window
+        F, expected = self._constant_h_target()
+        assert target_oracle(F, dt=0.01) == pytest.approx(expected, abs=1e-6)
+
+    def test_target_rhs_matches_the_oracle_at_criterion_09_inputs(self):
+        # criterion 09's target, paths, step and seed: the Monte Carlo mean
+        # lies within 3 of its own standard errors of its deterministic value
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                                pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, g),))
+        val, se = target_rhs(F, n_bessel=30_000, dt=5e-3, r_grid=np.linspace(0.0, 8.0, 200), seed=910)
+        oracle = target_oracle(F, dt=5e-3)
+        assert abs(val - oracle) <= 3.0 * se
+        # the killed-Brownian value at eps > 0 tends to the Bessel limit
+        assert abs(target_oracle(F, dt=5e-3, eps=1e-3) - oracle) <= 1e-6
+
+    def test_oracle_takes_one_pair(self):
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        pair = (smoothed_bump(0.2, 0.8, 0.1), 0.8, g)
+        for pairs in ((), (pair, pair)):
+            F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0, pairs=pairs)
+            with pytest.raises(ValueError, match="one window pair"):
+                target_oracle(F, dt=0.02)
+
     @staticmethod
-    def _naive_two_pair_mesh(F, n_bessel, dt, r_grid, seed):
+    def _naive_two_pair_mesh(F, n_bessel, dt, seed):
         """Mean over paths of the explicit double sum over time-index pairs (j1, j2).
 
         Each window has its own trapezoid weights: dt inside, dt / 2 at 0 and
-        at its last step, 0 past it.  rho takes the same per-step draws as
+        at its last step, 0 past it.  H(t, rho_t) comes from the hitting kernel
+        at every step.  rho takes the same per-step draws as
         target_rhs: the norm of a 3-d Brownian motion from 0 stepped along the
         time grid.
         """
+        from measura.excursion import _hitting_kernel
+
         t_max = max(t_end for _, t_end, _ in F.pairs)
         rng = np.random.default_rng(seed)
         times = np.arange(int(math.ceil(t_max / dt)) + 1) * dt
@@ -510,11 +536,8 @@ class TestTargetRhs:
         for j in range(1, times.size):
             pos += rng.standard_normal((n_bessel, 3)) * math.sqrt(times[j] - times[j - 1])
             rho[:, j] = np.linalg.norm(pos, axis=1)
-        hv = np.column_stack([
-            np.trapezoid(F.h(t + r_grid) * levy_hitting_density(a[:, None], r_grid), r_grid, axis=1)
-            + F.h_tail_value * levy_survival(a, r_grid[-1])
-            for t, a in zip(times, rho.T)
-        ])
+        hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
+        hv = np.column_stack([hit(t, a) for t, a in zip(times, rho.T)])
         q = np.where(rho > 0, hv / np.where(rho > 0, rho, 1.0), 0.0)
         a = []
         for f, t_end, g in F.pairs:
@@ -533,7 +556,7 @@ class TestTargetRhs:
         F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0, pairs=pairs)
         r_grid = np.linspace(0, 6, 120)
         val, se = target_rhs(F, n_bessel=400, dt=0.02, r_grid=r_grid, seed=7)
-        assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, r_grid, 7), rel=1e-10)
+        assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, 7), rel=1e-10)
 
     def test_step_windows_match_naive_mesh(self):
         # f = 1 up to the window end: the last step of the shorter window has
@@ -544,7 +567,7 @@ class TestTargetRhs:
                                 pairs=((one, 0.5, g), (one, 1.0, g)))
         r_grid = np.linspace(0, 6, 120)
         val, se = target_rhs(F, n_bessel=400, dt=0.02, r_grid=r_grid, seed=7)
-        assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, r_grid, 7), rel=1e-10)
+        assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, 7), rel=1e-10)
 
     def test_fewer_than_two_bessel_paths_rejected(self):
         g = lambda x: np.minimum(np.asarray(x, float), 1.0)
@@ -555,8 +578,9 @@ class TestTargetRhs:
                 target_rhs(F, n_bessel=n, dt=0.02, r_grid=np.linspace(0, 6, 120), seed=0)
 
     def test_working_memory_does_not_grow_with_time_steps(self):
-        # 2000 paths x 301 time steps: the hitting kernel's (paths x grid)
-        # buffer is the largest array; nothing of size (paths x times) is kept
+        # 2000 paths x 301 time steps: the hitting kernel's (levels x nodes)
+        # table, 2.2 MB, is the largest array; nothing of size (paths x times)
+        # is kept.  The bound is that of the (paths x grid) buffer it replaced
         import tracemalloc
 
         g = lambda x: np.minimum(np.asarray(x, float), 1.0)

@@ -176,6 +176,14 @@ class TestProhorov:
             assert dab >= 0.0
 
 
+    def test_oracle_identity_is_exactly_zero(self):
+        # subset masses summed in one atom order: a union never outweighs its
+        # enlargement at eps = 0, so d(nu, nu) is 0, not a bisection residue
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            nu = random_measure(rng, max_atoms=7)
+            assert prohorov_distance_bruteforce(nu, nu) == 0.0
+
     def test_oracle_equals_the_per_eps_matmul_form(self):
         # seeded instances of 0-14 atoms, on R and R^2-sup, with lattice ties
         # on a quarter of them; the larger sizes are rarer to bound the run time
@@ -195,11 +203,13 @@ class TestProhorov:
                                                          for _ in range(m)]) for m in (k, n - k))
             got = prohorov_distance_bruteforce(nu1, nu2)
             assert got.hex() == float(_reference_bruteforce(nu1, nu2)).hex(), (it, n)
-        for n in range(1, 7):  # equal measures, where eps = 0 can be feasible, also with one atom split in two
+        for n in range(1, 7):  # equal measures, also with one atom split in two: exactly 0, which the
+            # reference misses by up to its bisection width when its matmul sums the masses in another order
             nu = measure(*[(float(rng.uniform(-2, 2)), float(rng.uniform(0.05, 2.0))) for _ in range(n)])
             (p, w), *rest = nu.atoms
             for other in (nu, measure((p, w / 2), (p, w / 2), *rest)):
-                assert prohorov_distance_bruteforce(nu, other) == _reference_bruteforce(nu, other)
+                assert prohorov_distance_bruteforce(nu, other) == 0.0
+                assert prohorov_distance_bruteforce(other, nu) == 0.0
         empty = AtomicMeasure.empty(SPACE)
         for other in (empty, measure((0.5, 1.2)), measure((0.0, 0.3), (1.0, 0.4))):
             assert prohorov_distance_bruteforce(empty, other) == _reference_bruteforce(empty, other)
