@@ -53,12 +53,6 @@ class FunctionFamily:
     members: tuple[TestFunction, ...]
     space: MetricStructure
 
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 def check_separates_points(
     fam: FunctionFamily,

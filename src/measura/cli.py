@@ -118,7 +118,6 @@ class ExperimentResult:
     rows: list[dict]
     verdicts: dict[str, bool]
     wall_clock_s: float
-    version: str = __version__
 
     @property
     def passed(self) -> bool:
@@ -172,7 +171,7 @@ def random_measure_claim(law: RandomMeasureLaw, identity_samples, schedule: Sequ
     for phi_v, psi_v, weights in identity_samples:
         nu = AtomicMeasure.from_atoms(ground, list(zip(labels, weights)))
         fam = f_phi_family(labels, [lambda e, v=v: v[labels.index(e)] for v in (phi_v, psi_v, phi_v + psi_v)])
-        fp, fq, fpq = (m(nu).real for m in fam)
+        fp, fq, fpq = (m(nu).real for m in fam.members)
         worst_identity = max(worst_identity, abs(fp * fq - (fp + fq - fpq)))
     b_hat = recover_b_measure(lambda f: laplace_functional(law, f), labels, schedule)
     recovered = {**dict.fromkeys(labels, 0.0), **dict(b_hat.atoms)}
@@ -303,7 +302,7 @@ COMMAND_TABLE = {
         "Max-flow Prokhorov distance between small atomic measures against subset-enumeration brute force."),
 }
 COMMANDS = tuple(COMMAND_TABLE)
-STOCHASTIC_COMMANDS = ("excursion", "prohorov-oracle")
+STOCHASTIC_COMMANDS = tuple(c for c, cmd in COMMAND_TABLE.items() if "seed" in cmd.reads)
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -350,7 +349,7 @@ def emit(result: ExperimentResult, fmt: str, path: str) -> str:
             "config": result.config,
             "rows": result.rows,
             "verdicts": result.verdicts,
-            "meta": {"version": result.version},
+            "meta": {"version": __version__},
         }
         payload = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     else:
@@ -400,7 +399,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     path = emit(result, config.format, config.out_path)
     for name, ok in result.verdicts.items():
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
-    print(f"wrote {path} ({len(result.rows)} rows, {result.wall_clock_s:.2f}s, v{result.version})")
+    print(f"wrote {path} ({len(result.rows)} rows, {result.wall_clock_s:.2f}s, v{__version__})")
     return 0 if result.passed else 1
 
 

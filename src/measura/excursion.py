@@ -215,7 +215,8 @@ class ExcursionFunctional:
     ``h`` must be constant on [h_constant_after, inf); each pair is
     (f, f_support_end, g) with f supported in [0, f_support_end] and g(0) = 0
     (so the window integrand dies with the path).  f, g, h must accept numpy
-    arrays.
+    arrays.  h may step hard at h_constant_after, but ``target_rhs`` is
+    accurate only for h smooth on 0.03-wide panels (see ``_hitting_kernel``).
     """
 
     h: Callable
@@ -362,7 +363,9 @@ def _hitting_kernel(h: Callable, h_tail: float, s_max: float) -> Callable:
     5.5 sqrt(s_max); a 4-point Lagrange interpolation in log a reads off the
     levels asked for, clamped into that range (below it H is within O(a) of
     h(t); above it l^a has mass under 4e-8 on (0, s_max]).  The error stays
-    below 1e-6 for h smooth on the panel width.
+    below 1e-6 for h smooth on the panel width.  A hard step is not resolved:
+    for h = 1_{r > 1} against erf(a / sqrt(2 (1 - t))) on levels 1e-4 to 5,
+    the error reaches 3.0e-4, 1.6e-3 and 6.9e-3 at t = 0.5, 0.77 and 0.9.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -407,10 +410,11 @@ def target_rhs(
     n_bessel >= 2 paths of a 3-d Bessel process from 0 are stepped exactly
     (as the norm of a 3-d Brownian motion) along the f-support grid, and the
     r-integral against the hitting density comes from ``_hitting_kernel``,
-    untruncated; ``r_grid`` is checked but unused.  Each pair's t-integral
-    uses the window rule of ``empirical_lhs`` and ``eval_functional``, the
-    trapezoid rule on the steps inside that pair's window
-    (``_window_weights``), so the last step of a window has half weight.
+    untruncated, so h must be smooth on its 0.03-wide panels (a hard step in
+    h leaves H off by up to 7e-3); ``r_grid`` is checked but unused.  Each
+    pair's t-integral uses the window rule of ``empirical_lhs`` and
+    ``eval_functional``, the trapezoid rule on the steps inside that pair's
+    window (``_window_weights``), so the last step of a window has half weight.
     The t-quadrature runs over all orderings of the pairs' time indices
     through the max-index decomposition, carried as running prefix sums, so
     any number of pairs costs O(grid) per path and the working memory,
@@ -469,11 +473,6 @@ _BESSEL_BINS = 24  # equal-width histogram bins on [0, x + 4.5 sqrt(t)]
 
 @dataclass(frozen=True)
 class BesselCheckReport:
-    t: float
-    x: float
-    bin_edges: np.ndarray
-    empirical: np.ndarray
-    exact: np.ndarray
     sup_deviation: float
     se_max: float
 
@@ -521,15 +520,7 @@ def bessel_semigroup_check(t: float, x: float, n_samples: int, seed) -> BesselCh
     empirical = counts / n_samples
     exact = np.diff(_bessel_cdf(edges, t, x))
     se = np.sqrt(np.clip(exact * (1.0 - exact), 0.0, None) / n_samples)
-    return BesselCheckReport(
-        t=t,
-        x=x,
-        bin_edges=edges,
-        empirical=empirical,
-        exact=exact,
-        sup_deviation=float(np.max(np.abs(empirical - exact))),
-        se_max=float(se.max()),
-    )
+    return BesselCheckReport(sup_deviation=float(np.max(np.abs(empirical - exact))), se_max=float(se.max()))
 
 
 _ORACLE_PANELS = 100  # Gauss-Legendre panels of 8 nodes in y on [0, eps + 10 sqrt(t)]

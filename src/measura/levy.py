@@ -3,9 +3,9 @@
 The characteristic exponent of an infinitely divisible law is evaluated from
 its triple (drift b, covariance C, jump measure mu); the recovery routines run
 the inverse direction under one limit rule: along an increasing schedule of
-arguments m, the raw estimates are fitted with a + c * m^-p on the full
-schedule and on its tail half, and the tail fit is the limit once the two
-agree (``_schedule_limit``).  ``recover_C`` uses p = 2, ``recover_b`` and
+at least 3 arguments m, the raw estimates are fitted with a + c * m^-p on the
+full schedule and on its tail half, and the tail fit is the limit once the
+two agree (``_schedule_limit``).  ``recover_C`` uses p = 2, ``recover_b`` and
 ``recover_b_measure`` use p = 1.
 
 Drift recovery caveat: the limit -(i/m)(Psi(m e_k) + m^2 C_kk / 2) converges
@@ -104,14 +104,12 @@ def default_m_schedule(m_max: float = 1e3, points: int = 8) -> np.ndarray:
 
 
 def _extrapolate(ms: np.ndarray, vals: np.ndarray, power: float) -> float:
-    """Fit of vals ~ a + c * m^-power; returns a.
+    """Fit of vals ~ a + c * m^-power on at least two points; returns a.
 
     Two points give plain Richardson extrapolation, computed in closed form;
     more points are a least-squares fit, which damps oscillatory error terms
     that a two-point rule would amplify.
     """
-    if len(ms) == 1:
-        return float(vals[0])
     if len(ms) == 2:
         w1, w2 = ms**power
         return float((w2 * vals[1] - w1 * vals[0]) / (w2 - w1))
@@ -127,11 +125,12 @@ def _schedule_limit(
 
     The raw estimates are fitted with a + c * m^-power on the full schedule
     and on its tail half; the tail fit is returned once the two agree within
-    ``tol``, and NonConvergenceError reports both fits otherwise.
+    ``tol``, and NonConvergenceError reports both fits otherwise.  The
+    schedule needs at least 3 entries, so that both fits extrapolate.
     """
     ms = np.asarray(m_schedule, dtype=float)
-    if ms.size < 2 or np.any(np.diff(ms) <= 0):
-        raise ValueError("m_schedule must be increasing with at least 2 entries")
+    if ms.size < 3 or np.any(np.diff(ms) <= 0):
+        raise ValueError("m_schedule must be increasing with at least 3 entries")
     vals = np.array([estimate(m) for m in ms], dtype=float)
     full = _extrapolate(ms, vals, power)
     tail = _extrapolate(ms[len(ms) // 2 :], vals[len(ms) // 2 :], power)

@@ -7,8 +7,9 @@ atoms, and Strassen's theorem (Ann. Math. Statist. 36, 1965) turns the worst
 such set at a threshold t into a bipartite max-flow problem:
 ``sup_A nu1(A) - nu2(A^t) = nu1(E) - F(t)``, where ``F(t)`` is the max flow
 from the atoms of nu1 (capacities their weights) to the atoms of nu2 along
-the pairs at distance at most t.  The maximising set is read off a minimum
-cut.  A deliberately independent brute-force implementation,
+the pairs at distance at most t.  One minimum cut gives the maximising set
+in both directions: the atoms of nu1 on its source side, and the atoms of nu2
+on its sink side.  A deliberately independent brute-force implementation,
 :func:`prohorov_distance_bruteforce`, enumerates the unions of atoms and is
 kept as the reference oracle for small measures.
 """
@@ -66,7 +67,6 @@ class ConvergenceReport:
     """Per-function integral gaps |∫f dμ_n - ∫f dμ| and a tolerance verdict."""
 
     member_gaps: tuple[tuple[str, tuple[float, ...]], ...]
-    tol: float
     converged: bool
 
 
@@ -87,29 +87,29 @@ def _require_same_space(first: MetricStructure, *others: MetricStructure) -> Met
     return first
 
 
-def _residual_search(rem_a, adj_a, flow_b, rem_b):
-    """Breadth-first search of the residual flow graph from one side's unsaturated atoms.
+def _residual_search(rem1, adj1, inn, rem2):
+    """Breadth-first search of the residual flow graph from the unsaturated atoms of nu1.
 
-    From an atom a of the starting side every neighbour b in ``adj_a[a]`` is
-    reachable (uncapacitated edge); from b, every atom a' that sends b positive
-    flow (``flow_b[b]``).  Returns the parent maps of the reached atoms of both
-    sides (-1 marks a start) and the first reached b with ``rem_b[b] > 0``,
+    From an atom i of nu1 every neighbour j in ``adj1[i]`` is reachable
+    (uncapacitated edge); from j, every atom i' that sends j positive flow
+    (``inn[j]``).  Returns the parent maps of the reached atoms of both
+    measures (-1 marks a start) and the first reached j with ``rem2[j] > 0``,
     the end of an augmenting path, or -1 when there is none.
     """
-    pa = {a: -1 for a, r in enumerate(rem_a) if r > 0.0}
-    pb = {}
-    queue = list(pa)
-    for a in queue:
-        for b in adj_a[a]:
-            if b not in pb:
-                pb[b] = a
-                if rem_b[b] > 0.0:
-                    return pa, pb, b
-                for a2 in flow_b[b]:
-                    if a2 not in pa:
-                        pa[a2] = b
-                        queue.append(a2)
-    return pa, pb, -1
+    p1 = {i: -1 for i, r in enumerate(rem1) if r > 0.0}
+    p2 = {}
+    queue = list(p1)
+    for i in queue:
+        for j in adj1[i]:
+            if j not in p2:
+                p2[j] = i
+                if rem2[j] > 0.0:
+                    return p1, p2, j
+                for i2 in inn[j]:
+                    if i2 not in p1:
+                        p1[i2] = j
+                        queue.append(i2)
+    return p1, p2, -1
 
 
 def _strassen_defect(w1: list[float], w2: list[float], near: np.ndarray) -> float:
@@ -118,15 +118,16 @@ def _strassen_defect(w1: list[float], w2: list[float], near: np.ndarray) -> floa
     ``near[i, j]`` says whether atom i of nu1 and atom j of nu2 lie within t.
     Edmonds-Karp max flow from source -> i (capacity w1[i]) -> j -> sink
     (capacity w2[j]), with uncapacitated edges i -> j where near[i, j],
-    started from a greedy flow along those edges.  The defect is read off the
-    minimum cuts instead of as total mass minus flow: the nu1 atoms reachable
-    from the source form the worst A (its enlargement is the reached nu2
-    atoms), the nu2 atoms that reach the sink form the worst set the other way
-    round, and both mass differences are single fsums, so equal measures give
-    exactly 0.
+    started from a greedy flow along those edges.  Both defects are read off
+    the minimum cut of the last residual search instead of as total mass
+    minus flow.  A, the nu1 atoms it reaches, is the worst set one way, and
+    its enlargement is N, the nu2 atoms it reaches.  The nu2 atoms outside N
+    are the worst set the other way round: their neighbours all lie outside
+    A, and N is saturated and fed from A only, so the flow is nu2(N) plus
+    the nu1 mass outside A.  Each mass difference is one fsum, so equal
+    measures give exactly 0.
     """
     adj1 = [np.flatnonzero(row).tolist() for row in near]
-    adj2 = [np.flatnonzero(col).tolist() for col in near.T]
     rem1, rem2 = list(w1), list(w2)
     out = [{} for _ in w1]  # out[i][j] = flow on i -> j, only where positive
     inn = [{} for _ in w2]  # inn[j][i] = the same flow, indexed from j
@@ -163,11 +164,10 @@ def _strassen_defect(w1: list[float], w2: list[float], near: np.ndarray) -> floa
             else:
                 del out[i][jb], inn[jb][i]
             j = jb
-    q2, q1, _ = _residual_search(rem2, adj2, out, rem1)
     return max(
         0.0,
         math.fsum([w1[i] for i in p1] + [-w2[j] for j in p2]),
-        math.fsum([w2[j] for j in q2] + [-w1[i] for i in q1]),
+        math.fsum([w for j, w in enumerate(w2) if j not in p2] + [-w for i, w in enumerate(w1) if i not in p1]),
     )
 
 
@@ -294,4 +294,4 @@ def weak_sharp_report(
         ref = integrate(limit, f)
         gaps.append((f.id, tuple(abs(integrate(mu, f) - ref) for mu in seq)))
     converged = bool(seq) and all(g[-1] < tol for _, g in gaps)
-    return ConvergenceReport(tuple(gaps), tol, converged)
+    return ConvergenceReport(tuple(gaps), converged)

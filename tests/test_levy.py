@@ -8,6 +8,7 @@ from measura.algebra import NonConvergenceError
 from measura.levy import (
     LevyTriple,
     RandomMeasureLaw,
+    _schedule_limit,
     default_m_schedule,
     f_phi_family,
     f_u,
@@ -91,14 +92,14 @@ class TestRecovery:
         assert abs(C_hat[0, 0] - 1.0) < 1e-2
 
     def test_zero_exponent(self):
-        C_hat = recover_C(lambda u: 0.0j, 2, [10.0, 100.0])
+        C_hat = recover_C(lambda u: 0.0j, 2, [10.0, 100.0, 1000.0])
         assert np.all(C_hat == 0.0)
-        b_hat = recover_b(lambda u: 0.0j, np.zeros((2, 2)), 2, [10.0, 100.0])
+        b_hat = recover_b(lambda u: 0.0j, np.zeros((2, 2)), 2, [10.0, 100.0, 1000.0])
         assert np.all(b_hat == 0.0)
 
     def test_pure_drift(self):
         psi = lambda u: 1j * 3.0 * complex(u[0])
-        b = recover_b(psi, np.zeros((1, 1)), 1, [10.0, 100.0])
+        b = recover_b(psi, np.zeros((1, 1)), 1, [10.0, 100.0, 1000.0])
         assert b[0] == pytest.approx(3.0, abs=1e-10)
 
     def test_drift_with_gaussian_cancellation(self):
@@ -137,6 +138,15 @@ class TestRecovery:
         with pytest.raises(ValueError, match="increasing"):
             recover_C(lambda u: 0.0j, 1, [100.0])
 
+    def test_two_entry_schedule_raises(self):
+        # its tail half would be one raw estimate, returned as the limit unextrapolated
+        with pytest.raises(ValueError, match="at least 3 entries"):
+            recover_C(lambda u: 0.0j, 1, [10.0, 100.0])
+
+    def test_three_entry_schedule_extrapolates(self):
+        limit = _schedule_limit([10.0, 100.0, 1000.0], lambda m: 1.0 + 3.0 / m, 1.0, 5e-2, "1 + 3/m")
+        assert limit == pytest.approx(1.0, abs=1e-12)
+
 
 class TestPlaneWaveFamilies:
     def test_zero_pair_gives_zero_function(self):
@@ -154,7 +164,7 @@ class TestPlaneWaveFamilies:
             pairs = [tuple(rng.uniform(-2, 2, (2, d))) for _ in range(20)]
             fam = levy_family(d, pairs)
             for x in rng.uniform(-5, 5, (50, d)):
-                for (u, v), member in zip(pairs, fam):
+                for (u, v), member in zip(pairs, fam.members):
                     inline = (np.exp(1j * float(u @ x)) - 1.0) * (np.exp(1j * float(v @ x)) - 1.0)
                     assert member(x) == complex(inline)
 

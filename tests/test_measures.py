@@ -6,6 +6,7 @@ import pytest
 from measura.algebra import FunctionFamily, TestFunction
 from measura.measures import (
     AtomicMeasure,
+    _strassen_defect,
     integrate,
     mf_measure_metric,
     prohorov_distance,
@@ -164,6 +165,22 @@ class TestProhorov:
             worst = max(worst, abs(prohorov_distance(nu1, nu2) - prohorov_distance_bruteforce(nu1, nu2)))
         assert worst < 1e-4
 
+    def test_each_probe_matches_subset_enumeration(self):
+        # one max flow per threshold against every Hall deficiency of both sides; with
+        # 0.1 k weights a true defect of about 3e-17 can read as 0, hence 1e-15
+        rng = np.random.default_rng(23)
+        for it in range(300):
+            n1, n2 = (int(k) for k in rng.integers(1, 8, 2))
+            if it % 3 == 2:  # lattice weights
+                w1, w2 = ((0.1 * rng.integers(1, 11, n)).tolist() for n in (n1, n2))
+            else:
+                w1, w2 = (rng.uniform(0.05, 2.0, n).tolist() for n in (n1, n2))
+            near = rng.random((n1, n2)) < rng.uniform(0.1, 0.9)
+            if it % 5 == 4:  # equal measures: every atom is near itself
+                n2, w2 = n1, list(w1)
+                near = (rng.random((n1, n1)) < rng.uniform(0.0, 0.5)) | np.eye(n1, dtype=bool)
+            assert _strassen_defect(w1, w2, near) == pytest.approx(_hall_defect(w1, w2, near), abs=1e-15), it
+
     def test_metric_axioms_on_sampled_triples(self):
         rng = np.random.default_rng(11)
         for _ in range(60):
@@ -214,6 +231,17 @@ class TestProhorov:
         for other in (empty, measure((0.5, 1.2)), measure((0.0, 0.3), (1.0, 0.4))):
             assert prohorov_distance_bruteforce(empty, other) == _reference_bruteforce(empty, other)
             assert prohorov_distance_bruteforce(other, empty) == _reference_bruteforce(other, empty)
+
+
+def _hall_defect(w1, w2, near):
+    # max(0, nu1(A) - nu2(N(A)), nu2(B) - nu1(N(B))) over all subsets A and B
+    best = 0.0
+    for w_from, w_to, adj in ((w1, w2, near), (w2, w1, near.T)):
+        for mask in range(1, 2 ** len(w_from)):
+            members = [i for i in range(len(w_from)) if mask >> i & 1]
+            nbrs = np.flatnonzero(adj[members].any(axis=0))
+            best = max(best, math.fsum([w_from[i] for i in members] + [-w_to[j] for j in nbrs]))
+    return best
 
 
 def _reference_bruteforce(nu1, nu2):
