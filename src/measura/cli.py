@@ -384,14 +384,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(**vars(args))
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = ExperimentConfig(**vars(args))
         result = run(config)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -45,13 +45,17 @@ def levy_hitting_density(alpha, r):
     """Density of the first time Brownian motion from alpha > 0 hits 0.
 
     l^alpha(r) = alpha (2 pi r^3)^(-1/2) exp(-alpha^2/(2r)); broadcasts over
-    both arguments and returns 0 at r <= 0.
+    both arguments, returns 0 at r <= 0 and allocates no broadcast-shape
+    array but its result, so ``_hitting_kernel`` builds its table with it.
     """
     alpha = np.asarray(alpha, dtype=float)
     r = np.asarray(r, dtype=float)
     safe = np.where(r > 0.0, r, 1.0)
-    val = alpha * (TWO_PI * safe**3) ** (-0.5) * np.exp(-(alpha**2) / (2.0 * safe))
-    return np.where(r > 0.0, val, 0.0)
+    val = np.asarray(alpha * alpha * (-0.5 / safe))
+    np.exp(val, out=val)
+    val *= alpha
+    val *= np.where(r > 0.0, kappa(safe), 0.0)
+    return val
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,7 @@ class ExcursionPath:
             raise ValueError("grid and values must be matching 1-d arrays")
         if grid[0] != 0.0:
             raise ValueError("grid must start at 0")
-        if np.any(values < 0.0):
+        if not np.all(values >= 0.0):
             raise ValueError("path values must be nonnegative")
         if not self.zeta > 0.0:
             raise ValueError("lifetime must be positive: the zero path is excluded")
@@ -357,15 +361,16 @@ def empirical_lhs(
 def _hitting_kernel(h: Callable, h_tail: float, s_max: float) -> Callable:
     """hit(t, a) = H(t, a) = ∫ h(t + s) l^a(s) ds elementwise in levels a >= 0, for t >= 0, h = h_tail past s_max.
 
-    W[i, k] = l^{a_i}(s_k) w_k, built in place, maps h(t + s) - h_tail on
-    6-point Gauss-Legendre panels (doubling from 2e-16 to 0.06, then at most
-    0.03 wide) to H - h_tail on 400 levels log-spaced from 1e-7 to
-    5.5 sqrt(s_max); a 4-point Lagrange interpolation in log a reads off the
-    levels asked for, clamped into that range (below it H is within O(a) of
-    h(t); above it l^a has mass under 4e-8 on (0, s_max]).  The error stays
-    below 1e-6 for h smooth on the panel width.  A hard step is not resolved:
-    for h = 1_{r > 1} against erf(a / sqrt(2 (1 - t))) on levels 1e-4 to 5,
-    the error reaches 3.0e-4, 1.6e-3 and 6.9e-3 at t = 0.5, 0.77 and 0.9.
+    W[i, k] = l^{a_i}(s_k) w_k, ``levy_hitting_density`` times the weights
+    of 6-point Gauss-Legendre panels (doubling from 2e-16 to 0.06, then at
+    most 0.03 wide), maps h(t + s) - h_tail to H - h_tail on 400 levels
+    log-spaced from 1e-7 to 5.5 sqrt(s_max); a 4-point Lagrange interpolation
+    in log a reads off the levels asked for, clamped into that range (below
+    it H is within O(a) of h(t); above it l^a has mass under 4e-8 on
+    (0, s_max]).  The error stays below 1e-6 for h smooth on the panel width.
+    A hard step is not resolved: for h = 1_{r > 1} against
+    erf(a / sqrt(2 (1 - t))) on levels 1e-4 to 5, the error reaches 3.0e-4,
+    1.6e-3 and 6.9e-3 at t = 0.5, 0.77 and 0.9.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -377,10 +382,8 @@ def _hitting_kernel(h: Callable, h_tail: float, s_max: float) -> Callable:
     s = (edges[:-1, None] + half * (1.0 + x)).ravel()
     log_a = np.linspace(math.log(1e-7), math.log(5.5 * math.sqrt(s_max)), 400)
     a = np.exp(log_a)
-    W = np.empty((a.size, s.size))
-    np.exp(np.multiply.outer(a * a, -0.5 / s, out=W), out=W)
-    W *= a[:, None]
-    W *= kappa(s) * (half * w).ravel()
+    W = levy_hitting_density(a[:, None], s)
+    W *= (half * w).ravel()
 
     def hit(t: float, levels: np.ndarray) -> np.ndarray:
         on_grid = W @ (np.asarray(h(t + s), dtype=float) - h_tail) + h_tail

@@ -47,7 +47,7 @@ class FragmentationSequence:
         for a, b in zip(vals, vals[1:]):
             if b > a:
                 raise ValueError("sequence must be nonincreasing")
-        if vals and (vals[-1] <= 0.0 or vals[0] > 1.0 + MASS_TOL):
+        if not all(0.0 < v <= 1.0 + MASS_TOL for v in vals):
             raise ValueError("entries must lie in (0, 1]")
         if self.mass > 1.0 + MASS_TOL:
             raise ValueError("total mass must not exceed 1")
@@ -139,15 +139,10 @@ def topology_equivalence_check_s1(
 
 
 def block_uniform_state(n: int) -> FragmentationSequence:
-    """The discontinuity witness: n blocks of mass 1/n, with the leading block
-    nudged by at most a few ulps so the float masses sum to exactly 1."""
+    """The discontinuity witness: n blocks of mass 1/n, the leading block
+    nudged once by the residual 1 - fsum so the float masses sum to exactly 1
+    (for n up to 5000 that residual is never negative, so the state stays
+    nonincreasing; a broken order would fail FragmentationSequence's check)."""
     vals = [1.0 / n] * n
-    for _ in range(8):
-        residual = 1.0 - math.fsum(vals)
-        if residual == 0.0:
-            break
-        if residual > 0.0:
-            vals[0] += residual
-        else:
-            vals[-1] += residual
+    vals[0] += 1.0 - math.fsum(vals)
     return FragmentationSequence(tuple(vals))

@@ -262,7 +262,7 @@ def laplace_functional(law: RandomMeasureLaw, phi: Callable) -> float:
     for e in law.ground_set:
         if phi(e) < 0.0:
             raise ValueError(f"negative phi value at {e!r}")
-    linear = integrate(law.b, phi).real if len(law.b) else 0.0
+    linear = integrate(law.b, phi).real
     jump = 0.0
     for nu, w in law.mu.atoms:
         jump += w * (1.0 - math.exp(-integrate(nu, phi).real))

@@ -118,19 +118,19 @@ def _strassen_defect(w1: list[float], w2: list[float], near: np.ndarray) -> floa
     ``near[i, j]`` says whether atom i of nu1 and atom j of nu2 lie within t.
     Edmonds-Karp max flow from source -> i (capacity w1[i]) -> j -> sink
     (capacity w2[j]), with uncapacitated edges i -> j where near[i, j],
-    started from a greedy flow along those edges.  Both defects are read off
-    the minimum cut of the last residual search instead of as total mass
-    minus flow.  A, the nu1 atoms it reaches, is the worst set one way, and
-    its enlargement is N, the nu2 atoms it reaches.  The nu2 atoms outside N
-    are the worst set the other way round: their neighbours all lie outside
-    A, and N is saturated and fed from A only, so the flow is nu2(N) plus
-    the nu1 mass outside A.  Each mass difference is one fsum, so equal
+    started from a greedy flow along those edges and kept once, as
+    ``inn[j][i]``, in the order the residual search reads it.  Both defects
+    are read off the minimum cut of the last residual search instead of as
+    total mass minus flow.  A, the nu1 atoms it reaches, is the worst set one
+    way, and its enlargement is N, the nu2 atoms it reaches.  The nu2 atoms
+    outside N are the worst set the other way round: their neighbours all lie
+    outside A, and N is saturated and fed from A only, so the flow is nu2(N)
+    plus the nu1 mass outside A.  Each mass difference is one fsum, so equal
     measures give exactly 0.
     """
     adj1 = [np.flatnonzero(row).tolist() for row in near]
     rem1, rem2 = list(w1), list(w2)
-    out = [{} for _ in w1]  # out[i][j] = flow on i -> j, only where positive
-    inn = [{} for _ in w2]  # inn[j][i] = the same flow, indexed from j
+    inn = [{} for _ in w2]  # inn[j][i] = flow on i -> j, only where positive
     for i, js in enumerate(adj1):  # greedy start: saves most searches at hundreds of atoms
         for j in js:
             if rem1[i] <= 0.0:
@@ -139,30 +139,27 @@ def _strassen_defect(w1: list[float], w2: list[float], near: np.ndarray) -> floa
                 f = min(rem1[i], rem2[j])
                 rem1[i] -= f
                 rem2[j] -= f
-                out[i][j] = inn[j][i] = f
+                inn[j][i] = f
     while True:
         p1, p2, end = _residual_search(rem1, adj1, inn, rem2)
         if end < 0:
             break
         f, j = rem2[end], end
         while (jb := p1[p2[j]]) >= 0:
-            f = min(f, out[p2[j]][jb])
+            f = min(f, inn[jb][p2[j]])
             j = jb
         f = min(f, rem1[p2[j]])
         rem2[end] -= f
         j = end
         while True:
             i = p2[j]
-            out[i][j] = inn[j][i] = out[i].get(j, 0.0) + f
-            jb = p1[i]
-            if jb < 0:
+            inn[j][i] = inn[j].get(i, 0.0) + f
+            if (jb := p1[i]) < 0:
                 rem1[i] -= f
                 break
-            left = out[i][jb] - f
-            if left > 0.0:
-                out[i][jb] = inn[jb][i] = left
-            else:
-                del out[i][jb], inn[jb][i]
+            inn[jb][i] -= f
+            if not inn[jb][i] > 0.0:
+                del inn[jb][i]
             j = jb
     return max(
         0.0,

@@ -14,7 +14,6 @@ from measura.cli import (
     ExperimentConfig,
     UsageError,
     build_parser,
-    config_from_args,
     emit,
     main,
     run,
@@ -120,7 +119,7 @@ class TestCommandFlags:
 
     @pytest.mark.parametrize("command, field", READ_PAIRS)
     def test_read_flag_is_accepted(self, command, field, tmp_path):
-        config = config_from_args(build_parser().parse_args(_flag_argv(command, field, tmp_path)))
+        config = ExperimentConfig(**vars(build_parser().parse_args(_flag_argv(command, field, tmp_path))))
         config.validate()
         assert getattr(config, field) != getattr(ExperimentConfig, field)
 
@@ -149,7 +148,7 @@ class TestCommandFlags:
         argvs = common.cli_argvs(workload, 7, tmp_path)
         assert argvs
         for _, argv in argvs:
-            config_from_args(build_parser().parse_args(argv)).validate()
+            ExperimentConfig(**vars(build_parser().parse_args(argv))).validate()
 
     def test_help_lists_each_commands_flags(self):
         help_text = build_parser().format_help()
@@ -170,7 +169,7 @@ class TestParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_parsed_defaults_are_config_defaults(self, command):
         args = build_parser().parse_args(["--command", command])
-        assert config_from_args(args) == ExperimentConfig(command=command)
+        assert ExperimentConfig(**vars(args)) == ExperimentConfig(command=command)
 
 
 class TestEmit:

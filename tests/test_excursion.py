@@ -46,6 +46,10 @@ class TestExcursionPath:
         with pytest.raises(ValueError, match="nonnegative"):
             ExcursionPath(np.array([0.0, 0.1]), np.array([1.0, -0.2]), zeta=0.1)
 
+    def test_nan_values_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ExcursionPath(np.array([0.0, 0.1, 0.2]), np.array([0.3, math.nan, 0.0]), zeta=0.2)
+
 
 class TestExcursionMetric:
     def test_identity(self):
@@ -426,6 +430,30 @@ class TestTargetRhs:
         for alpha in (0.2, 1.0, 3.7):
             val, _ = quad(lambda r: float(levy_hitting_density(alpha, r)), 0.0, np.inf, limit=200)
             assert val == pytest.approx(1.0, abs=1e-3)
+
+    def test_levy_density_values_and_shapes(self):
+        scalar = levy_hitting_density(0.7, 0.3)
+        assert scalar.shape == () and math.isfinite(float(scalar))
+        assert np.all(levy_hitting_density(np.array([0.2, 1.0, 3.0])[:, None], [-1.0, 0.0]) == 0.0)
+        alpha = np.geomspace(1e-3, 1.0, 400)[:, None]
+        r = np.geomspace(0.05, 40.0, 678)  # exponents down to -10: no rounding blow-up, no underflow
+        val = levy_hitting_density(alpha, r)
+        assert val.shape == (400, 678)
+        np.testing.assert_allclose(val, alpha * kappa(r) * np.exp(-(alpha**2) / (2.0 * r)), rtol=1e-14)
+
+    def test_levy_density_allocates_only_its_result(self):
+        # _hitting_kernel builds its (levels x nodes) table with this call
+        import tracemalloc
+
+        alpha = np.geomspace(1e-7, 10.0, 400)[:, None]
+        r = np.geomspace(2e-16, 3.0, 678)
+        tracemalloc.start()
+        try:
+            val = levy_hitting_density(alpha, r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * val.nbytes
 
     @staticmethod
     def _quad_hitting(h, h_tail, s_max, kinks, t, a):

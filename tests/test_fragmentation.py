@@ -37,6 +37,13 @@ class TestSequenceValidation:
         assert seq(0.5, 0.5).is_proper
         assert not seq(0.5, 0.25).is_proper
 
+    @pytest.mark.parametrize("vals", [(float("nan"),), (float("nan"), 0.5), (0.5, float("nan"), 0.25),
+                                      (0.5, float("nan"))])
+    def test_nan_entry_rejected(self, vals):
+        # NaN fails every comparison, so it must be caught entry by entry
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            seq(*vals)
+
 
 class TestPhi:
     def test_single_unit_block(self):
@@ -93,8 +100,12 @@ class TestPowerAndExponentialSums:
         assert g_p(seq(0.6, 0.4), 1) == pytest.approx(1.0, abs=1e-15)
 
     def test_block_witness_pinned_at_one(self):
-        for n in (1, 7, 100, 1000):
-            assert g_p(block_uniform_state(n), 1) == 1.0
+        # one residual correction of the leading block suffices for every n
+        for n in range(1, 2001):
+            s = block_uniform_state(n)
+            assert g_p(s, 1) == 1.0
+            assert s.is_proper
+            assert all(a >= b for a, b in zip(s.values, s.values[1:]))
 
     def test_gp_matches_integral_against_embedding(self):
         rng = np.random.default_rng(12)
