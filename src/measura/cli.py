@@ -53,6 +53,7 @@ from .measures import AtomicMeasure, prohorov_distance, prohorov_distance_brutef
 from .metric_core import real_line
 
 FORMATS = ("csv", "json")
+EXCURSION_TIMES = (0.5, 1.0, 2.0)  # the lifetime thresholds t of the excursion claim
 
 
 class UsageError(ValueError):
@@ -96,8 +97,13 @@ class ExperimentConfig:
             raise UsageError("m-max: the sw-approx degree budget must be a whole number, at least 1")
         if self.n_paths < 1:
             raise UsageError("n-paths: must be at least 1")
-        if self.command == "excursion" and self.n_paths < 100:
-            raise UsageError("n-paths: excursion needs at least 100 paths")
+        if self.command == "excursion":
+            if self.n_paths < 100:
+                raise UsageError("n-paths: excursion needs at least 100 paths")
+            # each t a whole number of dt steps, up to the rounding of t / dt
+            steps = [t / self.dt for t in EXCURSION_TIMES]
+            if not all(math.isfinite(s) and round(s) >= 1 and abs(s - round(s)) <= 1e-9 * s for s in steps):
+                raise UsageError(f"dt: each t in {EXCURSION_TIMES} must be a whole number of dt steps")
         if os.path.isdir(self.out_path):
             raise UsageError(f"out: {self.out_path!r} is a directory")
         if not os.path.isdir(os.path.dirname(self.out_path) or "."):
@@ -185,14 +191,14 @@ def random_measure_claim(law: RandomMeasureLaw, identity_samples, schedule: Sequ
 
 
 def excursion_claim(eps: float, n_paths: int, dt: float, seeds: Sequence[int], horizon_margin: float):
-    """(1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) at t = 0.5, 1, 2, seeds[i] for the i-th t.
+    """(1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) at each t of EXCURSION_TIMES, seeds[i] for the i-th t.
 
     h is constant after t, so the paths run to t + horizon_margin; a margin of
     at least dt always reaches past t (a horizon of t can round short of it).
     """
     rows = []
     ok = True
-    for t, seed in zip((0.5, 1.0, 2.0), seeds):
+    for t, seed in zip(EXCURSION_TIMES, seeds):
         F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
         lhs, se = empirical_lhs(F, eps, n_paths, dt, horizon=t + horizon_margin, seed=seed)
         target = math.sqrt(2.0 / (math.pi * t))

@@ -30,6 +30,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .metric_core import _sorted_distinct
+
 TWO_PI = 2.0 * math.pi
 # numpy has no erf: math.erf, applied elementwise, serves _bessel_cdf
 _erf = np.frompyfunc(math.erf, 1, 1)
@@ -60,7 +62,10 @@ def levy_hitting_density(alpha, r):
 
 @dataclass(frozen=True)
 class ExcursionPath:
-    """Nonnegative path on a uniform grid with an explicit lifetime.
+    """Nonnegative path on a grid with an explicit lifetime.
+
+    The grid starts at 0 and is finite and strictly increasing, as
+    ``excursion_metric``'s merged grid and ``np.interp`` need.
 
     ``zeta`` is the first grid time the path is absorbed at 0; censored paths
     (not absorbed before the horizon) carry ``zeta = inf``, and that is what
@@ -81,6 +86,8 @@ class ExcursionPath:
             raise ValueError("grid and values must be matching 1-d arrays")
         if grid[0] != 0.0:
             raise ValueError("grid must start at 0")
+        if not (np.all(grid[1:] > grid[:-1]) and math.isfinite(grid[-1])):
+            raise ValueError("grid must be finite and strictly increasing")
         if not np.all(values >= 0.0):
             raise ValueError("path values must be nonnegative")
         if not self.zeta > 0.0:
@@ -105,29 +112,36 @@ def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
     form, kinks at the crossings of the difference through 0 and +-1
     included, so the grid is never refined.  Plain trapezoid on the merged
     grid can violate the triangle inequality by O(dt); the exact value cannot.
+
+    Grid-end rule: a path is 0 on the open ray past its grid end, so on the
+    one segment that starts at its grid end it starts from 0; segments that
+    start later read 0 from ``np.interp(..., right=0.0)`` already.
+
+    A segment with end differences x0, x1 has mean (F(x1) - F(x0)) / (x1 - x0),
+    or min(|x0|, 1) when x0 == x1, where F(x) = ∫_0^x min(|s|, 1) ds is
+    computed as |c| (x - c/2) with c = x clipped to [-1, 1].  That equals
+    sign(x) x²/2 for |x| <= 1 and sign(x) (|x| - 1/2) beyond bit for bit
+    (x - x/2 is exact, and halving commutes with rounding unless x²/2 is
+    subnormal), and negating both differences leaves the quotient's bits
+    unchanged, so the ends need no ordering.
     """
-    tau = np.concatenate((e1.grid, e2.grid))
-    tau.sort()
-    tau = tau[np.concatenate(([True], tau[1:] != tau[:-1]))]  # the merged grid, as np.union1d gives it
-    left, right = tau[:-1], tau[1:]
-    ends = []
-    for path in (e1, e2):
-        # values at the segment ends, zero on the open interval (end, inf): a
-        # segment whose left end sits at the grid end starts from 0
-        v = np.interp(tau, path.grid, path.values, right=0.0)
-        ends.append((np.where(left >= path.end, 0.0, v[:-1]), v[1:]))
-    (v1l, v1r), (v2l, v2r) = ends
-    lo, hi = v1l - v2l, v1r - v2r
-    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    # mean of min(|x|, 1) for x uniform on [lo, hi], from its antiderivative
-    x = np.concatenate((hi, lo))
-    ax, sx = np.abs(x), np.sign(x)
-    anti = np.where(ax <= 1.0, sx * x * x / 2.0, sx * (ax - 0.5))
-    span = hi - lo
-    flat = span <= 0.0
-    avg = (anti[: span.size] - anti[span.size:]) / np.where(flat, 1.0, span)
-    mean = np.where(flat, np.minimum(np.abs(lo), 1.0), avg)
-    integral = float(np.sum((right - left) * mean))
+    tau = _sorted_distinct(e1.grid, e2.grid)  # the merged grid
+    n = tau.size - 1
+    v1 = np.interp(tau, e1.grid, e1.values, right=0.0)
+    v2 = np.interp(tau, e2.grid, e2.values, right=0.0)
+    d = v1 - v2
+    x = np.concatenate((d[1:], d[:-1]))  # differences at the segments' right ends, then at their left ends
+    k1, k2 = tau.searchsorted((e1.grid[-1], e2.grid[-1]))
+    for k in (k1, k2):
+        if k < n:  # the segment that starts at a grid end
+            x[n + k] = (0.0 if k >= k1 else v1[k]) - (0.0 if k >= k2 else v2[k])
+    c = np.minimum(np.maximum(x, -1.0), 1.0)
+    ac = np.abs(c)
+    anti = ac * (x - c / 2.0)
+    span = x[:n] - x[n:]
+    mean = ac[n:]  # min(|x0|, 1), kept on flat segments
+    np.divide(anti[:n] - anti[n:], span, out=mean, where=span != 0.0)
+    integral = float(np.add.reduce((tau[1:] - tau[:-1]) * mean))
     inv1 = 0.0 if math.isinf(e1.zeta) else 1.0 / e1.zeta
     inv2 = 0.0 if math.isinf(e2.zeta) else 1.0 / e2.zeta
     return min(integral, 1.0) + abs(inv1 - inv2)

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import FunctionFamily
-from .metric_core import MetricStructure, Point
+from .metric_core import MetricStructure, Point, _sorted_distinct
 
 # prohorov_distance_bruteforce enumerates all 2^n unions of the n support atoms
 SUBSET_LIMIT = 14
@@ -181,7 +181,9 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     max(t_k, D_k).  D_k does not increase with k, so "the candidate lies
     below t_{k+1}" is monotone and the first k where it holds, which gives
     the distance, is found by binary search: one max flow per probe, no cap
-    on the atom count.
+    on the atom count.  The thresholds come from ``_sorted_distinct``, not
+    np.unique, whose masked-array check would import numpy.ma on the first
+    call in every process.
     """
     space = _require_same_space(nu1.space, nu2.space)
     if not nu1.atoms and not nu2.atoms:
@@ -189,7 +191,7 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     w1, w2 = [w for _, w in nu1.atoms], [w for _, w in nu2.atoms]
     cross = np.array([[space.dist(p, q) for q, _ in nu2.atoms] for p, _ in nu1.atoms])
     cross = cross.reshape(len(w1), len(w2))
-    t = np.unique(np.append(cross, 0.0)).tolist()
+    t = _sorted_distinct(cross.ravel(), [0.0]).tolist()
 
     def candidate(k: int) -> float:
         return max(t[k], _strassen_defect(w1, w2, cross <= t[k]))

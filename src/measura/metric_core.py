@@ -37,6 +37,19 @@ class MetricStructure:
     label: str
 
 
+def _sorted_distinct(*parts) -> np.ndarray:
+    """Sorted distinct values of the concatenated 1-d float parts, as np.unique gives them.
+
+    Sorts and keeps the first of each run of equal values, which is what
+    np.unique does for floats, minus its masked-array check: plain np.unique
+    calls np.ma.is_masked, which imports numpy.ma (about 11 ms) on its first
+    call in a process.
+    """
+    a = np.concatenate(parts)
+    a.sort()
+    return a[np.concatenate(([True], a[1:] != a[:-1]))]
+
+
 _BALL_SLACK = 1e-12  # absolute rounding allowance on the ball radius
 
 

@@ -377,11 +377,22 @@ class TestMain:
         assert out.exists()
 
     def test_excursion_coarse_step_runs_without_traceback(self, tmp_path, capsys):
-        # at dt = 0.4 the horizon t + dt still reaches past every threshold t
+        # at dt = 0.5, the coarsest step with every threshold t on the grid, the horizon t + dt reaches past t
         out = tmp_path / "exc.csv"
-        code = main(["--command", "excursion", "--seed", "1", "--dt", "0.4", "--n-paths", "100", "--out", str(out)])
+        code = main(["--command", "excursion", "--seed", "1", "--dt", "0.5", "--n-paths", "100", "--out", str(out)])
         assert code in (0, 1) and out.exists()
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["10", "0.3", "0.4", "1"])
+    def test_excursion_dt_off_the_thresholds_is_usage_error(self, dt, tmp_path, capsys):
+        out = tmp_path / "exc.csv"
+        assert main(["--command", "excursion", "--seed", "1", "--dt", dt, "--out", str(out)]) == 2
+        assert "usage error: dt:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", [0.5, 0.25, 1e-3, ExperimentConfig.dt])
+    def test_excursion_dt_on_the_thresholds_is_accepted(self, dt):
+        ExperimentConfig(command="excursion", seed=1, dt=dt).validate()
 
     def test_excursion_too_few_paths_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "exc.csv"
@@ -437,6 +448,23 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "scipy modules: []"
         assert out.read_text().startswith("n,")
+
+    def test_prohorov_and_excursion_metric_load_no_numpy_ma(self):
+        # plain np.unique imports numpy.ma through np.ma.is_masked
+        code = ("import sys, numpy; print('numpy.ma' in sys.modules); import measura; "
+                "from measura.metric_core import real_line; "
+                "nu = measura.AtomicMeasure.from_atoms(real_line(), [(0.0, 1.0), (0.5, 0.5)]); "
+                "mu = measura.AtomicMeasure.from_atoms(real_line(), [(0.2, 1.0)]); "
+                "e = measura.ExcursionPath([0.0, 0.1, 0.2], [0.4, 0.9, 0.0], zeta=0.2); "
+                "f = measura.ExcursionPath([0.0, 0.25], [0.3, 0.6], zeta=float('inf')); "
+                "assert measura.prohorov_distance(nu, mu) > 0.0 and measura.excursion_metric(e, f) > 0.0; "
+                "print('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        numpy_alone, after = proc.stdout.split()
+        if numpy_alone == "True":
+            pytest.skip("import numpy alone loads numpy.ma")
+        assert after == "False"
 
     def test_cli_import_loads_no_numpy_polynomial(self):
         # the Gauss-Legendre nodes are imported where they are used, not at start-up

@@ -50,6 +50,19 @@ class TestExcursionPath:
         with pytest.raises(ValueError, match="nonnegative"):
             ExcursionPath(np.array([0.0, 0.1, 0.2]), np.array([0.3, math.nan, 0.0]), zeta=0.2)
 
+    def test_nan_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must be finite and strictly increasing"):
+            ExcursionPath([0.0, math.nan, 0.2], [1.0, 1.0, 0.0], zeta=0.2)
+
+    def test_decreasing_grid_rejected(self):
+        with pytest.raises(ValueError, match="grid must be finite and strictly increasing"):
+            ExcursionPath([0.0, 0.5, 0.2], [1.0, 1.0, 0.0], zeta=0.5)
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.1], [0.0, 0.1, math.inf]])
+    def test_repeated_or_infinite_grid_time_rejected(self, grid):
+        with pytest.raises(ValueError, match="grid must be finite and strictly increasing"):
+            ExcursionPath(grid, [1.0, 1.0, 1.0], zeta=math.inf)
+
 
 class TestExcursionMetric:
     def test_identity(self):
@@ -139,6 +152,39 @@ class TestExcursionMetric:
             copy = ExcursionPath(a.grid.copy(), a.values.copy(), zeta=a.zeta)
             for e1, e2 in ((a, b), (b, a), (a, a), (a, copy)):
                 assert excursion_metric(e1, e2).hex() == _reference_excursion_metric(e1, e2).hex()
+
+
+def _path(dt, values, zeta=None):
+    # zeta defaults to the grid end; pass math.inf for a censored path
+    grid = np.arange(len(values)) * dt
+    return ExcursionPath(grid, values, zeta=float(grid[-1]) if zeta is None else zeta)
+
+
+# pairs that reach each branch of excursion_metric: the clip at +-1, flat
+# segments, grid ends inside and at the end of the merged grid
+EDGE_PAIRS = {
+    "differences-exactly-plus-minus-1": (_path(0.1, [2.0, 1.0, 0.5, 1.5, 0.0]), _path(0.1, [1.0, 2.0, 1.5, 0.5, 0.0])),
+    "beyond-1-at-both-ends": (_path(0.1, [3.0, 2.5, 4.0, 0.0]), _path(0.1, [0.5, 0.2, 1.0, 0.0])),
+    "from-above-1-to-below-minus-1": (_path(0.1, [3.0, 0.0, 2.0, 0.0]), _path(0.1, [0.0, 3.0, 0.5, 0.0])),
+    "equal-paths": (_path(0.01, [0.3, 0.7, 1.9, 0.2, 0.0]), _path(0.01, [0.3, 0.7, 1.9, 0.2, 0.0])),
+    "both-zero-past-their-lifetimes": (_path(0.1, [0.4, 0.9, 0.0, 0.0, 0.0, 0.0], zeta=0.2),
+                                       _path(0.1, [0.6, 0.3, 0.8, 0.0, 0.0, 0.0], zeta=3 * 0.1)),
+    "same-dt-prefix-grids": (_path(0.01, np.linspace(1.0, 0.0, 11)),
+                             _path(0.01, np.concatenate([np.linspace(0.2, 1.7, 20), np.linspace(1.7, 0.0, 11)]))),
+    "censored-ends-together": (_path(0.025, [0.5, 0.8, 1.2, 0.4, 0.9], zeta=math.inf),
+                               _path(0.01, [0.1, 0.3, 0.2, 0.6, 0.5, 0.7, 0.9, 1.1, 1.3, 0.2, 0.0])),
+    "censored-ends-inside": (_path(0.02, [0.5, 0.8, 1.2, 0.7], zeta=math.inf),
+                             _path(0.025, [0.1, 0.3, 2.2, 0.6, 0.5, 0.0])),
+    "censored-against-censored": (_path(0.02, [0.5, 0.8, 1.2, 0.7], zeta=math.inf),
+                                  _path(0.02, [0.1, 0.3, 2.2, 0.6, 0.5, 0.4], zeta=math.inf)),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_PAIRS)
+def test_edge_cases_equal_the_reference_bitwise(name):
+    a, b = EDGE_PAIRS[name]
+    for e1, e2 in ((a, b), (b, a), (a, a), (b, b)):
+        assert excursion_metric(e1, e2).hex() == _reference_excursion_metric(e1, e2).hex()
 
 
 def _reference_excursion_metric(e1, e2):

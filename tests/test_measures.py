@@ -13,7 +13,7 @@ from measura.measures import (
     prohorov_distance_bruteforce,
     weak_sharp_report,
 )
-from measura.metric_core import MetricStructure, point_removal_metric, real_line, sup_norm_space
+from measura.metric_core import MetricStructure, _sorted_distinct, point_removal_metric, real_line, sup_norm_space
 
 SPACE = real_line()
 
@@ -192,6 +192,23 @@ class TestProhorov:
             assert dac <= dab + dbc + 1e-10
             assert dab >= 0.0
 
+
+    def test_thresholds_equal_np_unique_bitwise(self):
+        # cross matrices of 0-8 x 0-8 distances: continuous, lattice (ties and
+        # zeros of both signs) and |x - y| of lattice atoms; prohorov_distance's
+        # thresholds are _sorted_distinct(cross.ravel(), [0.0])
+        rng = np.random.default_rng(26)
+        for it in range(600):
+            n1, n2 = (int(k) for k in rng.integers(0, 9, 2))
+            if it % 3 == 0:
+                cross = np.abs(rng.standard_normal((n1, n2)))
+            elif it % 3 == 1:
+                cross = 0.1 * rng.integers(0, 6, (n1, n2))
+                cross[cross == 0.0] = rng.choice([0.0, -0.0], int(np.count_nonzero(cross == 0.0)))
+            else:
+                cross = np.abs(np.subtract.outer(0.25 * rng.integers(0, 5, n1), 0.25 * rng.integers(0, 5, n2)))
+            expected = np.unique(np.append(cross, 0.0))
+            assert _sorted_distinct(cross.ravel(), [0.0]).tobytes() == expected.tobytes()
 
     def test_oracle_identity_is_exactly_zero(self):
         # subset masses summed in one atom order: a union never outweighs its
