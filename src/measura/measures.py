@@ -10,12 +10,14 @@ from the atoms of nu1 (capacities their weights) to the atoms of nu2 along
 the pairs at distance at most t.  One minimum cut gives the maximising set
 in both directions: the atoms of nu1 on its source side, and the atoms of nu2
 on its sink side.  A deliberately independent brute-force implementation,
-:func:`prohorov_distance_bruteforce`, enumerates the unions of atoms and is
-kept as the reference oracle for small measures.
+:func:`prohorov_distance_bruteforce`, enumerates the unions of atoms at each
+distance threshold and is kept as the exact oracle for small measures.
 """
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -27,7 +29,6 @@ from .metric_core import MetricStructure, Point, _sorted_distinct
 
 # prohorov_distance_bruteforce enumerates all 2^n unions of the n support atoms
 SUBSET_LIMIT = 14
-_ORACLE_TOL = 1e-7  # width of the oracle's final bisection bracket
 
 
 @dataclass(frozen=True)
@@ -209,25 +210,25 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
 
 
 def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
-    """Reference oracle: direct feasibility check per eps, bisected.
+    """Reference oracle: the exact distance, from the defects of all unions of atoms.
 
-    For each eps the two defining inequalities are checked verbatim over all
-    unions of support atoms; feasibility is monotone in eps, so bisection
-    converges to the infimum, within ``_ORACLE_TOL`` above it.  The mass of
-    every union is summed once, in atom order (no union outweighs a superset:
-    d(nu, nu) is 0); per eps the enlargement of every union is a bitmask built
-    by doubling, and its mass is read from those subset sums.  Kept
-    algorithmically independent of :func:`prohorov_distance` on purpose.
+    The thresholds t_k are 0 and the distinct distances between any two atoms
+    of either measure, sorted, with inf appended.  D_k, the largest of 0,
+    nu1(A) - nu2(A^t_k) and nu2(A) - nu1(A^t_k) over the unions A of support
+    atoms, holds on [t_k, t_{k+1}), so the distance is min_k max(t_k, D_k).
+    Union masses are summed once, in atom order, so no union outweighs a
+    superset: D does not increase with k, also in floats, and d(nu, nu) is 0.
+    The first k with D_k <= t_k (binary search; inf always qualifies) gives
+    the distance min(D_{k-1}, t_k).  Per probe the enlargement of every union
+    is a bitmask built by doubling.  Independent of :func:`prohorov_distance`
+    on purpose: no cross block, no max flow.
     """
     space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
     n = len(pts)
-    if n == 0:
-        return 0.0
     if n > SUBSET_LIMIT:
         raise ValueError(f"union support of {n} atoms exceeds the exact-subset limit {SUBSET_LIMIT}")
-    w1 = np.zeros(n)
-    w2 = np.zeros(n)
+    w1, w2 = np.zeros((2, n))
     w1[: len(nu1.atoms)] = [w for _, w in nu1.atoms]
     w2[len(nu1.atoms):] = [w for _, w in nu2.atoms]
     dmat = np.zeros((n, n))
@@ -239,23 +240,17 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
         np.add(m[:, : 1 << k], [[w1[k]], [w2[k]]], out=m[:, 1 << k: 2 << k])
     pow2 = 1 << np.arange(n, dtype=np.int64)
     enl = np.zeros(2**n, dtype=np.int64)  # bitmask of each union's eps-enlargement
+    t = _sorted_distinct(dmat[np.triu_indices(n, 1)], [0.0, math.inf]).tolist()
 
-    def feasible(eps: float) -> bool:
-        near = (dmat <= eps) @ pow2  # near[i]: bitmask of the atoms within eps of atom i
-        for k in range(n):
-            np.bitwise_or(enl[: 1 << k], near[k], out=enl[1 << k: 2 << k])
-        return bool(np.all(m1 <= m2[enl] + eps) and np.all(m2 <= m1[enl] + eps))
+    @functools.cache
+    def defect(k: int) -> float:
+        near = (dmat <= t[k]) @ pow2  # near[i]: bitmask of the atoms within t[k] of atom i
+        for i in range(n):
+            np.bitwise_or(enl[: 1 << i], near[i], out=enl[1 << i: 2 << i])
+        return max(0.0, float(np.max(m1 - m2[enl])), float(np.max(m2 - m1[enl])))
 
-    if feasible(0.0):
-        return 0.0
-    lo, hi = 0.0, float(max(w1.sum(), w2.sum(), dmat.max()) + 1.0)
-    while hi - lo > _ORACLE_TOL:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    k = bisect.bisect_left(range(len(t) - 1), True, key=lambda k: defect(k) <= t[k])
+    return min(defect(k - 1), t[k]) if k else 0.0
 
 
 def mf_measure_metric(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:

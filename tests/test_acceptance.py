@@ -174,7 +174,7 @@ def test_criterion_05_stone_weierstrass():
 
 
 def test_criterion_06_prohorov_oracle():
-    # exact computation matches subset-enumeration brute force within 1e-4 on
+    # max flow matches the exact subset-enumeration oracle within 1e-12 on
     # 500 random pairs of <= 4-atom measures, weights U(0.05, 2)
     start = time.perf_counter()
     rows, verdicts = prohorov_oracle_claim(seed=606, n_instances=500, weight_floor=0.05)

@@ -45,6 +45,15 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="n-paths: must be at least 1"):
             ExperimentConfig(command="prohorov-oracle", seed=1, n_paths=0).validate()
 
+    @pytest.mark.parametrize("dt", [1e-12, 1e-6])
+    def test_excursion_step_count_bounded(self, dt):
+        # 2 / dt steps to t = 2: validate alone, never a run
+        with pytest.raises(UsageError, match="dt: more than 1000000 steps to t = 2.0"):
+            ExperimentConfig(command="excursion", seed=1, dt=dt).validate()
+
+    def test_excursion_step_bound_admits_its_floor(self):
+        ExperimentConfig(command="excursion", seed=1, dt=2e-6).validate()
+
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field, name", [("eps", "eps"), ("dt", "dt"), ("m_max", "m-max"), ("tol", "tol")])
     def test_non_finite_numeric_field_named(self, field, name, value):
@@ -285,7 +294,7 @@ class TestCommands:
     def test_prohorov_oracle(self):
         res = run(ExperimentConfig(command="prohorov-oracle", seed=3, n_paths=40))
         assert res.passed
-        assert max(r["abs_diff"] for r in res.rows) < 1e-4
+        assert max(r["abs_diff"] for r in res.rows) < 1e-12
 
     def test_excursion_small_run_schema(self):
         res = run(ExperimentConfig(command="excursion", seed=5, eps=0.05, dt=1e-3, n_paths=4000))

@@ -155,7 +155,7 @@ class TestProhorov:
                 for k in sizes
             )
             worst = max(worst, abs(prohorov_distance(nu1, nu2) - prohorov_distance_bruteforce(nu1, nu2)))
-        assert worst < 2e-7
+        assert worst < 1e-12
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(7)
@@ -163,7 +163,7 @@ class TestProhorov:
         for _ in range(150):
             nu1, nu2 = random_measure(rng), random_measure(rng)
             worst = max(worst, abs(prohorov_distance(nu1, nu2) - prohorov_distance_bruteforce(nu1, nu2)))
-        assert worst < 1e-4
+        assert worst < 1e-12
 
     def test_each_probe_matches_subset_enumeration(self):
         # one max flow per threshold against every Hall deficiency of both sides; with
@@ -212,13 +212,13 @@ class TestProhorov:
 
     def test_oracle_identity_is_exactly_zero(self):
         # subset masses summed in one atom order: a union never outweighs its
-        # enlargement at eps = 0, so d(nu, nu) is 0, not a bisection residue
+        # enlargement at eps = 0, so d(nu, nu) is exactly 0
         rng = np.random.default_rng(5)
         for _ in range(200):
             nu = random_measure(rng, max_atoms=7)
             assert prohorov_distance_bruteforce(nu, nu) == 0.0
 
-    def test_oracle_equals_the_per_eps_matmul_form(self):
+    def test_oracle_equals_the_threshold_reference(self):
         # seeded instances of 0-14 atoms, on R and R^2-sup, with lattice ties
         # on a quarter of them; the larger sizes are rarer to bound the run time
         rng = np.random.default_rng(2020)
@@ -236,9 +236,10 @@ class TestProhorov:
             nu1, nu2 = (AtomicMeasure.from_atoms(space, [(point(), float(rng.uniform(0.05, 2.0)))
                                                          for _ in range(m)]) for m in (k, n - k))
             got = prohorov_distance_bruteforce(nu1, nu2)
-            assert got.hex() == float(_reference_bruteforce(nu1, nu2)).hex(), (it, n)
-        for n in range(1, 7):  # equal measures, also with one atom split in two: exactly 0, which the
-            # reference misses by up to its bisection width when its matmul sums the masses in another order
+            if n <= 10:  # the Python subset enumeration of _threshold_reference is slow beyond
+                assert got == pytest.approx(_threshold_reference(nu1, nu2), abs=1e-13), (it, n)
+            assert got == pytest.approx(prohorov_distance(nu1, nu2), abs=1e-12), (it, n)
+        for n in range(1, 7):  # equal measures, also with one atom split in two: exactly 0
             nu = measure(*[(float(rng.uniform(-2, 2)), float(rng.uniform(0.05, 2.0))) for _ in range(n)])
             (p, w), *rest = nu.atoms
             for other in (nu, measure((p, w / 2), (p, w / 2), *rest)):
@@ -246,8 +247,28 @@ class TestProhorov:
                 assert prohorov_distance_bruteforce(other, nu) == 0.0
         empty = AtomicMeasure.empty(SPACE)
         for other in (empty, measure((0.5, 1.2)), measure((0.0, 0.3), (1.0, 0.4))):
-            assert prohorov_distance_bruteforce(empty, other) == _reference_bruteforce(empty, other)
-            assert prohorov_distance_bruteforce(other, empty) == _reference_bruteforce(other, empty)
+            assert prohorov_distance_bruteforce(empty, other) == pytest.approx(other.total_mass, abs=1e-15)
+            assert prohorov_distance_bruteforce(other, empty) == pytest.approx(other.total_mass, abs=1e-15)
+
+    @pytest.mark.parametrize("x", [0.25, 0.5, 1.5])
+    def test_oracle_unit_diracs_closed_form(self, x):
+        # d(delta_0, delta_x) = min(x, 1): the threshold x itself, or the whole unit mass
+        assert prohorov_distance_bruteforce(AtomicMeasure.dirac(SPACE, 0.0), AtomicMeasure.dirac(SPACE, x)) == min(x, 1)
+
+    @pytest.mark.parametrize("w", [0.3, 0.7, 2.5])
+    def test_oracle_empty_versus_dirac_closed_form(self, w):
+        empty, dirac = AtomicMeasure.empty(SPACE), AtomicMeasure.dirac(SPACE, 0.4, w)
+        assert prohorov_distance_bruteforce(empty, dirac) == w
+        assert prohorov_distance_bruteforce(dirac, empty) == w
+
+    @pytest.mark.parametrize("w", [0.01, 0.1])
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_oracle_shifted_lattice_closed_form(self, n, w):
+        # n + n atoms within the oracle cap; delta = 0.3 binds for w = 0.1 from n = 3 on
+        delta = 0.3
+        nu1 = measure(*[(float(k), w) for k in range(n)])
+        nu2 = measure(*[(k + delta, w) for k in range(n)])
+        assert prohorov_distance_bruteforce(nu1, nu2) == pytest.approx(min(delta, n * w), abs=1e-15)
 
 
 def _hall_defect(w1, w2, near):
@@ -261,42 +282,11 @@ def _hall_defect(w1, w2, near):
     return best
 
 
-def _reference_bruteforce(nu1, nu2):
-    # the oracle before subset sums: enlargements by int64 matmul on every eps
-    pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
-    n = len(pts)
-    if n == 0:
-        return 0.0
-    w1 = np.zeros(n)
-    w2 = np.zeros(n)
-    w1[: len(nu1.atoms)] = [w for _, w in nu1.atoms]
-    w2[len(nu1.atoms):] = [w for _, w in nu2.atoms]
-    dmat = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            dmat[i, j] = dmat[j, i] = nu1.space.dist(pts[i], pts[j])
-    masks = np.arange(2**n, dtype=np.int64)
-    bits = ((masks[:, None] >> np.arange(n)[None, :]) & 1).astype(bool)
-
-    def feasible(eps):
-        near = dmat <= eps
-        enlarged = bits @ near.astype(np.int64) > 0
-        m1 = bits @ w1
-        m2 = bits @ w2
-        e1 = enlarged @ w1
-        e2 = enlarged @ w2
-        return bool(np.all(m1 <= e2 + eps) and np.all(m2 <= e1 + eps))
-
-    if feasible(0.0):
-        return 0.0
-    lo, hi = 0.0, float(max(w1.sum(), w2.sum(), dmat.max()) + 1.0)
-    while hi - lo > 1e-7:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _threshold_reference(nu1, nu2):
+    # min over 0 and the cross distances t of max(t, every Hall deficiency at t)
+    w1, w2 = [w for _, w in nu1.atoms], [w for _, w in nu2.atoms]
+    cross = np.array([[nu1.space.dist(p, q) for q, _ in nu2.atoms] for p, _ in nu1.atoms]).reshape(len(w1), len(w2))
+    return min(max(t, _hall_defect(w1, w2, cross <= t)) for t in sorted({0.0, *cross.ravel().tolist()}))
 
 
 class TestMfMetric:
