@@ -2,11 +2,12 @@
 
 The characteristic exponent of an infinitely divisible law is evaluated from
 its triple (drift b, covariance C, jump measure mu); the recovery routines run
-the inverse direction under one limit rule: along an increasing schedule of
-at least 3 arguments m, the raw estimates are fitted with a + c * m^-p on the
-full schedule and on its tail half, and the tail fit is the limit once the
-two agree (``_schedule_limit``).  ``recover_C`` uses p = 2, ``recover_b`` and
-``recover_b_measure`` use p = 1.
+the inverse direction under one limit rule: along a positive increasing
+schedule of at least 3 arguments m, the raw estimates are fitted with
+a + c * m^-p on the full schedule and on its tail half, and the tail fit is
+the limit once the two agree (``_schedule_limit``).  Fits that disagree, and
+a schedule on which m^-p overflows, raise NonConvergenceError.  ``recover_C``
+uses p = 2, ``recover_b`` and ``recover_b_measure`` use p = 1.
 
 Drift recovery caveat: the limit -(i/m)(Psi(m e_k) + m^2 C_kk / 2) converges
 to b_k minus the compensator first moment ∫ x_k 1_{|x|<=1} dmu(x) whenever mu
@@ -126,11 +127,18 @@ def _schedule_limit(
     The raw estimates are fitted with a + c * m^-power on the full schedule
     and on its tail half; the tail fit is returned once the two agree within
     ``tol``, and NonConvergenceError reports both fits otherwise.  The
-    schedule needs at least 3 entries, so that both fits extrapolate.
+    schedule must be positive and increasing with at least 3 entries, so that
+    both fits extrapolate; one on which m^-power overflows raises
+    NonConvergenceError before any estimate is evaluated.
     """
     ms = np.asarray(m_schedule, dtype=float)
-    if ms.size < 3 or np.any(np.diff(ms) <= 0):
-        raise ValueError("m_schedule must be increasing with at least 3 entries")
+    if ms.size < 3 or not (ms[0] > 0 and np.all(np.diff(ms) > 0)):
+        raise ValueError("m_schedule must be positive and increasing with at least 3 entries")
+    with np.errstate(over="ignore"):
+        if not np.isfinite(ms ** -power).all():
+            raise NonConvergenceError(
+                f"non-convergent schedule for {what}: m^-{power:g} overflows at m = {ms[0]:.6g}"
+            )
     vals = np.array([estimate(m) for m in ms], dtype=float)
     full = _extrapolate(ms, vals, power)
     tail = _extrapolate(ms[len(ms) // 2 :], vals[len(ms) // 2 :], power)

@@ -175,38 +175,34 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     inf{eps > 0 : nu1(A) <= nu2(A^eps) + eps and vice versa for all A}, where
     A ranges over unions of support atoms and A^eps is the closed enlargement.
     The thresholds t_k are 0 and the sorted distances between an atom of nu1
-    and an atom of nu2, so only those n1 * n2 distances are computed.  On
+    and an atom of nu2, so only those n1 * n2 distances are computed; a
+    non-finite one (NaN or inf) raises ValueError naming its atom pair.  On
     [t_k, t_{k+1}) the enlargements are fixed, so the binding constraint is
     the defect D_k of :func:`_strassen_defect` (Strassen 1965: total mass
     minus a bipartite max flow, read off a minimum cut) and the candidate is
     max(t_k, D_k).  D_k does not increase with k, so "the candidate lies
     below t_{k+1}" is monotone and the first k where it holds, which gives
-    the distance, is found by binary search: one max flow per probe, no cap
-    on the atom count.  The thresholds come from ``_sorted_distinct``, not
+    the distance, is found by ``bisect`` over cached candidates: one max flow
+    per probed threshold, no cap on the atom count.  The last threshold needs
+    no test; with two empty measures it is the only one, t = [0], and its
+    defect is 0.  The thresholds come from ``_sorted_distinct``, not
     np.unique, whose masked-array check would import numpy.ma on the first
     call in every process.
     """
     space = _require_same_space(nu1.space, nu2.space)
-    if not nu1.atoms and not nu2.atoms:
-        return 0.0
     w1, w2 = [w for _, w in nu1.atoms], [w for _, w in nu2.atoms]
     cross = np.array([[space.dist(p, q) for q, _ in nu2.atoms] for p, _ in nu1.atoms])
     cross = cross.reshape(len(w1), len(w2))
+    if not np.isfinite(cross).all():
+        i, j = np.argwhere(~np.isfinite(cross))[0]
+        raise ValueError(f"non-finite distance {cross[i, j]} between atom {i} of nu1 and atom {j} of nu2")
     t = _sorted_distinct(cross.ravel(), [0.0]).tolist()
 
+    @functools.cache
     def candidate(k: int) -> float:
         return max(t[k], _strassen_defect(w1, w2, cross <= t[k]))
 
-    lo, hi = 0, len(t) - 1  # the last threshold always qualifies
-    best = None
-    while lo < hi:
-        k = (lo + hi) // 2
-        eps = candidate(k)
-        if eps < t[k + 1]:
-            hi, best = k, eps
-        else:
-            lo = k + 1
-    return candidate(hi) if best is None else best
+    return candidate(bisect.bisect_left(range(len(t) - 1), True, key=lambda k: candidate(k) < t[k + 1]))
 
 
 def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
@@ -220,8 +216,10 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
     superset: D does not increase with k, also in floats, and d(nu, nu) is 0.
     The first k with D_k <= t_k (binary search; inf always qualifies) gives
     the distance min(D_{k-1}, t_k).  Per probe the enlargement of every union
-    is a bitmask built by doubling.  Independent of :func:`prohorov_distance`
-    on purpose: no cross block, no max flow.
+    is a bitmask built by doubling.  A non-finite distance (NaN or inf)
+    between any two atoms, numbered nu1's first, raises ValueError.
+    Independent of :func:`prohorov_distance` on purpose: no cross block, no
+    max flow.
     """
     space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]
@@ -235,6 +233,9 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
     for i in range(n):
         for j in range(i + 1, n):
             dmat[i, j] = dmat[j, i] = space.dist(pts[i], pts[j])
+    if not np.isfinite(dmat).all():
+        i, j = np.argwhere(~np.isfinite(dmat))[0]
+        raise ValueError(f"non-finite distance {dmat[i, j]} between atoms {i} and {j} of the union support")
     m1, m2 = m = np.zeros((2, 2**n))  # mass of every union, indexed by its bitmask
     for k in range(n):
         np.add(m[:, : 1 << k], [[w1[k]], [w2[k]]], out=m[:, 1 << k: 2 << k])

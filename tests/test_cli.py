@@ -361,12 +361,14 @@ class TestMain:
 
 
     def test_levy_recover_non_convergence_is_a_fail_verdict(self, tmp_path, capsys):
-        out = tmp_path / "levy.json"
-        assert main(["--command", "levy-recover", "--m-max", "2", "--format", "json", "--out", str(out)]) == 1
-        captured = capsys.readouterr()
-        assert "FAIL  converged" in captured.out and "non-convergent" in captured.err
-        doc = json.loads(out.read_text())
-        assert doc["rows"] == [] and doc["verdicts"] == {"converged": False}
+        for m_max in ("2", "1e-160"):  # the fits disagree; m^-2 overflows
+            out = tmp_path / f"levy-{m_max}.json"
+            assert main(["--command", "levy-recover", "--m-max", m_max, "--format", "json", "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert "FAIL  converged" in captured.out and "non-convergent" in captured.err
+            assert "Traceback" not in captured.err
+            doc = json.loads(out.read_text())
+            assert doc["rows"] == [] and doc["verdicts"] == {"converged": False}
 
     def test_levy_recover_overflowing_schedule_is_a_fail_verdict(self, tmp_path, capsys):
         # m up to 1e300 overflows the exponent; NaN fits are not convergence

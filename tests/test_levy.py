@@ -135,8 +135,17 @@ class TestRecovery:
             recover_C(psi, 1, [10.0, 100.0, 1000.0])
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError, match="increasing"):
-            recover_C(lambda u: 0.0j, 1, [100.0])
+        for schedule in ([100.0], [0.0, 1.0, 2.0], [-1.0, 1.0, 2.0], [1.0, math.nan, 2.0]):
+            with pytest.raises(ValueError, match="positive and increasing"):
+                recover_C(lambda u: 0.0j, 1, schedule)
+
+    def test_overflowing_schedule_raises_before_any_estimate(self):
+        # m^-2 overflows below about 1e-154; no estimate is evaluated, no warning escapes
+        def psi(u):
+            raise AssertionError("estimate evaluated")
+
+        with pytest.raises(NonConvergenceError, match="overflows"):
+            recover_C(psi, 1, np.geomspace(2e-161, 1e-160, 8))
 
     def test_two_entry_schedule_raises(self):
         # its tail half would be one raw estimate, returned as the limit unextrapolated

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from measura import measures
 from measura.algebra import FunctionFamily, TestFunction
 from measura.measures import (
     AtomicMeasure,
@@ -94,7 +95,46 @@ class TestProhorov:
         assert d == pytest.approx(0.4, abs=1e-12)
 
     def test_empty_versus_mass(self):
-        assert prohorov_distance(AtomicMeasure.empty(SPACE), measure((1.0, 0.7))) == pytest.approx(0.7)
+        empty, nu = AtomicMeasure.empty(SPACE), measure((1.0, 0.7), (-0.5, 0.2), (3.0, 0.4))
+        assert prohorov_distance(empty, nu) == nu.total_mass
+        assert prohorov_distance(nu, empty) == nu.total_mass
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("distance", [prohorov_distance, prohorov_distance_bruteforce, mf_measure_metric])
+    def test_non_finite_distance_raises(self, distance, bad):
+        # an atom at NaN or inf lies at a NaN or inf distance from delta_0
+        nu, dirac = measure((bad, 1.0), (0.5, 0.3)), AtomicMeasure.dirac(SPACE, 0.0)
+        for args in ((nu, dirac), (dirac, nu)):
+            with pytest.raises(ValueError, match="non-finite distance"):
+                distance(*args)
+
+    @pytest.mark.parametrize(
+        "space, point",
+        [(real_line(), lambda rng: float(rng.uniform(-2, 2))), (sup_norm_space(2), lambda rng: rng.uniform(-2, 2, 2))],
+        ids=["line", "sup2"],
+    )
+    def test_each_threshold_is_probed_once(self, space, point, monkeypatch):
+        # near.sum() grows with the threshold, so it names the threshold of a probe
+        probes = []
+
+        def recorded(w1, w2, near):
+            probes.append(int(near.sum()))
+            return _strassen_defect(w1, w2, near)
+
+        monkeypatch.setattr(measures, "_strassen_defect", recorded)
+        rng = np.random.default_rng(29)
+        for it in range(60):
+            n1, n2 = (int(k) for k in rng.integers(0, 31, 2))
+            nu1, nu2 = (AtomicMeasure.from_atoms(space, [(point(rng), float(rng.uniform(0.05, 2.0)))
+                                                         for _ in range(n)]) for n in (n1, n2))
+            if it % 10 == 0:
+                nu2 = nu1
+            cross = np.array([[space.dist(p, q) for q, _ in nu2.atoms] for p, _ in nu1.atoms])
+            n_thresholds = len(np.unique(np.append(cross, 0.0)))
+            probes.clear()
+            prohorov_distance(nu1, nu2)
+            assert len(set(probes)) == len(probes), it
+            assert len(probes) <= math.ceil(math.log2(n_thresholds)) + 1, it
 
     def test_mismatched_spaces_raise(self):
         other = point_removal_metric(real_line(), 0.0, reference_point=1.0)
@@ -257,9 +297,12 @@ class TestProhorov:
 
     @pytest.mark.parametrize("w", [0.3, 0.7, 2.5])
     def test_oracle_empty_versus_dirac_closed_form(self, w):
+        # both algorithms, d(0, w delta) = w and d(0, 0) = 0 exactly
         empty, dirac = AtomicMeasure.empty(SPACE), AtomicMeasure.dirac(SPACE, 0.4, w)
-        assert prohorov_distance_bruteforce(empty, dirac) == w
-        assert prohorov_distance_bruteforce(dirac, empty) == w
+        for distance in (prohorov_distance, prohorov_distance_bruteforce):
+            assert distance(empty, dirac) == w
+            assert distance(dirac, empty) == w
+            assert distance(empty, empty) == 0.0
 
     @pytest.mark.parametrize("w", [0.01, 0.1])
     @pytest.mark.parametrize("n", range(1, 8))
