@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .algebra import FunctionFamily
-from .metric_core import MetricStructure, Point, _sorted_distinct
+from .metric_core import MetricStructure, Point, _sorted_distinct, distances
 
 # prohorov_distance_bruteforce enumerates all 2^n unions of the n support atoms
 SUBSET_LIMIT = 14
@@ -175,15 +175,15 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     inf{eps > 0 : nu1(A) <= nu2(A^eps) + eps and vice versa for all A}, where
     A ranges over unions of support atoms and A^eps is the closed enlargement.
     The thresholds t_k are 0 and the sorted distances between an atom of nu1
-    and an atom of nu2, so only those n1 * n2 distances are computed; a
-    non-finite one (NaN or inf) raises ValueError naming its atom pair.  On
-    [t_k, t_{k+1}) the enlargements are fixed, so the binding constraint is
-    the defect D_k of :func:`_strassen_defect` (Strassen 1965: total mass
-    minus a bipartite max flow, read off a minimum cut) and the candidate is
-    max(t_k, D_k).  D_k does not increase with k, so "the candidate lies
-    below t_{k+1}" is monotone and the first k where it holds, which gives
-    the distance, is found by ``bisect`` over cached candidates: one max flow
-    per probed threshold, no cap on the atom count.  The last threshold needs
+    and an atom of nu2, so only those n1 * n2 distances are computed, in one
+    :func:`distances` call; a non-finite one (NaN or inf) raises ValueError
+    naming its atom pair.  On [t_k, t_{k+1}) the enlargements are fixed, so
+    the binding constraint is the defect D_k of :func:`_strassen_defect`
+    (Strassen 1965: total mass minus a bipartite max flow, read off a minimum
+    cut) and the candidate is max(t_k, D_k).  D_k does not increase with k,
+    so "the candidate lies below t_{k+1}" is monotone and the first k where
+    it holds, which gives the distance, is found by ``bisect`` over cached
+    candidates: one max flow per probed threshold, no cap on the atom count.  The last threshold needs
     no test; with two empty measures it is the only one, t = [0], and its
     defect is 0.  The thresholds come from ``_sorted_distinct``, not
     np.unique, whose masked-array check would import numpy.ma on the first
@@ -191,8 +191,8 @@ def prohorov_distance(nu1: AtomicMeasure, nu2: AtomicMeasure) -> float:
     """
     space = _require_same_space(nu1.space, nu2.space)
     w1, w2 = [w for _, w in nu1.atoms], [w for _, w in nu2.atoms]
-    cross = np.array([[space.dist(p, q) for q, _ in nu2.atoms] for p, _ in nu1.atoms])
-    cross = cross.reshape(len(w1), len(w2))
+    i, j = np.nonzero(np.ones((len(w1), len(w2)), dtype=bool))  # every atom pair, row by row
+    cross = distances(space, [p for p, _ in nu1.atoms + nu2.atoms], i, j + len(w1)).reshape(len(w1), len(w2))
     if not np.isfinite(cross).all():
         i, j = np.argwhere(~np.isfinite(cross))[0]
         raise ValueError(f"non-finite distance {cross[i, j]} between atom {i} of nu1 and atom {j} of nu2")
@@ -219,7 +219,8 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
     is a bitmask built by doubling.  A non-finite distance (NaN or inf)
     between any two atoms, numbered nu1's first, raises ValueError.
     Independent of :func:`prohorov_distance` on purpose: no cross block, no
-    max flow.
+    max flow, and one scalar ``space.dist`` call per pair, so that it also
+    checks the batched distances ``prohorov_distance`` uses.
     """
     space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]

@@ -461,16 +461,24 @@ class TestStartup:
         assert out.read_text().startswith("n,")
 
     def test_prohorov_and_excursion_metric_load_no_numpy_ma(self):
-        # plain np.unique imports numpy.ma through np.ma.is_masked
+        # plain np.unique and np.union1d import numpy.ma through np.ma.is_masked
         code = ("import sys, numpy; print('numpy.ma' in sys.modules); import measura; "
-                "from measura.metric_core import real_line; "
+                "from measura.metric_core import real_line, sample_metric_axioms, sup_norm_space; "
+                "from test_metric_core import _criterion_12_spaces; "
                 "nu = measura.AtomicMeasure.from_atoms(real_line(), [(0.0, 1.0), (0.5, 0.5)]); "
                 "mu = measura.AtomicMeasure.from_atoms(real_line(), [(0.2, 1.0)]); "
                 "e = measura.ExcursionPath([0.0, 0.1, 0.2], [0.4, 0.9, 0.0], zeta=0.2); "
                 "f = measura.ExcursionPath([0.0, 0.25], [0.3, 0.6], zeta=float('inf')); "
                 "assert measura.prohorov_distance(nu, mu) > 0.0 and measura.excursion_metric(e, f) > 0.0; "
+                "rng = numpy.random.default_rng(1212); "
+                "assert all(sample_metric_axioms(s, p, 2000, rng, tol=1e-9).ok for s, p in _criterion_12_spaces(rng)); "
+                "big = [measura.AtomicMeasure.from_atoms(sup_norm_space(2), [(x, 1.0) for x in rng.uniform(-2, 2, (200, 2))]) "
+                "for _ in range(2)]; "
+                "assert measura.prohorov_distance(*big) > 0.0; "
                 "print('numpy.ma' in sys.modules)")
-        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+        env = _src_env()
+        env["PYTHONPATH"] = os.pathsep.join((env["PYTHONPATH"], str(Path(__file__).resolve().parent)))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         numpy_alone, after = proc.stdout.split()
         if numpy_alone == "True":

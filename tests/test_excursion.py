@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import maxwell, norm
 
 from measura.excursion import (
+    _PAIR_CELLS,
     BesselCheckReport,
     ExcursionFunctional,
     ExcursionPath,
@@ -24,6 +25,7 @@ from measura.excursion import (
     target_oracle,
     target_rhs,
 )
+from measura.metric_core import MetricStructure, distances
 
 
 def const_path(level, end, dt=0.01):
@@ -133,25 +135,78 @@ class TestExcursionMetric:
 
 
     def test_equals_the_two_interp_form_bitwise(self):
-        rng = np.random.default_rng(20)
-
-        def rand_path():
-            dt = float(rng.choice([0.007, 0.01, 0.013, 0.02, 0.025]))
-            n = int(rng.integers(1, 60))
-            grid = np.arange(n + 1) * dt
-            vals = np.abs(np.cumsum(rng.standard_normal(n + 1))) * float(rng.choice([0.05, 0.3, 2.0]))
-            kind = int(rng.integers(3))
-            if kind == 0:  # censored: still positive at the grid end
-                return ExcursionPath(grid, vals + 0.1, zeta=math.inf)
-            absorbed = int(rng.integers(1, n + 1)) if kind == 1 else n  # kind 1: zeros after the lifetime
-            vals[absorbed:] = 0.0
-            return ExcursionPath(grid, vals, zeta=float(grid[absorbed]))
-
-        for _ in range(600):
-            a, b = rand_path(), rand_path()
-            copy = ExcursionPath(a.grid.copy(), a.values.copy(), zeta=a.zeta)
+        for a, b, copy in _random_pairs():
             for e1, e2 in ((a, b), (b, a), (a, a), (a, copy)):
                 assert excursion_metric(e1, e2).hex() == _reference_excursion_metric(e1, e2).hex()
+
+
+def _random_pairs():
+    # 600 pairs of random paths, and a copy of the first of each pair
+    rng = np.random.default_rng(20)
+
+    def rand_path():
+        dt = float(rng.choice([0.007, 0.01, 0.013, 0.02, 0.025]))
+        n = int(rng.integers(1, 60))
+        grid = np.arange(n + 1) * dt
+        vals = np.abs(np.cumsum(rng.standard_normal(n + 1))) * float(rng.choice([0.05, 0.3, 2.0]))
+        kind = int(rng.integers(3))
+        if kind == 0:  # censored: still positive at the grid end
+            return ExcursionPath(grid, vals + 0.1, zeta=math.inf)
+        absorbed = int(rng.integers(1, n + 1)) if kind == 1 else n  # kind 1: zeros after the lifetime
+        vals[absorbed:] = 0.0
+        return ExcursionPath(grid, vals, zeta=float(grid[absorbed]))
+
+    for _ in range(600):
+        a, b = rand_path(), rand_path()
+        yield a, b, ExcursionPath(a.grid.copy(), a.values.copy(), zeta=a.zeta)
+
+
+def _distances_of(pairs):
+    # excursion_metric.many over the given pairs of paths, in one call
+    paths = list({id(e): e for pair in pairs for e in pair}.values())
+    index = {id(e): k for k, e in enumerate(paths)}
+    i, j = (np.array([index[id(pair[s])] for pair in pairs]) for s in (0, 1))
+    return distances(MetricStructure(excursion_metric, paths[0], "excursion"), paths, i, j)
+
+
+class TestBatchedMetric:
+    def test_one_call_equals_the_reference_bitwise(self):
+        pairs = [p for a, b in EDGE_PAIRS.values() for p in ((a, b), (b, a), (a, a), (b, b))]
+        pairs += [p for a, b, copy in _random_pairs() for p in ((a, b), (b, a), (a, a), (a, copy))]
+        assert sum(e1.grid.size + e2.grid.size for e1, e2 in pairs) > 10 * _PAIR_CELLS  # many chunks
+        got = _distances_of(pairs)
+        for (e1, e2), d in zip(pairs, got.tolist()):
+            assert d.hex() == _reference_excursion_metric(e1, e2).hex()
+
+    def test_irregular_single_point_signed_zero_and_long_paths_equal_the_scalar_metric_bitwise(self):
+        rng = np.random.default_rng(21)
+        paths = [ExcursionPath([0.0], [0.7], zeta=math.inf), ExcursionPath([0.0], [0.0], zeta=1.0),
+                 ExcursionPath([0.0, 0.1, 0.3], [-0.0, 0.4, -0.0], zeta=0.3),
+                 ExcursionPath([0.0, 0.1, 0.2], [1.0, -0.0, 0.0], zeta=0.1)]
+        for _ in range(60):
+            grid = np.concatenate(([0.0], np.sort(rng.choice(np.arange(1, 40) * 0.0125, int(rng.integers(1, 30)),
+                                                             replace=False))))
+            vals = np.abs(rng.standard_normal(grid.size)) * float(rng.choice([0.1, 1.0, 3.0]))
+            paths.append(ExcursionPath(grid, vals, zeta=math.inf))
+        for n, dt in ((150, 0.007), (300, 0.004), (5000, 0.0003)):  # sums past 128 terms, a pair wider than a chunk
+            vals = np.abs(np.cumsum(rng.standard_normal(n + 1))) * 0.2
+            vals[-1] = 0.0
+            paths.append(ExcursionPath(np.arange(n + 1) * dt, vals, zeta=n * dt))
+        assert 2 * 5001 > _PAIR_CELLS
+        pairs = [(e1, e2) for e1 in paths for e2 in paths]
+        got = _distances_of(pairs)
+        for (e1, e2), d in zip(pairs, got.tolist()):
+            assert d.hex() == excursion_metric(e1, e2).hex()
+
+    def test_an_overflowing_slope_reads_the_value_at_its_grid_point(self):
+        # slope 1e10 / 1e-300 is inf, and inf * 0 is NaN where np.interp returns the value itself
+        steep = ExcursionPath([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0], zeta=1.0)
+        paths = [steep, ExcursionPath([0.0, 1e-300, 0.5, 1.0], [0.2, 0.3, 0.1, 0.0], zeta=1.0),
+                 ExcursionPath([0.0, 0.25], [0.4, 0.0], zeta=0.25)]
+        pairs = [(steep, e) for e in paths] + [(e, steep) for e in paths]
+        got = _distances_of(pairs)
+        assert np.isfinite(got).all()
+        assert [d.hex() for d in got.tolist()] == [excursion_metric(e1, e2).hex() for e1, e2 in pairs]
 
 
 def _path(dt, values, zeta=None):

@@ -14,6 +14,7 @@ from measura.measures import (
     prohorov_distance_bruteforce,
     weak_sharp_report,
 )
+from measura.levy import levy_ground_space
 from measura.metric_core import MetricStructure, _sorted_distinct, point_removal_metric, real_line, sup_norm_space
 
 SPACE = real_line()
@@ -135,6 +136,23 @@ class TestProhorov:
             prohorov_distance(nu1, nu2)
             assert len(set(probes)) == len(probes), it
             assert len(probes) <= math.ceil(math.log2(n_thresholds)) + 1, it
+
+    def test_an_atom_of_another_dimension_raises(self):
+        # numpy broadcast (1.0,) against (1.0, 5.0) and the distance read 1.0
+        space = sup_norm_space(2)
+        with pytest.raises(ValueError, match=r"2 coordinates, got one of shape \(1,\)"):
+            prohorov_distance(AtomicMeasure.dirac(space, (1.0,)), AtomicMeasure.dirac(space, (1.0, 5.0)))
+
+    @pytest.mark.parametrize("space", [sup_norm_space(2), levy_ground_space(2)], ids=["sup2", "levy2"])
+    def test_the_batched_cross_block_gives_the_scalar_distance_bitwise(self, space):
+        # a wrapped dist has no batched form, so the second measure pair runs the per-pair loop
+        wrapped = MetricStructure(lambda x, y: space.dist(x, y), space.reference_point, space.label)
+        rng = np.random.default_rng(30)
+        for n1, n2 in ((1, 1), (3, 5), (60, 70), (200, 200)):
+            atoms = [[(rng.uniform(-2, 2, 2), float(rng.uniform(0.05, 2.0))) for _ in range(n)] for n in (n1, n2)]
+            batched = prohorov_distance(*(AtomicMeasure.from_atoms(space, a) for a in atoms))
+            scalar = prohorov_distance(*(AtomicMeasure.from_atoms(wrapped, a) for a in atoms))
+            assert batched.hex() == scalar.hex(), (n1, n2)
 
     def test_mismatched_spaces_raise(self):
         other = point_removal_metric(real_line(), 0.0, reference_point=1.0)

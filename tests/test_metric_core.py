@@ -11,6 +11,7 @@ from measura.metric_core import (
     BoundedSetWitness,
     MetricAxiomReport,
     MetricStructure,
+    distances,
     hilbert_cube_metric,
     point_removal_metric,
     real_line,
@@ -74,6 +75,29 @@ class TestSupNorm:
     def test_dist_is_a_python_float(self):
         assert type(sup_norm_space(2).dist(np.ones(2), (0, 3))) is float
         assert type(sup_norm_space(1).dist(1.5, -2)) is float
+
+    @pytest.mark.parametrize("space, x, y, shape", [
+        (sup_norm_space(2), [1.0, 2.0], [1.0], r"\(1,\)"),  # broadcast to 1.0
+        (sup_norm_space(2), 5.0, [1.0, 2.0], r"\(\)"),  # broadcast to 4.0
+        (sup_norm_space(1), [[1.0]], [2.0], r"\(1, 1\)"),
+        (levy_ground_space(2), [3.0], [1.0, 2.0], r"\(1,\)"),  # broadcast to 2.1667
+    ], ids=["short-vector", "scalar-in-R2", "matrix-in-R1", "levy-space"])
+    def test_a_point_of_another_shape_raises_in_both_forms(self, space, x, y, shape):
+        with pytest.raises(ValueError, match=f"coordinates, got one of shape {shape}"):
+            space.dist(x, y)
+        with pytest.raises(ValueError, match=f"coordinates, got one of shape {shape}"):
+            distances(space, [x, y, y], np.array([0, 1]), np.array([1, 2]))
+
+    def test_a_bad_point_no_pair_queries_is_not_checked(self):
+        pts = [np.ones(2), [1.0], np.zeros(2)]
+        got = distances(sup_norm_space(2), pts, np.array([0, 2]), np.array([2, 0]))
+        assert got.tolist() == [1.0, 1.0]
+
+    def test_scalars_are_points_of_r1_only(self):
+        assert sup_norm_space(1).dist(1.5, [-2.0]) == 3.5
+        assert distances(sup_norm_space(1), [1.5, np.array([-2.0])], np.array([0]), np.array([1])).tolist() == [3.5]
+        with pytest.raises(ValueError, match="at least 1"):
+            sup_norm_space(0)
 
 
 def test_a_space_needs_a_label():
@@ -185,6 +209,66 @@ def _criterion_12_spaces(rng):
         vals[-1] = 0.0
         paths.append(ExcursionPath(np.arange(n + 1) * dt, vals, zeta=float(n * dt)))
     yield MetricStructure(excursion_metric, paths[0], "excursion"), paths
+
+
+def _builtin_spaces(rng):
+    # every metric with a batched form, on points with repeats and, in R^1, mixed scalar and vector points
+    spaces = list(_criterion_12_spaces(rng))
+    spaces.append((real_line(), list(rng.uniform(-3, 3, 40)) + [1, np.float64(0.5), np.array(2.0)]))
+    for dim in (1, 2, 3):
+        pts = list(rng.standard_normal((40, dim)) * 10.0 ** rng.integers(-6, 7, (40, 1)))
+        pts[1] = pts[0].copy()
+        if dim == 1:
+            pts[2:6] = [float(pts[2][0]), tuple(pts[3]), list(pts[4]), np.float64(pts[5][0])]
+        spaces.append((sup_norm_space(dim), pts))
+    spaces.append((point_removal_metric(sup_norm_space(3), np.ones(3), reference_point=np.zeros(3)),
+                   [tuple(x) for x in rng.uniform(-2, 2, (40, 3))] + [np.full(3, 1.5)]))
+    return spaces
+
+
+class TestDistances:
+    def test_each_builtin_batched_form_equals_its_dist_bitwise(self):
+        rng = np.random.default_rng(1214)
+        for space, pts in _builtin_spaces(rng):
+            assert hasattr(space.dist, "many"), space.label
+            n = len(pts)
+            i, j = rng.integers(0, n, (2, 3 * n))
+            i = np.concatenate([i, j, np.arange(n), i[:5]])  # swapped, diagonal and repeated pairs
+            j = np.concatenate([j, i[: 3 * n], np.arange(n), j[:5]])
+            got = distances(space, pts, i, j)
+            want = [space.dist(pts[a], pts[b]) for a, b in zip(i.tolist(), j.tolist())]
+            assert got.dtype == np.float64 and got.shape == i.shape
+            assert [float(v).hex() for v in got] == [w.hex() for w in want], space.label
+
+    def test_no_pairs_give_an_empty_array(self):
+        for space, pts in _builtin_spaces(np.random.default_rng(1215)):
+            assert distances(space, pts, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)).shape == (0,)
+
+    def test_a_wrapped_dist_is_called_once_per_pair_in_order(self):
+        calls = []
+
+        def dist(x, y):
+            calls.append((x, y))
+            return real_line().dist(x, y)
+
+        got = distances(MetricStructure(dist, 0.0, "R"), [0.0, 1.0, 3.0], np.array([2, 0, 1]), np.array([0, 0, 2]))
+        assert got.tolist() == [3.0, 0.0, 2.0] and calls == [(3.0, 0.0), (0.0, 0.0), (1.0, 3.0)]
+
+    def test_a_queried_removed_point_raises(self):
+        for space, removed, other in ((point_removal_metric(real_line(), 0.0, reference_point=1.0), 0.0, 2.0),
+                                      (levy_ground_space(2), np.zeros(2), np.ones(2))):
+            with pytest.raises(ValueError, match="removed point queried"):
+                distances(space, [other, removed], np.array([0, 1]), np.array([0, 0]))
+            assert distances(space, [other, removed], np.array([0]), np.array([0])).tolist() == [0.0]
+
+    @pytest.mark.parametrize("bad", [(0.0, 0.5), (-0.2,), ()], ids=["zero", "negative", "empty"])
+    def test_a_first_coordinate_at_most_zero_raises(self, bad):
+        pts = [(0.5, 0.1), bad, (1.0,)]
+        with pytest.raises(ValueError, match="H_delta"):
+            hilbert_cube_metric().dist(pts[2], bad)
+        with pytest.raises(ValueError, match="H_delta"):
+            distances(hilbert_cube_metric(), pts, np.array([0, 2]), np.array([2, 1]))
+        assert distances(hilbert_cube_metric(), pts, np.array([0]), np.array([2])).tolist() == [1.0 + 0.25 + 0.025]
 
 
 def _hex(report):
