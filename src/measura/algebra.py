@@ -89,9 +89,8 @@ def check_bounded_below_on(
         raise ValueError("the sample is empty: nothing to bound below")
     if not fam.members:
         return False, None, 0.0
-    for x in sample:
-        if not witness.contains(fam.space, x):
-            raise ValueError("sample point outside the bounded-set witness")
+    if not witness.contains_all(fam.space, sample):
+        raise ValueError("sample point outside the bounded-set witness")
     best_id, best_min = None, -1.0
     for f in fam.members:
         m = min(abs(f(x)) for x in sample)

@@ -88,8 +88,8 @@ class ExcursionPath:
             raise ValueError("grid must start at 0")
         if not (np.all(grid[1:] > grid[:-1]) and math.isfinite(grid[-1])):
             raise ValueError("grid must be finite and strictly increasing")
-        if not np.all(values >= 0.0):
-            raise ValueError("path values must be nonnegative")
+        if not np.all((values >= 0.0) & (values < math.inf)):
+            raise ValueError("path values must be finite and nonnegative")
         if not self.zeta > 0.0:
             raise ValueError("lifetime must be positive: the zero path is excluded")
         if np.any(values[grid > self.zeta] != 0.0):
@@ -174,9 +174,8 @@ def _interp_merged(tau, G, V, k, past):
     slope = (y_{k+1} - y_k) / (x_{k+1} - x_k), and 0 past the grid end.  At
     a grid point that is y_k itself when the slope is finite (a -0.0 value
     reads +0.0 there, which changes no segment integral); where an
-    overflowing slope makes it NaN there, it is y_k, as in np.interp.  An
-    infinite path value makes the distance NaN in both forms, so np.interp's
-    retry of a NaN from the right end is not reproduced.
+    overflowing slope makes it NaN there, it is y_k, as in np.interp.  Path
+    values are finite, so no other NaN arises.
     """
     x0, y0 = G[k], V[k]
     with np.errstate(all="ignore"):  # np.interp warns of no overflow or NaN either
@@ -312,33 +311,32 @@ _FIRST_CHUNK = 16
 _CELL_CAP = 8192
 
 
-def _killed_chunks(eps: float, dt: float, max_steps: int, rng: np.random.Generator, n: int):
-    """Step n killed paths from eps in lockstep, one chunk of grid steps at a time.
+def _killed_chunks(eps: float, times: np.ndarray, rng: np.random.Generator, n: int):
+    """Step n killed paths from eps in lockstep over the grid ``times`` (0, then increasing), a chunk at a time.
 
-    Exact Gaussian steps; a path is killed at step k + 1 when x_{k+1} <= 0 or
-    u < exp(-2 x_k x_{k+1} / dt), the chance that the Brownian bridge between
-    the two grid values hits 0.  Yields (ids, xs, first, done) per chunk: the
-    ids of the paths alive at its start, their (alive x steps) positions, each
-    row's index of its first kill (steps if it survives the chunk) and the
-    number of steps done before the chunk.  Killed paths retire after their
-    chunk; the rest run to max_steps.  Consumers must not modify xs.
+    Step k is an exact N(0, d) step, d = times[k] - times[k - 1]; the path is
+    killed there when x_k <= 0 or u < exp(-2 x_{k-1} x_k / d), the chance that
+    the Brownian bridge between the two values hits 0, so the law at the grid
+    times is exact whatever the gaps.  Yields (ids, xs, first, done) per
+    chunk: the ids of the paths alive at its start, their (alive x steps)
+    positions, each row's index of its first kill (steps if it survives the
+    chunk) and the number of steps done before it.  Killed paths retire after
+    their chunk.  Consumers must not modify xs.
     """
-    sqdt = math.sqrt(dt)
     ids = np.arange(n)
     x = np.full(n, float(eps))
-    done, size = 0, _FIRST_CHUNK
-    while ids.size and done < max_steps:
-        steps = min(size, max_steps - done, max(1, _CELL_CAP // ids.size))
-        # in place, rounded as x_k + sqdt * cumsum(z) and exp(min(0, -2 x_k x_{k+1} / dt))
-        xs = np.cumsum(rng.standard_normal((ids.size, steps)), axis=1)
-        xs *= sqdt
+    done, size, total = 0, _FIRST_CHUNK, times.size - 1
+    while ids.size and done < total:
+        steps = min(size, total - done, max(1, _CELL_CAP // ids.size))
+        gaps = np.diff(times[done : done + steps + 1])
+        # in place, rounded as x_k + cumsum(z sqrt(d)) and exp(min(0, x_{k-1} x_k (-2 / d)))
+        xs = rng.standard_normal((ids.size, steps))
+        xs *= np.sqrt(gaps)
+        np.cumsum(xs, axis=1, out=xs)
         xs += x[:, None]
-        bridge = np.empty_like(xs)  # chance that the bridge between x_k and x_{k+1} hits 0
-        bridge[:, 0] = x
-        bridge[:, 1:] = xs[:, :-1]
+        bridge = np.concatenate((x[:, None], xs[:, :-1]), axis=1)  # chance that the bridge from x_{k-1} to x_k hits 0
         bridge *= xs
-        bridge *= -2.0
-        bridge /= dt
+        bridge *= -2.0 / gaps
         np.exp(np.minimum(bridge, 0.0, out=bridge), out=bridge)
         killed = (xs <= 0.0) | (rng.random((ids.size, steps)) < bridge)
         first = np.where(killed.any(axis=1), killed.argmax(axis=1), steps)
@@ -353,21 +351,20 @@ def _killed_chunks(eps: float, dt: float, max_steps: int, rng: np.random.Generat
 def sample_killed_bm(eps: float, dt: float, horizon: float, seed) -> ExcursionPath:
     """One killed-Brownian path started at eps, absorbed at 0 or censored at the horizon.
 
-    The path is ``_killed_chunks``'s single row with stream ``default_rng(seed)``;
+    The path is ``_killed_chunks``'s single row on the dt-grid, stream ``default_rng(seed)``;
     an absorbed path ends with the 0 recorded at the absorption grid time.
     """
     if eps <= 0.0 or dt <= 0.0:
         raise ValueError("eps and dt must be positive")
-    chunks = [np.array([float(eps)])]
-    absorbed = False
-    for _, xs, first, _ in _killed_chunks(eps, dt, int(round(horizon / dt)), np.random.default_rng(seed), 1):
+    times = np.arange(int(round(horizon / dt)) + 1) * dt
+    chunks, zeta = [np.array([float(eps)])], math.inf
+    for _, xs, first, done in _killed_chunks(eps, times, np.random.default_rng(seed), 1):
         chunks.append(xs[0, : first[0]])
-        absorbed = bool(first[0] < xs.shape[1])
-    if absorbed:
-        chunks.append(np.zeros(1))
+        if first[0] < xs.shape[1]:
+            chunks.append(np.zeros(1))
+            zeta = float(times[done + 1 + first[0]])
     values = np.concatenate(chunks)
-    grid = np.arange(values.size) * dt
-    return ExcursionPath(grid, values, float(grid[-1]) if absorbed else math.inf)
+    return ExcursionPath(times[: values.size], values, zeta)
 
 
 # ---------------------------------------------------------------------------
@@ -449,24 +446,18 @@ def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[t
     return out
 
 
-def _lockstep_block(
-    F: ExcursionFunctional,
-    windows: list[tuple[np.ndarray, Callable]],
-    eps: float,
-    dt: float,
-    max_steps: int,
-    rng: np.random.Generator,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lifetimes and functional values of n killed paths from eps, stepped by ``_killed_chunks``.
+def _lockstep_block(F: ExcursionFunctional, windows: list[tuple[np.ndarray, Callable]], eps: float,
+                    times: np.ndarray, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lifetimes and functional values of n killed paths from eps, stepped by ``_killed_chunks`` over ``times``.
 
-    Window integrals accumulate chunk by chunk (values after the kill are
+    Window weights are given at times[0], times[1], ... as far as each window
+    runs; the integrals accumulate chunk by chunk (values after the kill are
     zero), so no path is stored.  Returns (zeta, values); zeta is the grid
-    time of the kill, inf for paths censored at max_steps.
+    time of the kill, inf for paths censored at times[-1].
     """
     kill_step = np.zeros(n, dtype=np.int64)  # 0 while alive or censored
     acc = [np.full(n, w[0] * float(g(eps))) for w, g in windows]
-    for ids, xs, first, done in _killed_chunks(eps, dt, max_steps, rng, n):
+    for ids, xs, first, done in _killed_chunks(eps, times, rng, n):
         steps = xs.shape[1]
         for (w, g), a in zip(windows, acc):
             cols = min(steps, w.size - 1 - done)
@@ -477,10 +468,10 @@ def _lockstep_block(
         kill_step[ids[dead]] = done + 1 + first[dead]
 
     absorbed = kill_step > 0
-    zeta = np.where(absorbed, kill_step * dt, math.inf)
+    zeta = np.where(absorbed, times[kill_step], math.inf)
     values = np.empty(n)
     if not absorbed.all():
-        _check_censoring(F, max_steps * dt)
+        _check_censoring(F, float(times[-1]))
         values[~absorbed] = F.h_tail_value
     values[absorbed] = np.asarray(F.h(zeta[absorbed]), dtype=float)
     for a in acc:
@@ -498,6 +489,12 @@ def empirical_lhs(
 ) -> tuple[float, float]:
     """(1/eps) E_eps[F] by Monte Carlo over killed-Brownian paths.
 
+    Paths are stepped only at the dt-grid points F reads: 0, the horizon,
+    each point of nonzero window weight and each k with h(k dt) != h((k + 1) dt).
+    In between, window weights are 0 and h has one value, so a kill there,
+    recorded at the next kept point, leaves F unchanged, and the bridge kill
+    keeps the law at the kept points exact: the estimate is the dt-grid one.
+
     Paths run in lockstep blocks of 1024 path indices; block b draws from its
     own RNG stream, derived from (seed, b), so the draws of a full block do
     not depend on how many paths run.  The working memory is bounded by the
@@ -511,9 +508,14 @@ def empirical_lhs(
         raise ValueError("eps and dt must be positive")
     max_steps = int(round(horizon / dt))
     windows = _window_weights(F, dt, max_steps)
+    h_grid = np.arange(int(min(max_steps, max(F.h_constant_after / dt, 0.0) + 2.0)) + 1) * dt  # past h_constant_after
+    h_on_grid = np.broadcast_to(np.asarray(F.h(h_grid), dtype=float), h_grid.shape)  # h may return a scalar
+    kept = _sorted_distinct([0, max_steps], np.flatnonzero(h_on_grid[1:] != h_on_grid[:-1]),
+                            *(np.flatnonzero(w) for w, _ in windows))
+    windows = [(w[kept[kept < w.size]], g) for w, g in windows]
     blocks = []  # (paths, mean, sum of squared deviations) per block
     for b, start in enumerate(range(0, n_paths, _BLOCK)):
-        _, vals = _lockstep_block(F, windows, eps, dt, max_steps, np.random.default_rng((seed, b)),
+        _, vals = _lockstep_block(F, windows, eps, kept * dt, np.random.default_rng((seed, b)),
                                   min(_BLOCK, n_paths - start))
         mean = vals.mean()
         blocks.append((vals.size, mean, np.sum((vals - mean) ** 2)))

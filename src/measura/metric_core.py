@@ -96,6 +96,12 @@ class BoundedSetWitness:
     def contains(self, space: MetricStructure, x: Point) -> bool:
         return space.dist(self.center, x) <= self.radius + _BALL_SLACK
 
+    def contains_all(self, space: MetricStructure, points: Sequence[Point]) -> bool:
+        """Whether ``contains`` holds at every point, from one :func:`distances` call from the centre."""
+        n = len(points)
+        d = distances(space, [self.center, *points], np.zeros(n, dtype=np.intp), np.arange(1, n + 1))
+        return bool(np.all(d <= self.radius + _BALL_SLACK))
+
 
 @dataclass(frozen=True)
 class MetricAxiomReport:
@@ -138,6 +144,7 @@ def sup_norm_space(dim: int) -> MetricStructure:
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
+    shapes = ((dim,), ()) if dim == 1 else ((dim,),)  # the shapes coords accepts
 
     def coords(p: Point) -> np.ndarray:
         a = np.asarray(p, dtype=float)
@@ -147,9 +154,9 @@ def sup_norm_space(dim: int) -> MetricStructure:
 
     def dist(x: Point, y: Point) -> float:
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.shape != (dim,) or y.shape != (dim,):  # a scalar in R^1, or a point to refuse
+        if x.shape not in shapes or y.shape not in shapes:  # a point to refuse: coords raises
             x, y = coords(x), coords(y)
-        return max(map(abs, (x - y).tolist()))
+        return max(map(abs, (x - y).reshape(dim).tolist()))
 
     def many(points, i, j):
         X = np.zeros((dim, len(points)))  # one row per coordinate

@@ -394,6 +394,13 @@ class TestMain:
         assert code in (0, 1) and out.exists()
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_excursion_step_floor_runs_without_traceback(self, tmp_path, capsys):
+        # dt = 2e-6, 10^6 steps to t = 2, is the finest step the bound admits; h is read on every one
+        out = tmp_path / "exc.csv"
+        code = main(["--command", "excursion", "--seed", "1", "--dt", "2e-6", "--n-paths", "100", "--out", str(out)])
+        assert code in (0, 1) and out.exists()
+        assert "Traceback" not in capsys.readouterr().err
+
     @pytest.mark.parametrize("dt", ["10", "0.3", "0.4", "1"])
     def test_excursion_dt_off_the_thresholds_is_usage_error(self, dt, tmp_path, capsys):
         out = tmp_path / "exc.csv"

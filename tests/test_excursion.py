@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import maxwell, norm
 
+from measura.cli import EXCURSION_TIMES, excursion_claim
 from measura.excursion import (
     _PAIR_CELLS,
     BesselCheckReport,
@@ -51,6 +52,12 @@ class TestExcursionPath:
     def test_nan_values_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ExcursionPath(np.array([0.0, 0.1, 0.2]), np.array([0.3, math.nan, 0.0]), zeta=0.2)
+
+    @pytest.mark.parametrize("values", [[math.inf, 0.0], [0.5, math.inf]])
+    def test_infinite_values_rejected(self, values):
+        # an infinite value would make d(e, e) nan
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ExcursionPath([0.0, 0.1], values, zeta=0.1 if values[1] == 0.0 else math.inf)
 
     def test_nan_grid_rejected(self):
         with pytest.raises(ValueError, match="grid must be finite and strictly increasing"):
@@ -393,6 +400,10 @@ class TestEmpiricalLhs:
         assert mean == pytest.approx(4.0, abs=1e-12)
         assert se == 0.0
 
+    def test_scalar_valued_h_is_a_constant(self):
+        F = ExcursionFunctional(h=lambda r: 2.0, h_constant_after=0.0)
+        assert empirical_lhs(F, eps=0.25, n_paths=200, dt=1e-3, horizon=0.02, seed=1) == (8.0, 0.0)
+
     def test_reproducible_and_partition_independent(self):
         F = ExcursionFunctional(h=step_indicator(0.1), h_constant_after=0.1)
         a = empirical_lhs(F, 0.05, 400, 1e-3, 0.5, seed=9)
@@ -419,33 +430,34 @@ class TestEmpiricalLhs:
         assert abs(mean - exact) < 3.0 * se
 
 
-def replay_block(seed, block, n, eps, dt, max_steps):
-    """The paths of one lockstep block, materialised from the block's draws.
+def replay_block(seed, block, n, eps, times):
+    """The paths of one lockstep block over the grid ``times``, materialised from the block's draws.
 
     Redraws the block's stream chunk by chunk and applies the kill rule path
-    by path and step by step.
+    by path and step by step, rounded as the simulator rounds.
     """
     from measura.excursion import _BLOCK, _CELL_CAP, _FIRST_CHUNK
 
     assert n <= _BLOCK
     rng = np.random.default_rng((seed, block))
-    sqdt = math.sqrt(dt)
     pieces = [[np.array([eps])] for _ in range(n)]
     zeta = [math.inf] * n
     x = [eps] * n
+    total = times.size - 1
     alive, done, size = list(range(n)), 0, _FIRST_CHUNK
-    while alive and done < max_steps:
-        steps = min(size, max_steps - done, max(1, _CELL_CAP // len(alive)))
+    while alive and done < total:
+        steps = min(size, total - done, max(1, _CELL_CAP // len(alive)))
+        gaps = np.diff(times[done : done + steps + 1])
         z = rng.standard_normal((len(alive), steps))
         u = rng.random((len(alive), steps))
         survivors = []
         for r, i in enumerate(alive):
-            row = x[i] + np.cumsum(z[r]) * sqdt
+            row = x[i] + np.cumsum(z[r] * np.sqrt(gaps))
             for k in range(steps):
                 before = row[k - 1] if k else x[i]
-                if row[k] <= 0.0 or u[r, k] < np.exp(min(0.0, -2.0 * before * row[k] / dt)):
+                if row[k] <= 0.0 or u[r, k] < np.exp(min(0.0, before * row[k] * (-2.0 / gaps[k]))):
                     pieces[i].append(np.append(row[:k], 0.0))
-                    zeta[i] = (done + k + 1) * dt
+                    zeta[i] = float(times[done + k + 1])
                     break
             else:
                 pieces[i].append(row)
@@ -455,8 +467,36 @@ def replay_block(seed, block, n, eps, dt, max_steps):
     paths = []
     for i in range(n):
         values = np.concatenate(pieces[i])
-        paths.append(ExcursionPath(np.arange(values.size) * dt, values, zeta[i]))
+        paths.append(ExcursionPath(times[: values.size], values, zeta[i]))
     return paths
+
+
+def block_grids(monkeypatch):
+    """Record the grid times and the result of every ``_lockstep_block`` call made after this."""
+    from measura import excursion
+
+    calls, block = [], excursion._lockstep_block
+
+    def spy(F, windows, eps, times, rng, n):
+        zeta, values = block(F, windows, eps, times, rng, n)
+        calls.append((times, zeta, values))
+        return zeta, values
+
+    monkeypatch.setattr(excursion, "_lockstep_block", spy)
+    return calls
+
+
+def full_grid_lhs(F, eps, n_paths, dt, horizon, seed):
+    """``empirical_lhs`` with every path stepped on the whole dt-grid to the horizon."""
+    from measura.excursion import _BLOCK, _lockstep_block, _window_weights
+
+    max_steps = int(round(horizon / dt))
+    windows, times = _window_weights(F, dt, max_steps), np.arange(max_steps + 1) * dt
+    vals = np.concatenate([
+        _lockstep_block(F, windows, eps, times, np.random.default_rng((seed, b)), min(_BLOCK, n_paths - start))[1]
+        for b, start in enumerate(range(0, n_paths, _BLOCK))
+    ])
+    return vals.mean() / eps, vals.std(ddof=1) / math.sqrt(n_paths) / eps
 
 
 class TestLockstepSimulator:
@@ -465,34 +505,55 @@ class TestLockstepSimulator:
         # sample_killed_bm and the lockstep blocks share one stepper: with the
         # stream (s, 0) its path is row 0 of block 0 of a one-path run
         seed, dt, horizon = 606, 1e-3, 1.0
-        max_steps = int(round(horizon / dt))
         p = sample_killed_bm(eps, dt, horizon, seed=(seed, 0))
-        q = replay_block(seed, 0, 1, eps, dt, max_steps)[0]
+        q = replay_block(seed, 0, 1, eps, np.arange(int(round(horizon / dt)) + 1) * dt)[0]
         assert np.array_equal(p.values, q.values) and np.array_equal(p.grid, q.grid)
         assert p.zeta == q.zeta and p.censored == q.censored
         assert p.censored == (eps == 1.0)
 
-    def test_pathwise_match_with_single_path_oracle(self):
-        from measura.excursion import _lockstep_block, _window_weights
-
+    def test_pathwise_match_with_single_path_oracle(self, monkeypatch):
+        # the lhs steps only the grid points F reads; its paths, replayed on
+        # that grid and carried onto the dt-grid by interpolation (the filled
+        # points have window weight 0), give the values it computes
         eps, dt, horizon, n, seed = 0.3, 1e-3, 1.0, 200, 4242
-        max_steps = int(round(horizon / dt))
         g = lambda x: np.minimum(np.asarray(x, float), 1.0)
         h = lambda r: 1.0 - 0.5 * step_indicator(0.2, width=0.4)(r)  # 0.5 after 0.6
         F = ExcursionFunctional(h=h, h_constant_after=0.6, pairs=((smoothed_bump(0.05, 0.5, 0.05), 0.5, g),))
 
-        zeta, values = _lockstep_block(F, _window_weights(F, dt, max_steps), eps, dt, max_steps,
-                                       np.random.default_rng((seed, 0)), n)
-        paths = replay_block(seed, 0, n, eps, dt, max_steps)
+        calls = block_grids(monkeypatch)
+        mean, se = empirical_lhs(F, eps, n, dt, horizon, seed)
+        [(times, zeta, values)] = calls
+        steps = np.rint(times / dt).astype(int)
+        assert np.array_equal(times, steps * dt) and steps[0] == 0 and steps[-1] == 1000
+        # f is 0 up to 0.05 and h is constant past 0.6: no step is read there
+        assert not np.any((steps > 0) & (steps <= 50)) and not np.any((steps > 600) & (steps < 1000))
+
+        paths = []
+        for p in replay_block(seed, 0, n, eps, times):
+            grid = np.arange(steps[p.grid.size - 1] + 1) * dt
+            paths.append(ExcursionPath(grid, np.interp(grid, p.grid, p.values), p.zeta))
         assert zeta.tolist() == [p.zeta for p in paths]
         oracle = np.array([eval_functional(F, p) for p in paths])
         np.testing.assert_allclose(values, oracle, rtol=1e-12, atol=0.0)
         assert np.count_nonzero(oracle) >= 20
         assert 0 < sum(p.censored for p in paths) < n
 
-        mean, se = empirical_lhs(F, eps, n, dt, horizon, seed)
         assert mean == pytest.approx(oracle.mean() / eps, rel=1e-12)
         assert se == pytest.approx(oracle.std(ddof=1) / eps / math.sqrt(n), rel=1e-10)
+
+    def test_tail_claim_steps_to_t_and_one_dt_past_it(self, monkeypatch):
+        calls = block_grids(monkeypatch)
+        excursion_claim(0.01, 100, 1e-4, seeds=(1, 2, 3), horizon_margin=1e-4)
+        assert [c[0].tolist() for c in calls] == [[0.0, t, t + 1e-4] for t in EXCURSION_TIMES]
+
+    def test_merged_grid_lhs_matches_full_grid(self):
+        # criterion 09's inputs: the merged grid skips [0, 0.5], where f is 0
+        # and h is 1; the two estimates share no stream
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                                pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, lambda x: np.minimum(x, 1.0)),))
+        merged, merged_se = empirical_lhs(F, 0.01, 100_000, 1e-4, 2.0, seed=9001)
+        full, full_se = full_grid_lhs(F, 0.01, 100_000, 1e-4, 2.0, seed=9002)
+        assert abs(merged - full) <= 3.0 * math.hypot(merged_se, full_se)
 
     def test_survival_matches_closed_form(self):
         # (1/eps) P_eps(zeta > t) = erf(eps / sqrt(2t)) / eps, exact at grid times

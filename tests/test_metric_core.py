@@ -151,6 +151,36 @@ class TestWitness:
         assert w.contains(real_line(), 1.5)
         assert not w.contains(real_line(), 2.5)
 
+    def test_contains_all_equals_the_per_point_loop(self):
+        # the ball runs through one sample point, its radius less 0, half the
+        # slack (the point still inside) or twice it (the point just outside)
+        from measura.algebra import FunctionFamily, TestFunction, check_bounded_below_on
+
+        rng = np.random.default_rng(77)
+        cases = [
+            (real_line(), 0.3, lambda: float(rng.uniform(-3.0, 3.0))),
+            (levy_ground_space(1), np.ones(1), lambda: float(rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 4.0))),
+            (sup_norm_space(2), np.zeros(2), lambda: rng.uniform(-2.0, 2.0, 2)),
+            (hilbert_cube_metric(), (1.0,), lambda: tuple(rng.uniform(0.2, 1.0, 3))),
+        ]
+        outcomes = set()
+        for space, center, draw in cases:
+            fam = FunctionFamily((TestFunction("one", lambda x: 1.0),), space)
+            for i, shrink in enumerate((0.0, 0.5e-12, 2e-12) * 5):
+                pts = [draw() for _ in range(int(rng.integers(1, 40)))]
+                far = max(pts, key=lambda x: space.dist(center, x))
+                edge = far if i % 2 else pts[int(rng.integers(len(pts)))]  # every other ball holds all points
+                w = BoundedSetWitness(space.dist(center, edge) - shrink, center)
+                inside = all(w.contains(space, x) for x in pts)
+                assert w.contains_all(space, pts) == inside
+                outcomes.add((shrink, inside))
+                if inside:
+                    assert check_bounded_below_on(fam, w, pts)[0]
+                else:
+                    with pytest.raises(ValueError, match="outside the bounded-set witness"):
+                        check_bounded_below_on(fam, w, pts)
+        assert (0.5e-12, True) in outcomes and (2e-12, False) in outcomes
+
 
 @settings(max_examples=150, deadline=None)
 @given(
