@@ -37,6 +37,13 @@ TWO_PI = 2.0 * math.pi
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 
+def _require_finite(*, nonnegative: bool = False, **values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite and positive (or nonnegative)."""
+    for name, v in values.items():
+        if not (0.0 <= v if nonnegative else 0.0 < v) or v == math.inf:  # NaN fails the first test
+            raise ValueError(f"{name} must be finite and {'nonnegative' if nonnegative else 'positive'}, got {v}")
+
+
 def kappa(r):
     """(2 pi r^3)^(-1/2), the excursion-length intensity."""
     r = np.asarray(r, dtype=float)
@@ -354,8 +361,7 @@ def sample_killed_bm(eps: float, dt: float, horizon: float, seed) -> ExcursionPa
     The path is ``_killed_chunks``'s single row on the dt-grid, stream ``default_rng(seed)``;
     an absorbed path ends with the 0 recorded at the absorption grid time.
     """
-    if eps <= 0.0 or dt <= 0.0:
-        raise ValueError("eps and dt must be positive")
+    _require_finite(eps=eps, dt=dt, horizon=horizon)
     times = np.arange(int(round(horizon / dt)) + 1) * dt
     chunks, zeta = [np.array([float(eps)])], math.inf
     for _, xs, first, done in _killed_chunks(eps, times, np.random.default_rng(seed), 1):
@@ -504,8 +510,7 @@ def empirical_lhs(
     """
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
-    if eps <= 0.0 or dt <= 0.0:
-        raise ValueError("eps and dt must be positive")
+    _require_finite(eps=eps, dt=dt, horizon=horizon)
     max_steps = int(round(horizon / dt))
     windows = _window_weights(F, dt, max_steps)
     h_grid = np.arange(int(min(max_steps, max(F.h_constant_after / dt, 0.0) + 2.0)) + 1) * dt  # past h_constant_after
@@ -595,6 +600,7 @@ def target_rhs(
         raise ValueError("target_rhs needs at least one window pair (f, f_support_end, g)")
     if n_bessel < 2:
         raise ValueError("n_bessel must be at least 2")
+    _require_finite(dt=dt)
     r = np.asarray(r_grid, dtype=float)
     if r.size < 2 or r[0] < 0.0 or np.any(np.diff(r) <= 0):
         raise ValueError("r_grid must be increasing and nonnegative")
@@ -678,8 +684,10 @@ def bessel_semigroup_check(t: float, x: float, n_samples: int, seed) -> BesselCh
     exactly as the norm of a shifted 3-d Gaussian; the exact bin masses are
     differences of ``_bessel_cdf``.
     """
-    if t <= 0.0:
-        raise ValueError("t must be positive")
+    _require_finite(t=t)
+    _require_finite(x=x, nonnegative=True)
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     rng = np.random.default_rng(seed)
     samples = np.linalg.norm(
         np.array([x, 0.0, 0.0]) + rng.standard_normal((n_samples, 3)) * math.sqrt(t), axis=1
@@ -714,8 +722,8 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
     """
     if len(F.pairs) != 1:
         raise ValueError("target_oracle takes exactly one window pair")
-    if dt <= 0.0 or eps < 0.0:
-        raise ValueError("dt must be positive and eps nonnegative")
+    _require_finite(dt=dt)
+    _require_finite(eps=eps, nonnegative=True)
     from numpy.polynomial.legendre import leggauss
 
     [(w, g)] = _window_weights(F, dt, int(math.ceil(F.pairs[0][1] / dt)))

@@ -33,11 +33,14 @@ class MetricStructure:
 
     ``dist`` may carry a batched form as its attribute ``dist.many(points, i,
     j)``: the float array of ``dist(points[i[k]], points[j[k]])`` over k, equal
-    to the scalar values bit for bit, raising the ValueError ``dist`` raises
-    when a bad point is queried.  The built-in metrics carry one.
-    :func:`distances` is the one place that looks for it; a ``dist`` without
+    to the scalar values bit for bit.  It converts and checks every point it
+    is given, raising the ValueError ``dist`` raises on a bad one.  The
+    built-in metrics carry one.  :func:`distances` is the one place that looks
+    for it, and gives it only the points some pair queries; a ``dist`` without
     one, such as a function wrapped around a built-in ``dist``, is called once
-    per pair instead.
+    per pair instead.  A built-in metric gives NaN, in both forms, for a
+    point with a NaN coordinate, and :func:`sample_metric_axioms` and
+    ``prohorov_distance`` refuse a non-finite distance.
     """
 
     dist: Callable[[Point, Point], float]
@@ -50,24 +53,21 @@ def distances(space: MetricStructure, points: Sequence[Point], i: np.ndarray, j:
 
     One call of ``space.dist.many`` when the distance function has that
     batched form, else one ``space.dist`` call per pair, in the order of k.
+    The batched form is given only the points some pair queries, in
+    ascending order and with i and j renumbered to match, so a bad point
+    that no pair queries raises no more than under the per-pair loop.  No
+    pairs give an empty array.
     """
     many = getattr(space.dist, "many", None)
-    if many is not None:
+    if many is None or len(i) == 0:
+        return np.array([space.dist(points[a], points[b]) for a, b in zip(i.tolist(), j.tolist())], dtype=float)
+    pos = np.zeros(len(points), dtype=np.intp)
+    pos[i] = pos[j] = 1
+    q = np.flatnonzero(pos)
+    if q.size == len(points):  # every point is queried: nothing to renumber
         return many(points, i, j)
-    return np.array([space.dist(points[a], points[b]) for a, b in zip(i.tolist(), j.tolist())], dtype=float)
-
-
-def _queried(points: Sequence[Point], i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, list]:
-    """The ascending indices of the points that some pair (i[k], j[k]) queries, and those points.
-
-    A batched form converts and checks only these, so a bad point that no
-    pair queries raises no more than it does under the per-pair loop.
-    """
-    used = np.zeros(len(points), dtype=bool)
-    used[i] = True
-    used[j] = True
-    q = np.flatnonzero(used)
-    return q, [points[k] for k in q.tolist()]
+    pos[q] = np.arange(q.size)  # a queried point's index among the queried ones
+    return many([points[k] for k in q.tolist()], pos[i], pos[j])
 
 
 def _sorted_distinct(*parts) -> np.ndarray:
@@ -123,7 +123,7 @@ def real_line() -> MetricStructure:
     def dist(x: Point, y: Point) -> float:
         return abs(float(x) - float(y))
 
-    def many(points, i, j):  # float() of every point, queried or not: any number is a point of R
+    def many(points, i, j):
         x = np.fromiter(map(float, points), float, len(points))
         return np.abs(x[i] - x[j])
 
@@ -136,15 +136,10 @@ def sup_norm_space(dim: int) -> MetricStructure:
 
     A point is a flat vector of dim coordinates; in R^1 a scalar is one too.
     Any other shape raises ValueError naming it, where numpy would broadcast
-    it against the other point.  The maximum is taken on Python floats: on a
-    few coordinates that is about three times faster than numpy reductions,
-    and bit-identical.  The batched form keeps Python's order, replacing the
-    running maximum only where a later coordinate is greater, so that a NaN
-    coordinate gives the same result as in ``dist``.
+    it against the other point.  A NaN coordinate gives a NaN distance.
     """
     if dim < 1:
         raise ValueError(f"dimension must be at least 1, got {dim}")
-    shapes = ((dim,), ()) if dim == 1 else ((dim,),)  # the shapes coords accepts
 
     def coords(p: Point) -> np.ndarray:
         a = np.asarray(p, dtype=float)
@@ -153,19 +148,13 @@ def sup_norm_space(dim: int) -> MetricStructure:
         return a.reshape(dim)
 
     def dist(x: Point, y: Point) -> float:
-        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        if x.shape not in shapes or y.shape not in shapes:  # a point to refuse: coords raises
-            x, y = coords(x), coords(y)
-        return max(map(abs, (x - y).reshape(dim).tolist()))
+        return float(np.max(np.abs(coords(x) - coords(y))))
 
     def many(points, i, j):
-        X = np.zeros((dim, len(points)))  # one row per coordinate
-        q, pts = _queried(points, i, j)
-        X[:, q] = np.reshape([coords(p) for p in pts], (-1, dim)).T
+        X = np.reshape([coords(p) for p in points], (-1, dim)).T  # one row per coordinate
         out = np.abs(X[0, i] - X[0, j])
         for row in X[1:]:
-            d = np.abs(row[i] - row[j])
-            np.copyto(out, d, where=d > out)
+            np.maximum(out, np.abs(row[i] - row[j]), out=out)
         return out
 
     dist.many = many
@@ -184,8 +173,9 @@ def point_removal_metric(base: MetricStructure, removed: Point, reference_point:
     the removed point itself raises.
 
     ``reference_point`` must be a point of the punctured space: one at the
-    removed point raises.  The label names the removed point, so measures on
-    spaces punctured at different points are not compared.
+    removed point raises.  The label names the removed point and the
+    reference point, so measures on spaces punctured at different points, or
+    bounded from different reference points, are not compared.
     """
     if base.dist(removed, reference_point) == 0.0:
         raise ValueError("reference_point lies at the removed point")
@@ -198,16 +188,15 @@ def point_removal_metric(base: MetricStructure, removed: Point, reference_point:
         return base.dist(y, z) + abs(1.0 / dy - 1.0 / dz)
 
     def many(points, i, j):
-        q, pts = _queried(points, i, j)
-        dr = distances(base, [removed, *pts], np.zeros(q.size, dtype=np.intp), np.arange(1, q.size + 1))
+        n = len(points)
+        dr = distances(base, [removed, *points], np.zeros(n, dtype=np.intp), np.arange(1, n + 1))
         if np.any(dr == 0.0):
             raise ValueError("removed point queried")
-        inv = np.zeros(len(points))  # 1 / d(removed, p), once per queried point
-        inv[q] = 1.0 / dr
+        inv = 1.0 / dr
         return distances(base, points, i, j) + np.abs(inv[i] - inv[j])
 
     dist.many = many
-    return MetricStructure(dist, reference_point, f"{base.label} minus {removed!r}")
+    return MetricStructure(dist, reference_point, f"{base.label} minus {removed!r}, reference {reference_point!r}")
 
 
 def hilbert_cube_metric() -> MetricStructure:
@@ -236,9 +225,8 @@ def hilbert_cube_metric() -> MetricStructure:
         return total
 
     def many(points, i, j):
-        q, pts = _queried(points, i, j)
-        X = np.zeros((max(1, max(map(len, pts), default=0)), len(points)))  # one row per coordinate
-        for k, p in zip(q.tolist(), pts):
+        X = np.zeros((max(1, max(map(len, points), default=0)), len(points)))  # one row per coordinate
+        for k, p in enumerate(points):
             X[: len(p), k] = p
         if np.any((X[0, i] <= 0.0) | (X[0, j] <= 0.0)):
             raise ValueError("not in H_delta domain")

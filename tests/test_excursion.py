@@ -803,6 +803,50 @@ def scipy_bin_probs(edges, t, x):
     return (piece(a, b, -x) - piece(a, b, +x)) / x
 
 
+_WINDOWED = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                                 pairs=((smoothed_bump(0.2, 0.8, 0.1), 0.8, lambda x: np.minimum(x, 1.0)),))
+_GOOD = {"eps": 0.05, "dt": 1e-3, "horizon": 2.5}
+_CALLS = {
+    "empirical_lhs": lambda eps, dt, horizon: empirical_lhs(_WINDOWED, eps, 100, dt, horizon, seed=1),
+    "sample_killed_bm": lambda eps, dt, horizon: sample_killed_bm(eps, dt, horizon, seed=1),
+    "target_rhs": lambda eps, dt, horizon: target_rhs(_WINDOWED, 2, dt, np.linspace(0, 6, 120), seed=0),
+}
+
+
+class TestInputGuards:
+    # each used to return a quiet (0.0, 0.0) or (nan, nan), or to end in an
+    # IndexError, OverflowError or ZeroDivisionError
+    @pytest.mark.parametrize("bad", [-0.01, 0.0, math.inf, math.nan])
+    @pytest.mark.parametrize("name, fn", [("eps", "empirical_lhs"), ("dt", "empirical_lhs"),
+                                          ("horizon", "empirical_lhs"), ("eps", "sample_killed_bm"),
+                                          ("dt", "sample_killed_bm"), ("horizon", "sample_killed_bm"),
+                                          ("dt", "target_rhs")])
+    def test_a_bad_simulation_argument_is_named(self, name, fn, bad):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive, got {bad}"):
+            _CALLS[fn](**{**_GOOD, name: bad})
+
+    @pytest.mark.parametrize("t, x, message", [
+        (0.0, 0.0, "t must be finite and positive"), (-1.0, 0.0, "t must be finite and positive"),
+        (math.nan, 0.0, "t must be finite and positive"), (math.inf, 0.0, "t must be finite and positive"),
+        (1.0, -1.0, "x must be finite and nonnegative"), (1.0, math.nan, "x must be finite and nonnegative"),
+        (1.0, math.inf, "x must be finite and nonnegative"),
+    ])
+    def test_a_bad_bessel_start_is_named(self, t, x, message):
+        with pytest.raises(ValueError, match=message):
+            bessel_semigroup_check(t, x, n_samples=100, seed=1)
+
+    def test_no_bessel_samples_is_refused(self):
+        # the histogram divided by zero: a RuntimeWarning and a NaN report
+        with pytest.raises(ValueError, match="n_samples must be at least 1"):
+            bessel_semigroup_check(1.0, 0.0, n_samples=0, seed=1)
+
+    @pytest.mark.parametrize("dt, eps, name", [(math.nan, 0.0, "dt"), (math.inf, 0.0, "dt"), (0.01, math.nan, "eps"),
+                                               (0.01, -1.0, "eps")])
+    def test_a_bad_oracle_argument_is_named(self, dt, eps, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite and"):
+            target_oracle(_WINDOWED, dt, eps)
+
+
 class TestBesselSemigroup:
     def test_entrance_density_normalizes(self):
         edges = np.linspace(0.0, 12.0, 400)

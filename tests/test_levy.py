@@ -108,6 +108,13 @@ class TestRecovery:
         b = recover_b(psi, np.eye(2), 2, default_m_schedule(1e3))
         assert np.max(np.abs(b - t.b)) < 1e-8
 
+    def test_a_c_that_does_not_match_the_exponent_warns(self):
+        # psi carries C = I; with C_00 = 0 the bracket keeps m^2 / 2, so component 0's residue grows like m
+        t = triple([1.0, -1.0], np.eye(2), [], dim=2)
+        with pytest.warns(UserWarning, match="imaginary residue .* in component 0; the supplied C may not match"):
+            b = recover_b(lambda u: psi_exponent(t, u), np.diag([0.0, 1.0]), 2, default_m_schedule(1e3))
+        assert np.max(np.abs(b - t.b)) < 1e-8
+
     def test_unit_ball_atoms_need_compensator_moment(self):
         t = triple(0.7, 0.0, [(np.array([0.4]), 1.0)])
         psi = lambda u: psi_exponent(t, u)

@@ -8,14 +8,22 @@ from measura.algebra import FunctionFamily, TestFunction
 from measura.measures import (
     AtomicMeasure,
     _strassen_defect,
+    finite_measure_space,
     integrate,
     mf_measure_metric,
     prohorov_distance,
     prohorov_distance_bruteforce,
     weak_sharp_report,
 )
-from measura.levy import levy_ground_space
-from measura.metric_core import MetricStructure, _sorted_distinct, point_removal_metric, real_line, sup_norm_space
+from measura.levy import finite_ground_space, levy_ground_space
+from measura.metric_core import (
+    MetricStructure,
+    _sorted_distinct,
+    point_removal_metric,
+    real_line,
+    sample_metric_axioms,
+    sup_norm_space,
+)
 
 SPACE = real_line()
 
@@ -164,6 +172,32 @@ class TestProhorov:
         at1 = point_removal_metric(real_line(), 1.0, reference_point=2.0)
         with pytest.raises(ValueError, match="mismatched"):
             prohorov_distance(AtomicMeasure.dirac(at0, 0.5), AtomicMeasure.dirac(at1, 0.5))
+
+    def test_spaces_with_different_reference_points_raise(self):
+        # d# bounds from the reference point, so these are different spaces
+        near, far = (point_removal_metric(real_line(), 0.0, reference_point=r) for r in (1.0, 50.0))
+        with pytest.raises(ValueError, match="mismatched"):
+            prohorov_distance(AtomicMeasure.dirac(near, 0.5), AtomicMeasure.dirac(far, 0.5))
+        assert levy_ground_space(2).label == levy_ground_space(2).label
+        assert prohorov_distance(AtomicMeasure.dirac(levy_ground_space(2), np.ones(2)),
+                                 AtomicMeasure.dirac(levy_ground_space(2), np.ones(2))) == 0.0
+
+    @pytest.mark.parametrize("space", [sup_norm_space(2), levy_ground_space(2)], ids=["sup2", "levy2"])
+    def test_an_atom_with_a_nan_coordinate_raises(self, space):
+        nu, dirac = AtomicMeasure.from_atoms(space, [((1.0, math.nan), 1.0)]), AtomicMeasure.dirac(space, np.ones(2))
+        for args in ((nu, dirac), (dirac, nu)):
+            with pytest.raises(ValueError, match="non-finite distance"):
+                prohorov_distance(*args)
+
+    @pytest.mark.parametrize("a, b, want", [(0.3, 0.6, 0.6), (0.6, 0.3, 0.6), (2.0, 0.5, 1.5), (0.9, 0.95, 0.95),
+                                            (1.2, 0.4, 1.0), (3.0, 3.5, 1.0)])
+    def test_two_diracs_on_a_discrete_space_closed_form(self, a, b, want):
+        # points one apart: p(a delta_x, b delta_y) = max(a, b) below 1, else max(1, |a - b|)
+        ground = finite_ground_space(("x", "y"))
+        nu1, nu2 = AtomicMeasure.dirac(ground, "x", a), AtomicMeasure.dirac(ground, "y", b)
+        for distance in (prohorov_distance, prohorov_distance_bruteforce):
+            assert distance(nu1, nu2) == pytest.approx(want, abs=1e-12)
+            assert distance(nu2, nu1) == pytest.approx(want, abs=1e-12)
 
     def test_only_cross_distances_are_computed(self):
         calls = []
@@ -368,6 +402,15 @@ class TestMfMetric:
     def test_zero_mass_rejected(self):
         with pytest.raises(ValueError, match="M_f"):
             mf_measure_metric(AtomicMeasure.empty(SPACE), AtomicMeasure.dirac(SPACE, 1.0))
+
+    def test_metric_axioms_on_measures_over_a_discrete_space(self):
+        ground = finite_ground_space(("a", "b", "c"))
+        space = finite_measure_space(AtomicMeasure.dirac(ground, "a"))
+        rng = np.random.default_rng(34)
+        pts = [AtomicMeasure.from_atoms(ground, [(e, float(w)) for e, w in zip("abc", rng.uniform(0.05, 2.0, 3))
+                                                 if rng.random() < 0.7] or [("a", 1.0)]) for _ in range(12)]
+        report = sample_metric_axioms(space, pts, 200, rng)
+        assert report.ok, report
 
 
 class TestWeakSharpReport:

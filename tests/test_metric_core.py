@@ -93,6 +93,17 @@ class TestSupNorm:
         got = distances(sup_norm_space(2), pts, np.array([0, 2]), np.array([2, 0]))
         assert got.tolist() == [1.0, 1.0]
 
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_a_nan_coordinate_gives_nan_in_both_forms(self, dim):
+        # Python's max skipped a NaN after the first coordinate: dist([0, 0], [1, nan]) read 1.0
+        space = sup_norm_space(dim)
+        for k in range(dim):
+            bad = np.ones(dim)
+            bad[k] = math.nan
+            pts = [np.zeros(dim), bad]
+            assert math.isnan(space.dist(*pts)) and math.isnan(space.dist(*pts[::-1]))
+            assert np.isnan(distances(space, pts, np.array([0, 1, 0]), np.array([1, 0, 0]))).tolist() == [True] * 2 + [False]
+
     def test_scalars_are_points_of_r1_only(self):
         assert sup_norm_space(1).dist(1.5, [-2.0]) == 3.5
         assert distances(sup_norm_space(1), [1.5, np.array([-2.0])], np.array([0]), np.array([1])).tolist() == [3.5]
@@ -273,6 +284,30 @@ class TestDistances:
     def test_no_pairs_give_an_empty_array(self):
         for space, pts in _builtin_spaces(np.random.default_rng(1215)):
             assert distances(space, pts, np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)).shape == (0,)
+
+    def test_a_batched_form_gets_only_the_queried_points_renumbered(self):
+        seen = []
+
+        def dist(x, y):
+            return abs(x - y)
+
+        def many(points, i, j):
+            seen.append((list(points), i.tolist(), j.tolist()))
+            return np.abs(np.array(points)[i] - np.array(points)[j])
+
+        dist.many = many
+        space = MetricStructure(dist, 0.0, "R")
+        got = distances(space, [0.0, "not a point", 3.0, 5.0, None], np.array([3, 0, 3]), np.array([0, 0, 2]))
+        assert got.tolist() == [5.0, 0.0, 2.0] and seen == [([0.0, 3.0, 5.0], [2, 0, 2], [0, 0, 1])]
+        assert distances(space, [None], np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)).shape == (0,)
+        assert len(seen) == 1
+
+    def test_a_point_no_pair_queries_is_not_converted(self):
+        pts = [1.0, "not a number", 4.0]
+        assert distances(real_line(), pts, np.array([0]), np.array([2])).tolist() == [3.0]
+        assert distances(hilbert_cube_metric(), [(0.5,), (), (1.0,)], np.array([0]), np.array([2])).tolist() == [1.25]
+        with pytest.raises(ValueError, match="H_delta"):  # an all-empty set of queried points
+            distances(hilbert_cube_metric(), [(0.5,), ()], np.array([1]), np.array([1]))
 
     def test_a_wrapped_dist_is_called_once_per_pair_in_order(self):
         calls = []
