@@ -64,8 +64,6 @@ def distances(space: MetricStructure, points: Sequence[Point], i: np.ndarray, j:
     pos = np.zeros(len(points), dtype=np.intp)
     pos[i] = pos[j] = 1
     q = np.flatnonzero(pos)
-    if q.size == len(points):  # every point is queried: nothing to renumber
-        return many(points, i, j)
     pos[q] = np.arange(q.size)  # a queried point's index among the queried ones
     return many([points[k] for k in q.tolist()], pos[i], pos[j])
 
@@ -161,6 +159,14 @@ def sup_norm_space(dim: int) -> MetricStructure:
     return MetricStructure(dist, np.zeros(dim), f"R^{dim}-sup")
 
 
+def _label_value(p: Point) -> Any:
+    """A point's coordinates as a tuple of Python floats, whose repr is exact; p itself if it has none."""
+    try:
+        return tuple(np.asarray(p, dtype=float).ravel().tolist())
+    except (TypeError, ValueError):
+        return p
+
+
 def point_removal_metric(base: MetricStructure, removed: Point, reference_point: Point) -> MetricStructure:
     """Send one point of ``base`` infinitely far away.
 
@@ -174,8 +180,10 @@ def point_removal_metric(base: MetricStructure, removed: Point, reference_point:
 
     ``reference_point`` must be a point of the punctured space: one at the
     removed point raises.  The label names the removed point and the
-    reference point, so measures on spaces punctured at different points, or
-    bounded from different reference points, are not compared.
+    reference point by their float coordinates, exact and whatever their
+    numeric type (a point that has none, such as a string, by its repr), so
+    measures on spaces punctured at different points, or bounded from
+    different reference points, are not compared.
     """
     if base.dist(removed, reference_point) == 0.0:
         raise ValueError("reference_point lies at the removed point")
@@ -196,7 +204,8 @@ def point_removal_metric(base: MetricStructure, removed: Point, reference_point:
         return distances(base, points, i, j) + np.abs(inv[i] - inv[j])
 
     dist.many = many
-    return MetricStructure(dist, reference_point, f"{base.label} minus {removed!r}, reference {reference_point!r}")
+    label = f"{base.label} minus {_label_value(removed)!r}, reference {_label_value(reference_point)!r}"
+    return MetricStructure(dist, reference_point, label)
 
 
 def hilbert_cube_metric() -> MetricStructure:

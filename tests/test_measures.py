@@ -182,6 +182,15 @@ class TestProhorov:
         assert prohorov_distance(AtomicMeasure.dirac(levy_ground_space(2), np.ones(2)),
                                  AtomicMeasure.dirac(levy_ground_space(2), np.ones(2))) == 0.0
 
+    def test_reference_points_are_compared_by_exact_value(self):
+        # the numeric type of a point does not matter, a difference below print precision does
+        plain, typed = (point_removal_metric(real_line(), 0.0, reference_point=r) for r in (1.0, np.float64(1.0)))
+        assert prohorov_distance(AtomicMeasure.dirac(plain, 0.5), AtomicMeasure.dirac(typed, 0.5)) == 0.0
+        ones, nudged = (point_removal_metric(sup_norm_space(2), np.zeros(2), reference_point=r)
+                        for r in (np.ones(2), np.ones(2) + 1e-9))
+        with pytest.raises(ValueError, match="mismatched"):
+            prohorov_distance(AtomicMeasure.dirac(ones, np.ones(2)), AtomicMeasure.dirac(nudged, np.ones(2)))
+
     @pytest.mark.parametrize("space", [sup_norm_space(2), levy_ground_space(2)], ids=["sup2", "levy2"])
     def test_an_atom_with_a_nan_coordinate_raises(self, space):
         nu, dirac = AtomicMeasure.from_atoms(space, [((1.0, math.nan), 1.0)]), AtomicMeasure.dirac(space, np.ones(2))
