@@ -12,7 +12,8 @@ field of the same name and takes its default from it; COMMAND_TABLE lists the
 fields each command reads, and any other must keep its default.  Identical
 configurations, including the seed, reproduce identical output bytes;
 wall-clock time is kept on the in-memory result only, never in the emitted
-file.
+file.  ``excursion`` steps its killed paths at 0, t and 2t only, where its
+claim is exact, so no command takes a simulation step.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import dataclasses
 import io
 import json
 import math
+import numbers
 import os
 import sys
 import time
@@ -54,7 +56,6 @@ from .metric_core import real_line
 
 FORMATS = ("csv", "json")
 EXCURSION_TIMES = (0.5, 1.0, 2.0)  # the lifetime thresholds t of the excursion claim
-EXCURSION_MAX_STEPS = 10**6  # at most this many dt steps to the largest t, so dt >= 2e-6
 
 
 class UsageError(ValueError):
@@ -66,7 +67,6 @@ class ExperimentConfig:
     command: str
     seed: int | None = None
     eps: float = 0.01
-    dt: float = 1e-4
     n_paths: int = 100_000
     m_max: float = 1e3
     tol: float = 1e-2
@@ -89,24 +89,17 @@ class ExperimentConfig:
             raise UsageError(f"seed: required for stochastic command {self.command!r}")
         if self.seed is not None and not (0 <= self.seed < 2**64):
             raise UsageError("seed: must be an unsigned 64-bit integer")
-        for name, value in (("eps", self.eps), ("dt", self.dt), ("m-max", self.m_max), ("tol", self.tol)):
-            if isinstance(value, bool):
-                raise UsageError(f"{name}: must be a number, not bool")
+        for name, value in (("eps", self.eps), ("m-max", self.m_max), ("tol", self.tol)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise UsageError(f"{name}: must be a number, not {type(value).__name__}")
             if not (value > 0.0 and math.isfinite(value)):
                 raise UsageError(f"{name}: must be positive and finite")
         if self.command == "sw-approx" and not (self.m_max >= 1.0 and self.m_max == int(self.m_max)):
             raise UsageError("m-max: the sw-approx degree budget must be a whole number, at least 1")
         if self.n_paths < 1:
             raise UsageError("n-paths: must be at least 1")
-        if self.command == "excursion":
-            if self.n_paths < 100:
-                raise UsageError("n-paths: excursion needs at least 100 paths")
-            steps = [t / self.dt for t in EXCURSION_TIMES]
-            if max(steps) > EXCURSION_MAX_STEPS:
-                raise UsageError(f"dt: more than {EXCURSION_MAX_STEPS} steps to t = {max(EXCURSION_TIMES)}")
-            # each t a whole number of dt steps, up to the rounding of t / dt
-            if not all(math.isfinite(s) and round(s) >= 1 and abs(s - round(s)) <= 1e-9 * s for s in steps):
-                raise UsageError(f"dt: each t in {EXCURSION_TIMES} must be a whole number of dt steps")
+        if self.command == "excursion" and self.n_paths < 100:
+            raise UsageError("n-paths: excursion needs at least 100 paths")
         if os.path.isdir(self.out_path):
             raise UsageError(f"out: {self.out_path!r} is a directory")
         if not os.path.isdir(os.path.dirname(self.out_path) or "."):
@@ -193,17 +186,19 @@ def random_measure_claim(law: RandomMeasureLaw, identity_samples, schedule: Sequ
     return rows, {"product_identity_1e-12": worst_identity < 1e-12, "b_recovered_1e-3": ok_b}
 
 
-def excursion_claim(eps: float, n_paths: int, dt: float, seeds: Sequence[int], horizon_margin: float):
+def excursion_claim(eps: float, n_paths: int, seeds: Sequence[int]):
     """(1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) at each t of EXCURSION_TIMES, seeds[i] for the i-th t.
 
-    h is constant after t, so the paths run to t + horizon_margin; a margin of
-    at least dt always reaches past t (a horizon of t can round short of it).
+    1{lifetime > t} is read at t only, so the paths are stepped at 0, t and 2t
+    (dt = t, horizon 2t), and the survivor count at t is exactly
+    Binomial(n_paths, erf(eps / sqrt(2t))) under the bridge kill.  A kill in
+    (t, 2t] gives h = 1, as survival does, so the second step decides nothing.
     """
     rows = []
     ok = True
     for t, seed in zip(EXCURSION_TIMES, seeds):
         F = ExcursionFunctional(h=step_indicator(t), h_constant_after=t)
-        lhs, se = empirical_lhs(F, eps, n_paths, dt, horizon=t + horizon_margin, seed=seed)
+        lhs, se = empirical_lhs(F, eps, n_paths, t, horizon=2 * t, seed=seed)
         target = math.sqrt(2.0 / (math.pi * t))
         rows.append({"t": t, "lhs": lhs, "se": se, "target": target, "ratio": lhs / target})
         ok = ok and abs(lhs - target) <= 3.0 * se
@@ -284,7 +279,7 @@ def _run_random_measure(cfg: ExperimentConfig):
 def _run_excursion(cfg: ExperimentConfig):
     # 3 seed + i gives every (root seed, threshold) pair its own stream
     seeds = [3 * cfg.seed + i for i in range(3)]
-    return excursion_claim(cfg.eps, cfg.n_paths, cfg.dt, seeds, horizon_margin=cfg.dt)
+    return excursion_claim(cfg.eps, cfg.n_paths, seeds)
 
 
 class Command(NamedTuple):
@@ -300,7 +295,7 @@ COMMAND_TABLE = {
         "Weak#-convergence of Levy measures delta_{1+1/n} -> delta_1 under sampled F_u*F_v products."),
     "random-measure": Command(_run_random_measure, (),
         "Laplace-functional product identity and drift-measure recovery for infinitely divisible random measures."),
-    "excursion": Command(_run_excursion, ("seed", "eps", "dt", "n_paths"),
+    "excursion": Command(_run_excursion, ("seed", "eps", "n_paths"),
         "Ito excursion measure tail: (1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) for killed Brownian motion."),
     "fragmentation": Command(lambda cfg: fragmentation_claim((1, 2, 5, 10, 100, 1000)), (),
         "Fragmentation power sums, including the G_1 discontinuity witness on uniform block states."),
@@ -382,7 +377,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="experiment to run (see the list below)")
     parser.add_argument("--seed", type=int, default=defaults.seed, help="root seed; required for stochastic commands")
     parser.add_argument("--eps", type=float, default=defaults.eps, help="starting level for killed Brownian motion")
-    parser.add_argument("--dt", type=float, default=defaults.dt, help="simulation step")
     parser.add_argument("--n-paths", type=int, default=defaults.n_paths,
                         help="Monte Carlo sample count / instance count (prohorov-oracle runs min(n, 500) instances)")
     parser.add_argument("--m-max", type=float, default=defaults.m_max,

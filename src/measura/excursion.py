@@ -25,6 +25,7 @@ exact samples.  Everything here runs on numpy and the math module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -508,6 +509,10 @@ def empirical_lhs(
     the window weights; it grows with neither n_paths nor the horizon.
     Returns (mean, standard error).
     """
+    try:
+        n_paths = operator.index(n_paths)  # numpy integers too, but no float or str
+    except TypeError:
+        raise ValueError(f"n_paths must be an int, got {n_paths!r}") from None
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     _require_finite(eps=eps, dt=dt, horizon=horizon)

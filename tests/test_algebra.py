@@ -102,6 +102,10 @@ class TestCheckers:
         with pytest.raises(ValueError, match="sample is empty"):
             check_bounded_below_on(fam, BoundedSetWitness(1.0, 0.0), [])
 
+    def test_family_without_members_finds_no_bound(self):
+        found = check_bounded_below_on(FunctionFamily((), SPACE), BoundedSetWitness(1.0, 0.0), [0.5])
+        assert found == (False, None, 0.0)
+
 
 def ramp(u):
     return min(max(u, 0.0), 1.0)
@@ -147,6 +151,17 @@ class TestStoneWeierstrass:
     def test_support_assertion_enforced(self):
         with pytest.raises(ValueError, match="support assertion"):
             stone_weierstrass_p0(lambda x: x[0], delta=0.5, eps=0.1, degree_budget=8)
+
+    @pytest.mark.parametrize("g, eps, budget, message", [
+        (lambda x: x[0], 0.0, 8, "eps must be positive"),
+        (lambda x: x[0], -0.1, 8, "eps must be positive"),
+        (lambda x: x[0], 0.1, 0, "degree_budget must be >= 1"),
+        (lambda x: 2.0 * x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
+        (lambda x: -x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
+    ], ids=["eps-zero", "eps-negative", "budget-zero", "g-above-1", "g-below-0"])
+    def test_bad_argument_rejected(self, g, eps, budget, message):
+        with pytest.raises(ValueError, match=message):
+            stone_weierstrass_p0(g, delta=0.0, eps=eps, degree_budget=budget)
 
     def test_terms_match_stable_evaluator_at_low_degree(self):
         g = lambda x: x[0] * ramp((x[0] - 0.25) / 0.25)

@@ -40,40 +40,39 @@ class TestConfigValidation:
             ExperimentConfig(command="fragmentation", format="yaml").validate()
 
     def test_bad_numeric_field_named(self):
-        with pytest.raises(UsageError, match="dt: must be positive"):
-            ExperimentConfig(command="excursion", seed=1, dt=-1.0).validate()
+        with pytest.raises(UsageError, match="eps: must be positive"):
+            ExperimentConfig(command="excursion", seed=1, eps=-1.0).validate()
         with pytest.raises(UsageError, match="n-paths: must be at least 1"):
             ExperimentConfig(command="prohorov-oracle", seed=1, n_paths=0).validate()
 
-    @pytest.mark.parametrize("dt", [1e-12, 1e-6])
-    def test_excursion_step_count_bounded(self, dt):
-        # 2 / dt steps to t = 2: validate alone, never a run
-        with pytest.raises(UsageError, match="dt: more than 1000000 steps to t = 2.0"):
-            ExperimentConfig(command="excursion", seed=1, dt=dt).validate()
-
-    def test_excursion_step_bound_admits_its_floor(self):
-        ExperimentConfig(command="excursion", seed=1, dt=2e-6).validate()
-
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("field, name", [("eps", "eps"), ("dt", "dt"), ("m_max", "m-max"), ("tol", "tol")])
+    @pytest.mark.parametrize("field, name", [("eps", "eps"), ("m_max", "m-max"), ("tol", "tol")])
     def test_non_finite_numeric_field_named(self, field, name, value):
         # each field on a command that reads it, so the finiteness check fires
-        command = {"eps": "excursion", "dt": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}[field]
+        command = {"eps": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}[field]
         seed = 1 if command in STOCHASTIC_COMMANDS else None
         with pytest.raises(UsageError, match=f"{name}: must be positive and finite"):
             ExperimentConfig(command=command, seed=seed, **{field: value}).validate()
 
     @pytest.mark.parametrize("field, value", [("seed", 7.5), ("seed", True), ("n_paths", 10.5), ("eps", True),
-                                              ("dt", True), ("m_max", True), ("tol", True)])
+                                              ("m_max", True), ("tol", True), ("eps", "0.1"), ("eps", None),
+                                              ("eps", 1j), ("m_max", "512"), ("m_max", None), ("tol", "0.05"),
+                                              ("tol", 0.05 + 0j)])
     def test_non_integral_seed_or_n_paths_named(self, field, value):
-        # also a bool for a float field: True must not run as 1.0
-        command = {"eps": "excursion", "dt": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}.get(
+        # also a bool for a float field: True must not run as 1.0; a str, None
+        # or complex must not reach a comparison
+        command = {"eps": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}.get(
             field, "prohorov-oracle")
         fields = {"seed": 7, "n_paths": 100} if command in STOCHASTIC_COMMANDS else {}
         config = ExperimentConfig(command=command, **{**fields, field: value})
         kind = "an int" if field in ("seed", "n_paths") else "a number"
         with pytest.raises(UsageError, match=f"{field.replace('_', '-')}: must be {kind}, not"):
             run(config)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_named(self, seed):
+        with pytest.raises(UsageError, match="seed: must be an unsigned 64-bit integer"):
+            ExperimentConfig(command="prohorov-oracle", seed=seed).validate()
 
     def test_sw_approx_degree_budget_below_one(self):
         with pytest.raises(UsageError, match="m-max"):
@@ -97,13 +96,13 @@ READS = {
     "levy-recover": ("m_max", "tol"),
     "levy-converge": (),
     "random-measure": (),
-    "excursion": ("seed", "eps", "dt", "n_paths"),
+    "excursion": ("seed", "eps", "n_paths"),
     "fragmentation": (),
     "sw-approx": ("m_max",),
     "prohorov-oracle": ("seed", "n_paths"),
 }
 # A valid value other than the default for each numeric flag.
-FLAG_VALUES = {"seed": "3", "eps": "0.05", "dt": "1e-3", "n_paths": "200", "m_max": "512", "tol": "0.05"}
+FLAG_VALUES = {"seed": "3", "eps": "0.05", "n_paths": "200", "m_max": "512", "tol": "0.05"}
 READ_PAIRS = [(c, f) for c in READS for f in READS[c]]
 UNREAD_PAIRS = [(c, f) for c in READS for f in FLAG_VALUES if f not in READS[c]]
 
@@ -117,7 +116,7 @@ def _flag_argv(command, field, tmp_path):
 class TestCommandFlags:
     def test_each_command_has_its_flags(self):
         assert set(READS) == set(COMMANDS)
-        assert len(READ_PAIRS) == 9 and len(UNREAD_PAIRS) == 33
+        assert len(READ_PAIRS) == 8 and len(UNREAD_PAIRS) == 27
 
     @pytest.mark.parametrize("command, field", UNREAD_PAIRS)
     def test_unread_flag_is_usage_error(self, command, field, tmp_path, capsys):
@@ -161,7 +160,7 @@ class TestCommandFlags:
 
     def test_help_lists_each_commands_flags(self):
         help_text = build_parser().format_help()
-        assert "flags: --seed --eps --dt --n-paths" in help_text
+        assert "flags: --seed --eps --n-paths" in help_text
         assert "flags: --m-max --tol" in help_text
 
 
@@ -195,6 +194,12 @@ class TestEmit:
         # 1/10 round-trips through 17 significant digits
         assert any("0.10000000000000001" in line for line in lines)
 
+    def test_unknown_format_writes_nothing(self, tmp_path):
+        path = tmp_path / "frag.yaml"
+        with pytest.raises(UsageError, match="format: unknown format 'yaml'"):
+            emit(self._result(), "yaml", str(path))
+        assert not path.exists()
+
     def test_empty_rows_gives_header_only_file(self, tmp_path):
         from measura.cli import ExperimentResult
 
@@ -226,7 +231,7 @@ class TestEmit:
 
     def test_determinism_bitwise(self, tmp_path):
         for cfg in (ExperimentConfig(command="prohorov-oracle", seed=7, n_paths=25),
-                    ExperimentConfig(command="excursion", seed=7, n_paths=200, dt=1e-2)):
+                    ExperimentConfig(command="excursion", seed=7, n_paths=200)):
             p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
             emit(run(cfg), "csv", p1)
             emit(run(cfg), "csv", p2)
@@ -297,7 +302,7 @@ class TestCommands:
         assert max(r["abs_diff"] for r in res.rows) < 1e-12
 
     def test_excursion_small_run_schema(self):
-        res = run(ExperimentConfig(command="excursion", seed=5, eps=0.05, dt=1e-3, n_paths=4000))
+        res = run(ExperimentConfig(command="excursion", seed=5, eps=0.05, n_paths=4000))
         assert list(res.rows[0]) == ["t", "lhs", "se", "target", "ratio"]
         assert len(res.rows) == 3
 
@@ -387,30 +392,13 @@ class TestMain:
         assert "FAIL  converged" in captured.out and "budget exhausted" in captured.err
         assert out.exists()
 
-    def test_excursion_coarse_step_runs_without_traceback(self, tmp_path, capsys):
-        # at dt = 0.5, the coarsest step with every threshold t on the grid, the horizon t + dt reaches past t
+    def test_excursion_has_no_step_flag(self, tmp_path, capsys):
         out = tmp_path / "exc.csv"
-        code = main(["--command", "excursion", "--seed", "1", "--dt", "0.5", "--n-paths", "100", "--out", str(out)])
-        assert code in (0, 1) and out.exists()
-        assert "Traceback" not in capsys.readouterr().err
-
-    def test_excursion_step_floor_runs_without_traceback(self, tmp_path, capsys):
-        # dt = 2e-6, 10^6 steps to t = 2, is the finest step the bound admits; h is read on every one
-        out = tmp_path / "exc.csv"
-        code = main(["--command", "excursion", "--seed", "1", "--dt", "2e-6", "--n-paths", "100", "--out", str(out)])
-        assert code in (0, 1) and out.exists()
-        assert "Traceback" not in capsys.readouterr().err
-
-    @pytest.mark.parametrize("dt", ["10", "0.3", "0.4", "1"])
-    def test_excursion_dt_off_the_thresholds_is_usage_error(self, dt, tmp_path, capsys):
-        out = tmp_path / "exc.csv"
-        assert main(["--command", "excursion", "--seed", "1", "--dt", dt, "--out", str(out)]) == 2
-        assert "usage error: dt:" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "excursion", "--seed", "1", "--dt", "1e-4", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt 1e-4" in capsys.readouterr().err
         assert not out.exists()
-
-    @pytest.mark.parametrize("dt", [0.5, 0.25, 1e-3, ExperimentConfig.dt])
-    def test_excursion_dt_on_the_thresholds_is_accepted(self, dt):
-        ExperimentConfig(command="excursion", seed=1, dt=dt).validate()
 
     def test_excursion_too_few_paths_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "exc.csv"

@@ -67,6 +67,16 @@ class TestExcursionPath:
         with pytest.raises(ValueError, match="grid must be finite and strictly increasing"):
             ExcursionPath([0.0, 0.5, 0.2], [1.0, 1.0, 0.0], zeta=0.5)
 
+    @pytest.mark.parametrize("grid, values", [([0.0, 0.1, 0.2], [1.0, 0.0]), ([[0.0, 0.1]], [[1.0, 0.0]])],
+                             ids=["lengths", "2-d"])
+    def test_grid_and_values_of_other_shapes_rejected(self, grid, values):
+        with pytest.raises(ValueError, match="grid and values must be matching 1-d arrays"):
+            ExcursionPath(grid, values, zeta=0.1)
+
+    def test_grid_not_starting_at_zero_rejected(self):
+        with pytest.raises(ValueError, match="grid must start at 0"):
+            ExcursionPath([0.1, 0.2], [1.0, 0.0], zeta=0.2)
+
     @pytest.mark.parametrize("grid", [[0.0, 0.1, 0.1], [0.0, 0.1, math.inf]])
     def test_repeated_or_infinite_grid_time_rejected(self, grid):
         with pytest.raises(ValueError, match="grid must be finite and strictly increasing"):
@@ -318,6 +328,16 @@ class TestKilledBM:
 
 
 class TestFunctional:
+    @pytest.mark.parametrize("t_end", [0.0, -1.0])
+    def test_window_support_of_no_length_rejected(self, t_end):
+        with pytest.raises(ValueError, match="window support must have positive length"):
+            ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0,
+                                pairs=((smoothed_bump(0.2, 0.8, 0.1), t_end, lambda x: x),))
+
+    def test_bump_narrower_than_its_shoulders_rejected(self):
+        with pytest.raises(ValueError, match="bump too narrow for the requested shoulder width"):
+            smoothed_bump(0.5, 0.6, 0.05)
+
     def test_unit_functional(self):
         F = ExcursionFunctional(h=lambda r: np.ones_like(np.asarray(r, float)), h_constant_after=0.0)
         assert eval_functional(F, const_path(2.0, 1.0)) == 1.0
@@ -542,9 +562,22 @@ class TestLockstepSimulator:
         assert se == pytest.approx(oracle.std(ddof=1) / eps / math.sqrt(n), rel=1e-10)
 
     def test_tail_claim_steps_to_t_and_one_dt_past_it(self, monkeypatch):
+        # the claim's step is t itself
         calls = block_grids(monkeypatch)
-        excursion_claim(0.01, 100, 1e-4, seeds=(1, 2, 3), horizon_margin=1e-4)
-        assert [c[0].tolist() for c in calls] == [[0.0, t, t + 1e-4] for t in EXCURSION_TIMES]
+        excursion_claim(0.01, 100, seeds=(1, 2, 3))
+        assert [c[0].tolist() for c in calls] == [[0.0, t, 2 * t] for t in EXCURSION_TIMES]
+
+    @pytest.mark.parametrize("eps", [0.01, 0.2])
+    @pytest.mark.parametrize("root", [1, 7, 412])
+    def test_tail_claim_is_the_fine_grid_lhs_bit_for_bit(self, root, eps):
+        # the fine grid {0, t, t + 1e-4} draws the same first step over the same
+        # gap t as {0, t, 2t}; a kill after t gives h = 1 on either, so the
+        # second step decides nothing
+        seeds = [3 * root + i for i in range(3)]
+        rows, _ = excursion_claim(eps, 1500, seeds)
+        for row, seed in zip(rows, seeds):
+            F = ExcursionFunctional(h=step_indicator(row["t"]), h_constant_after=row["t"])
+            assert (row["lhs"], row["se"]) == empirical_lhs(F, eps, 1500, 1e-4, horizon=row["t"] + 1e-4, seed=seed)
 
     def test_merged_grid_lhs_matches_full_grid(self):
         # criterion 09's inputs: the merged grid skips [0, 0.5], where f is 0
@@ -834,6 +867,22 @@ class TestInputGuards:
     def test_a_bad_bessel_start_is_named(self, t, x, message):
         with pytest.raises(ValueError, match=message):
             bessel_semigroup_check(t, x, n_samples=100, seed=1)
+
+    @pytest.mark.parametrize("n_paths", [100.5, 100.0, "200"])
+    def test_a_path_count_that_is_not_an_int_is_named(self, n_paths):
+        # each used to end in a TypeError from range or <
+        with pytest.raises(ValueError, match="n_paths must be an int, got"):
+            empirical_lhs(_WINDOWED, 0.05, n_paths, 1e-3, 2.5, seed=1)
+
+    def test_a_numpy_integer_path_count_runs_as_the_int(self):
+        assert empirical_lhs(_WINDOWED, 0.05, np.int64(150), 1e-3, 2.5, seed=1) == \
+            empirical_lhs(_WINDOWED, 0.05, 150, 1e-3, 2.5, seed=1)
+
+    @pytest.mark.parametrize("r_grid", [[0.0], [-0.5, 1.0], [0.0, 2.0, 1.0], [0.0, 1.0, 1.0]],
+                             ids=["one-point", "negative", "decreasing", "repeated"])
+    def test_a_bad_r_grid_is_refused(self, r_grid):
+        with pytest.raises(ValueError, match="r_grid must be increasing and nonnegative"):
+            target_rhs(_WINDOWED, 2, 1e-3, r_grid, seed=0)
 
     def test_no_bessel_samples_is_refused(self):
         # the histogram divided by zero: a RuntimeWarning and a NaN report

@@ -76,6 +76,12 @@ class TestPhi:
         with pytest.raises(ValueError, match=r"not in Phi\(S_down\): total mass exceeds 1"):
             phi_inverse(mu)
 
+    @pytest.mark.parametrize("x", [0.0, 1.5, -0.25])
+    def test_inverse_rejects_atom_outside_unit_interval(self, x):
+        mu = AtomicMeasure.dirac(fragment_space(), x)
+        with pytest.raises(ValueError, match=r"not in Phi\(S_down\): atom .* outside \(0, 1\]"):
+            phi_inverse(mu)
+
     def test_inverse_rejects_fractional_weight(self):
         mu = AtomicMeasure.from_atoms(fragment_space(), [(0.5, 1.5)])
         with pytest.raises(ValueError, match="non-integer"):

@@ -78,6 +78,14 @@ class TestPsiExponent:
         with pytest.raises(ValueError, match="semidefinite"):
             triple([0.0], [[-1.0]], [])
 
+    @pytest.mark.parametrize("C, message", [
+        (np.eye(3), "C must be D x D with D = len"), (np.eye(2)[:1], "C must be D x D with D = len"),
+        ([[1.0, 0.5], [0.0, 1.0]], "C must be symmetric"),
+    ], ids=["3x3", "1x2", "asymmetric"])
+    def test_covariance_shape_and_symmetry(self, C, message):
+        with pytest.raises(ValueError, match=message):
+            triple([0.0, 0.0], C, [], dim=2)
+
 
 class TestRecovery:
     def test_exact_gaussian_any_schedule(self):
@@ -272,6 +280,18 @@ class TestLaplaceFunctionals:
     def test_negative_phi_rejected(self):
         with pytest.raises(ValueError, match="negative phi"):
             laplace_functional(self.law(), lambda e: -1.0)
+
+    @pytest.mark.parametrize("atom", ["a", "zero"])
+    def test_jump_atom_that_is_not_a_nonzero_measure_rejected(self, atom):
+        ground = finite_ground_space(self.LABELS)
+        nu = AtomicMeasure.empty(ground) if atom == "zero" else atom
+        with pytest.raises(ValueError, match="jump-measure atoms must be nonzero finite measures on E"):
+            RandomMeasureLaw(self.LABELS, AtomicMeasure.empty(ground),
+                             AtomicMeasure.from_atoms(finite_ground_space(self.LABELS), [(nu, 1.0)]))
+
+    def test_empty_ground_set_rejected(self):
+        with pytest.raises(ValueError, match="discrete space needs at least one point"):
+            finite_ground_space(())
 
     def test_f_phi_value(self):
         fam = f_phi_family(self.LABELS, [lambda e: 1.0 if e == "a" else 0.0])

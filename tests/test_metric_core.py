@@ -402,6 +402,11 @@ class TestAxiomSampler:
         with pytest.raises(ValueError, match=r"non-finite distance .* between points \d+ and \d+"):
             sample_metric_axioms(space, [0.0, 1.0, 2.0], 100, np.random.default_rng(0))
 
+    @pytest.mark.parametrize("points", [[], [0.0]])
+    def test_fewer_than_two_points_rejected(self, points):
+        with pytest.raises(ValueError, match="need at least two sample points"):
+            sample_metric_axioms(real_line(), points, 10, np.random.default_rng(0))
+
     def test_a_nan_field_fails_the_report(self):
         for fields in ((math.nan, 0.0, 0.0), (0.0, math.nan, 0.0), (0.0, 0.0, math.nan)):
             assert not MetricAxiomReport(*fields, tol=1e-9).ok
