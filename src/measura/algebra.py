@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -87,10 +88,10 @@ def check_bounded_below_on(
     """
     if len(sample) == 0:
         raise ValueError("the sample is empty: nothing to bound below")
-    if not fam.members:
-        return False, None, 0.0
     if not witness.contains_all(fam.space, sample):
         raise ValueError("sample point outside the bounded-set witness")
+    if not fam.members:
+        return False, None, 0.0
     best_id, best_min = None, -1.0
     for f in fam.members:
         m = min(abs(f(x)) for x in sample)
@@ -240,12 +241,14 @@ def stone_weierstrass_p0(
     coordinates, and vanish whenever x_1 < delta (checked on the grid).  The
     returned polynomial p satisfies |g(x) - p(x)| <= eps * x_1 at every point
     of the verification grid (``grid_points`` per axis, faces included), or
-    NonConvergenceError("degree budget exhausted") is raised.
+    NonConvergenceError("degree budget exhausted") is raised.  ``eps`` must be
+    positive and ``degree_budget`` an integer >= 1: any other value, NaN
+    included, raises a ValueError that names it.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if degree_budget < 1:
-        raise ValueError("degree_budget must be >= 1")
+    if not eps > 0:  # NaN fails too
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not (isinstance(degree_budget, numbers.Integral) and degree_budget >= 1):
+        raise ValueError(f"degree_budget must be >= 1 and an integer, got {degree_budget}")
     axis = np.linspace(0.0, 1.0, grid_points)
     shape = (grid_points,) * arity
     gvals = np.array([float(g(x)) for x in itertools.product(axis, repeat=arity)]).reshape(shape)

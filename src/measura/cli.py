@@ -67,11 +67,15 @@ class ExperimentConfig:
     command: str
     seed: int | None = None
     eps: float = 0.01
-    n_paths: int = 100_000
+    n_paths: int | None = None  # the command's own default, N_PATHS_DEFAULT, when it reads n_paths
     m_max: float = 1e3
     tol: float = 1e-2
     out: str | None = None
     format: str = "csv"
+
+    def __post_init__(self):
+        if self.n_paths is None and self.command in COMMANDS:
+            object.__setattr__(self, "n_paths", N_PATHS_DEFAULT.get(self.command))
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -96,10 +100,12 @@ class ExperimentConfig:
                 raise UsageError(f"{name}: must be positive and finite")
         if self.command == "sw-approx" and not (self.m_max >= 1.0 and self.m_max == int(self.m_max)):
             raise UsageError("m-max: the sw-approx degree budget must be a whole number, at least 1")
-        if self.n_paths < 1:
+        if self.n_paths is not None and self.n_paths < 1:
             raise UsageError("n-paths: must be at least 1")
         if self.command == "excursion" and self.n_paths < 100:
             raise UsageError("n-paths: excursion needs at least 100 paths")
+        if self.command == "prohorov-oracle" and self.n_paths > N_PATHS_DEFAULT["prohorov-oracle"]:
+            raise UsageError(f"n-paths: prohorov-oracle runs at most {N_PATHS_DEFAULT['prohorov-oracle']} instances")
         if os.path.isdir(self.out_path):
             raise UsageError(f"out: {self.out_path!r} is a directory")
         if not os.path.isdir(os.path.dirname(self.out_path) or "."):
@@ -302,10 +308,11 @@ COMMAND_TABLE = {
     "sw-approx": Command(lambda cfg: sw_approx_claim(int(cfg.m_max)), ("m_max",),
         "Stone-Weierstrass weighted approximation on the cube by polynomials vanishing on the first-coordinate face."),
     "prohorov-oracle": Command(
-        lambda cfg: prohorov_oracle_claim(cfg.seed, min(cfg.n_paths, 500), weight_floor=0.1), ("seed", "n_paths"),
+        lambda cfg: prohorov_oracle_claim(cfg.seed, cfg.n_paths, weight_floor=0.1), ("seed", "n_paths"),
         "Max-flow Prokhorov distance between small atomic measures against subset-enumeration brute force."),
 }
 COMMANDS = tuple(COMMAND_TABLE)
+N_PATHS_DEFAULT = {"excursion": 100_000, "prohorov-oracle": 500}  # prohorov-oracle's is also its cap
 STOCHASTIC_COMMANDS = tuple(c for c, cmd in COMMAND_TABLE.items() if "seed" in cmd.reads)
 
 
@@ -378,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=defaults.seed, help="root seed; required for stochastic commands")
     parser.add_argument("--eps", type=float, default=defaults.eps, help="starting level for killed Brownian motion")
     parser.add_argument("--n-paths", type=int, default=defaults.n_paths,
-                        help="Monte Carlo sample count / instance count (prohorov-oracle runs min(n, 500) instances)")
+                        help="excursion: killed paths per threshold, at least 100 (default 100000); "
+                             "prohorov-oracle: instances, at most 500 (default 500)")
     parser.add_argument("--m-max", type=float, default=defaults.m_max,
                         help="largest argument in limit schedules / degree budget")
     parser.add_argument("--tol", type=float, default=defaults.tol, help="verdict tolerance")

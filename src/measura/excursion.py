@@ -150,7 +150,9 @@ def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
     start later read 0 from ``np.interp(..., right=0.0)`` already.
 
     ``excursion_metric.many`` is the batched form ``metric_core.distances``
-    uses; it equals this function bit for bit.
+    uses; it takes each pair's merged grid from the union grid of its batch,
+    with the np.interp values and the grid-end rule used here, and equals this
+    function bit for bit.
     """
     tau = _sorted_distinct(e1.grid, e2.grid)  # the merged grid
     n = tau.size - 1
@@ -168,137 +170,52 @@ def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
     return min(integral, 1.0) + abs(inv1 - inv2)
 
 
-# excursion_metric.many merges the grids of at most _PAIR_CELLS // width pairs
-# at a time, width being the largest sum of a pair's two grid sizes among them.
-_PAIR_CELLS = 8192
-
-
-def _interp_merged(tau, G, V, k, past):
-    """np.interp(tau, grid, values, right=0.0) at merged grid points, elementwise over flat arrays.
-
-    G[k] is the path's last grid point at or before tau, and ``past`` says
-    whether that is its grid end; G holds an inf after each path's grid.  As
-    np.interp does, this is slope * (tau - x_k) + y_k with
-    slope = (y_{k+1} - y_k) / (x_{k+1} - x_k), and 0 past the grid end.  At
-    a grid point that is y_k itself when the slope is finite (a -0.0 value
-    reads +0.0 there, which changes no segment integral); where an
-    overflowing slope makes it NaN there, it is y_k, as in np.interp.  Path
-    values are finite, so no other NaN arises.
-    """
-    x0, y0 = G[k], V[k]
-    with np.errstate(all="ignore"):  # np.interp warns of no overflow or NaN either
-        slope = V[1:][k]
-        slope -= y0
-        val = G[1:][k]
-        val -= x0
-        slope /= val
-        val = np.subtract(tau, x0, out=val)
-        val *= slope
-        val += y0
-    del slope
-    val[past & (tau > x0)] = 0.0
-    fix = np.flatnonzero(np.isnan(val) & (tau == x0))
-    val[fix] = y0[fix]
-    return val
-
-
-def _merged_integrals(G, V, start, a, b, la, lb):
-    """∫ |e_a - e_b| ∧ 1 dt, as ``excursion_metric`` computes it, for each pair (a[r], b[r]).
-
-    Each row concatenates the grids of a and b, padded with the inf that
-    ends b's grid in G, and a row sort merges them.  The last entry of each
-    run of equal times stands for the merged grid point: the a- and b-points
-    up to it, which are the same in any order of the run, give each path's
-    index for ``_interp_merged``.  Each pair's n segment integrals are summed
-    by np.add.reduce over rows of length n, one group per n, so the sums are
-    bit-identical to the one-pair ones.  Each array is deleted or overwritten
-    once it is read, which holds a chunk's working memory near 64 bytes per
-    cell.
-    """
-    m, width = a.size, int((la + lb).max())
-    col = np.arange(width)
-    src = col + start[a, None]  # the index in G of each row entry, b's inf on the pads
-    in_b = col >= la[:, None]
-    np.add(src, (start[b] - start[a] - la)[:, None], out=src, where=in_b)
-    np.minimum(src, (start[b] + lb)[:, None], out=src, where=in_b)
-    del in_b
-    times = G[src]
-    del src
-    count_a = np.cumsum(np.argsort(times, axis=1) < la[:, None], axis=1)
-    times.sort(axis=1)
-    keep = np.empty((m, width), dtype=bool)  # the last of each run of equal times, pads excluded
-    np.not_equal(times[:, 1:], times[:, :-1], out=keep[:, :-1])
-    keep[:, -1] = True
-    keep &= col < (la + lb)[:, None]
-    row, pos = np.nonzero(keep)
-    tau = times[keep]
-    ka = count_a[keep]  # the a-points up to each merged point
-    del times, count_a, keep
-    kb = pos - ka  # the b-points up to it, less one
-    del pos
-    ka -= 1
-    past_a = ka == la[row] - 1
-    ka += start[a][row]
-    va = _interp_merged(tau, G, V, ka, past_a)
-    del ka
-    past_b = kb == lb[row] - 1
-    kb += start[b][row]
-    vb = _interp_merged(tau, G, V, kb, past_b)
-    del kb
-    d = va - vb
-    va[past_a] = 0.0  # the grid-end rule: a segment that starts at or past a grid end starts from 0
-    vb[past_b] = 0.0
-    np.subtract(va, vb, out=va)
-    del vb, past_a, past_b
-    left = np.flatnonzero(row[1:] == row[:-1])  # segment s runs from merged point left[s] to left[s] + 1
-    n = left.size
-    x = np.empty(2 * n)
-    np.take(d[1:], left, out=x[:n])
-    np.take(va, left, out=x[n:])
-    del va
-    np.subtract(tau[1:], tau[:-1], out=d[:-1])
-    seg = d.take(left)
-    del tau, d, left
-    seg *= _segment_means(x, n)
-    n_seg = np.bincount(row, minlength=m) - 1
-    by_n = np.argsort(n_seg, kind="stable")
-    n_sorted = n_seg[by_n]
-    first = (np.cumsum(n_seg) - n_seg)[by_n]
-    table = seg[np.minimum(first[:, None] + np.arange(n_sorted[-1]), seg.size - 1)]  # pairs by n, a row each
-    sums = np.empty(m)
-    bounds = (np.flatnonzero(n_sorted[1:] != n_sorted[:-1]) + 1).tolist()
-    for lo, hi in zip([0, *bounds], [*bounds, m]):
-        np.add.reduce(table[lo:hi, : n_sorted[lo]], axis=1, out=sums[lo:hi])
-    out = np.empty(m)
-    out[by_n] = sums
-    return out
+# excursion_metric.many takes at most _CHUNK_CELLS // |tau| pairs at a time,
+# tau being the union grid of the paths it is given.
+_CHUNK_CELLS = 8192
 
 
 def _excursion_metric_many(points: Sequence[ExcursionPath], i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """``excursion_metric(points[i[k]], points[j[k]])`` for every k, bit for bit.
 
-    Pairs run in chunks through ``_merged_integrals``, widest first, where a
-    pair's width is the sum of its two grid sizes: a chunk's rows then have
-    similar widths and little padding.
+    Each path is read once on the union grid tau of all the paths' grids:
+    ``on`` marks its grid points, ``right`` is np.interp(tau, grid, values,
+    right=0.0), its value at a segment's right end, and ``left`` is that with
+    the grid-end rule, its value at a left end.  A pair's merged grid is the
+    tau points on either grid, so it keeps the points, values and order of
+    terms of ``excursion_metric``.  Working memory is these three (paths x
+    |tau|) tables, 17 bytes a cell, plus one chunk of pairs.  measura's
+    batches sit on a few dt-lattices, so tau stays short; grids that share
+    no points make it as long as all grids together.
     """
-    lens = np.array([p.grid.size for p in points], dtype=np.intp)
-    start = np.concatenate(([0], np.cumsum(lens + 1)[:-1])).astype(np.intp)
-    G = np.concatenate([x for p in points for x in (p.grid, [math.inf])])  # an inf after each grid
-    V = np.concatenate([x for p in points for x in (p.values, [0.0])])
+    tau = _sorted_distinct(*(p.grid for p in points))
+    on = np.zeros((len(points), tau.size), dtype=bool)
+    right = np.empty((len(points), tau.size))
+    for r, p in enumerate(points):
+        on[r, tau.searchsorted(p.grid)] = True
+        right[r] = np.interp(tau, p.grid, p.values, right=0.0)
+    left = np.where(tau >= np.array([p.end for p in points])[:, None], 0.0, right)
     inv = np.array([0.0 if math.isinf(p.zeta) else 1.0 / p.zeta for p in points])
-    width = lens[i] + lens[j]
-    by_width = np.argsort(-width, kind="stable")
     out = np.empty(i.size)
-    lo = 0
-    while lo < by_width.size:
-        rows = by_width[lo : lo + max(1, _PAIR_CELLS // int(width[by_width[lo]]))]
-        a, b = i[rows], j[rows]
-        out[rows] = _merged_integrals(G, V, start, a, b, lens[a], lens[b])
-        lo += rows.size
+    step = max(1, _CHUNK_CELLS // tau.size)
+    for lo in range(0, i.size, step):
+        a, b = i[lo : lo + step], j[lo : lo + step]
+        row, pos = np.nonzero(on[a] | on[b])  # each pair's merged grid, a row each
+        s = np.flatnonzero(row[1:] == row[:-1])  # segment s runs from pos[s] to pos[s + 1]
+        row, p0, p1 = row[s], pos[s], pos[s + 1]
+        ra, rb = a[row], b[row]
+        x = np.concatenate((right[ra, p1] - right[rb, p1], left[ra, p0] - left[rb, p0]))
+        seg = (tau[p1] - tau[p0]) * _segment_means(x, s.size)
+        n_seg = np.bincount(row, minlength=a.size)
+        by_n = np.argsort(n_seg, kind="stable")
+        n_sorted = n_seg[by_n]
+        first = (np.cumsum(n_seg) - n_seg)[by_n]
+        table = seg[np.minimum(first[:, None] + np.arange(n_sorted[-1]), seg.size - 1)]  # pairs by n, a row each
+        bounds = (np.flatnonzero(n_sorted[1:] != n_sorted[:-1]) + 1).tolist()
+        for g0, g1 in zip([0, *bounds], [*bounds, a.size]):  # pairwise sums, as np.add.reduceat's are not
+            out[lo + by_n[g0:g1]] = np.add.reduce(table[g0:g1, : n_sorted[g0]], axis=1)
     np.minimum(out, 1.0, out=out)
-    gap = inv[i]
-    gap -= inv[j]
-    out += np.abs(gap, out=gap)
+    out += np.abs(inv[i] - inv[j])
     return out
 
 

@@ -93,9 +93,10 @@ class TestCheckers:
         assert not ok and delta == 0.0
 
     def test_sample_outside_witness_rejected(self):
-        fam = FunctionFamily((TestFunction("one", lambda x: 1.0),), SPACE)
-        with pytest.raises(ValueError, match="witness"):
-            check_bounded_below_on(fam, BoundedSetWitness(1.0, 0.0), [5.0])
+        # a family without members is refused too, not reported as unbounded below
+        for fam in (FunctionFamily((TestFunction("one", lambda x: 1.0),), SPACE), FunctionFamily((), SPACE)):
+            with pytest.raises(ValueError, match="sample point outside the bounded-set witness"):
+                check_bounded_below_on(fam, BoundedSetWitness(1.0, 0.0), [5.0])
 
     def test_empty_sample_rejected(self):
         fam = FunctionFamily((TestFunction("one", lambda x: 1.0),), SPACE)
@@ -155,10 +156,14 @@ class TestStoneWeierstrass:
     @pytest.mark.parametrize("g, eps, budget, message", [
         (lambda x: x[0], 0.0, 8, "eps must be positive"),
         (lambda x: x[0], -0.1, 8, "eps must be positive"),
+        (lambda x: x[0], math.nan, 8, "eps must be positive, got nan"),
         (lambda x: x[0], 0.1, 0, "degree_budget must be >= 1"),
+        (lambda x: x[0], 0.1, math.nan, "degree_budget must be >= 1 and an integer, got nan"),
+        (lambda x: x[0], 0.1, 8.0, "degree_budget must be >= 1 and an integer, got 8.0"),
         (lambda x: 2.0 * x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
         (lambda x: -x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
-    ], ids=["eps-zero", "eps-negative", "budget-zero", "g-above-1", "g-below-0"])
+    ], ids=["eps-zero", "eps-negative", "eps-nan", "budget-zero", "budget-nan", "budget-float", "g-above-1",
+            "g-below-0"])
     def test_bad_argument_rejected(self, g, eps, budget, message):
         with pytest.raises(ValueError, match=message):
             stone_weierstrass_p0(g, delta=0.0, eps=eps, degree_budget=budget)

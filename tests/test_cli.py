@@ -406,6 +406,17 @@ class TestMain:
         assert "n-paths" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_prohorov_oracle_n_paths_defaults_to_its_cap_of_500(self, tmp_path, capsys):
+        # the JSON config echoes the instance count that ran; more than 500 is refused
+        out = tmp_path / "po.csv"
+        assert main(["--command", "prohorov-oracle", "--seed", "7", "--n-paths", "501", "--out", str(out)]) == 2
+        assert "n-paths: prohorov-oracle runs at most 500 instances" in capsys.readouterr().err
+        assert not out.exists()
+        assert ExperimentConfig(command="prohorov-oracle", seed=7).echo()["n_paths"] == 500
+        assert ExperimentConfig(command="excursion", seed=7).echo()["n_paths"] == 100_000
+        res = run(ExperimentConfig(command="prohorov-oracle", seed=7))
+        assert len(res.rows) == 500 and res.config["n_paths"] == 500
+
 
 SCIPY_BLOCKED_RUN = """
 import importlib, pkgutil, sys

@@ -7,7 +7,7 @@ from scipy.stats import maxwell, norm
 
 from measura.cli import EXCURSION_TIMES, excursion_claim
 from measura.excursion import (
-    _PAIR_CELLS,
+    _CHUNK_CELLS,
     BesselCheckReport,
     ExcursionFunctional,
     ExcursionPath,
@@ -26,7 +26,7 @@ from measura.excursion import (
     target_oracle,
     target_rhs,
 )
-from measura.metric_core import MetricStructure, distances
+from measura.metric_core import MetricStructure, _sorted_distinct, distances
 
 
 def const_path(level, end, dt=0.01):
@@ -190,7 +190,8 @@ class TestBatchedMetric:
     def test_one_call_equals_the_reference_bitwise(self):
         pairs = [p for a, b in EDGE_PAIRS.values() for p in ((a, b), (b, a), (a, a), (b, b))]
         pairs += [p for a, b, copy in _random_pairs() for p in ((a, b), (b, a), (a, a), (a, copy))]
-        assert sum(e1.grid.size + e2.grid.size for e1, e2 in pairs) > 10 * _PAIR_CELLS  # many chunks
+        tau = _sorted_distinct(*(e.grid for pair in pairs for e in pair))  # the union grid
+        assert len(pairs) > 10 * (_CHUNK_CELLS // tau.size) > 10  # many chunks of many pairs
         got = _distances_of(pairs)
         for (e1, e2), d in zip(pairs, got.tolist()):
             assert d.hex() == _reference_excursion_metric(e1, e2).hex()
@@ -205,11 +206,11 @@ class TestBatchedMetric:
                                                              replace=False))))
             vals = np.abs(rng.standard_normal(grid.size)) * float(rng.choice([0.1, 1.0, 3.0]))
             paths.append(ExcursionPath(grid, vals, zeta=math.inf))
-        for n, dt in ((150, 0.007), (300, 0.004), (5000, 0.0003)):  # sums past 128 terms, a pair wider than a chunk
+        for n, dt in ((150, 0.007), (300, 0.004), (5000, 0.0003)):  # sums past 128 terms, a union grid past half a chunk
             vals = np.abs(np.cumsum(rng.standard_normal(n + 1))) * 0.2
             vals[-1] = 0.0
             paths.append(ExcursionPath(np.arange(n + 1) * dt, vals, zeta=n * dt))
-        assert 2 * 5001 > _PAIR_CELLS
+        assert _CHUNK_CELLS // _sorted_distinct(*(e.grid for e in paths)).size == 1  # one pair per chunk
         pairs = [(e1, e2) for e1 in paths for e2 in paths]
         got = _distances_of(pairs)
         for (e1, e2), d in zip(pairs, got.tolist()):
