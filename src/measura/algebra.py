@@ -127,7 +127,17 @@ class CubePolynomial:
         return all(m[0] >= 1 for m, c in self.terms.items() if c != 0)
 
     def evaluate(self, x: Sequence[float]) -> float:
-        xs = [float(x[i]) if i < len(x) else 0.0 for i in range(self.arity)]
+        """The Bernstein form at a point of the cube; missing coordinates are 0.
+
+        A coordinate outside [0, 1], NaN included, raises a ValueError that
+        names its index and value: the Bernstein weights of such a point would
+        silently clamp it to the nearest face.
+        """
+        xs = [float(v) for v in x]
+        for k, xk in enumerate(xs):
+            if not 0.0 <= xk <= 1.0:
+                raise ValueError(f"x[{k}] = {xk} lies outside the cube [0, 1]")
+        xs = xs[: self.arity] + [0.0] * (self.arity - len(xs))
         return xs[0] * _bernstein_eval(self.bernstein_values, self.degree, [[xi] for xi in xs]).item()
 
     def evaluate_exact(self, x: Sequence[float | Fraction]) -> Fraction:
@@ -145,14 +155,15 @@ def _bernstein_eval(values: np.ndarray, n: int, points: Sequence[Sequence[float]
     """Tensor Bernstein polynomial of degree n with lattice ``values`` on a product grid.
 
     ``points`` holds one list of abscissae per axis.  Each axis contracts the
-    lattice with a (len x (n + 1)) matrix of Bernstein weights, so the result
-    has shape ``tuple(len(p) for p in points)``; a single point is a grid of
+    leading lattice axis with a (len x (n + 1)) matrix of Bernstein weights
+    in one matrix product and appends the result axis, so the result has
+    shape ``tuple(len(p) for p in points)``; a single point is a grid of
     one-point lists.
     """
     out = values
     for axis in points:
         weights = np.array([_bernstein_weights(n, xi) for xi in axis])
-        out = np.tensordot(out, weights, axes=(0, 1))
+        out = (out.reshape(n + 1, -1).T @ weights.T).reshape(out.shape[1:] + (len(axis),))
     return out
 
 
@@ -163,20 +174,29 @@ def _bernstein_weights(n: int, x: float) -> np.ndarray:
     weight at the mode is set to 1 and the others are built outward from it
     with the ratio w[j + 1] / w[j] = (n - j) x / ((j + 1)(1 - x)), then
     normalised.  Every partial product from the mode is at most about 1, so
-    nothing overflows at any n; far tails underflow to 0.
+    nothing overflows at any n; far tails underflow to 0.  The products run in
+    a plain float loop, with the factors and order of ``np.cumprod``, so the
+    bits are the cumprod form's.  The loop is cheaper than the numpy calls
+    below n of about 100 and dearer above; at such degrees the exact lattice
+    and its power terms cost far more than the weights.
     """
+    x = float(x)  # a numpy scalar would make every step of the loops a numpy call
     if x <= 0.0 or x >= 1.0:
         w = np.zeros(n + 1)
         w[0 if x <= 0.0 else n] = 1.0
         return w
     m = min(int((n + 1) * x), n)
     r = x / (1.0 - x)
-    w = np.empty(n + 1)
-    w[m] = 1.0
-    up = np.arange(m, n)
-    w[m + 1 :] = np.cumprod((n - up) / (up + 1.0) * r)
-    down = np.arange(m - 1, -1, -1)
-    w[:m] = np.cumprod((down + 1.0) / ((n - down) * r))[::-1]
+    w = [1.0] * (n + 1)
+    p = 1.0
+    for j in range(m, n):
+        p *= (n - j) / (j + 1.0) * r
+        w[j + 1] = p
+    p = 1.0
+    for j in range(m - 1, -1, -1):
+        p *= (j + 1.0) / ((n - j) * r)
+        w[j] = p
+    w = np.array(w)
     return w / w.sum()
 
 
@@ -238,24 +258,31 @@ def stone_weierstrass_p0(
     """Weighted polynomial approximation vanishing on the x_1 = 0 face.
 
     ``g`` must be continuous, [0,1]-valued, depend only on its first ``arity``
-    coordinates, and vanish whenever x_1 < delta (checked on the grid).  The
+    coordinates, and vanish whenever x_1 <= delta (checked on the grid; by
+    continuity a g that vanishes below delta vanishes at delta too, and at
+    delta = 0 the check is that g vanishes on the face).  The
     returned polynomial p satisfies |g(x) - p(x)| <= eps * x_1 at every point
     of the verification grid (``grid_points`` per axis, faces included), or
     NonConvergenceError("degree budget exhausted") is raised.  ``eps`` must be
-    positive and ``degree_budget`` an integer >= 1: any other value, NaN
+    positive, ``delta`` finite and >= 0, ``degree_budget`` and ``arity``
+    integers >= 1 and ``grid_points`` an integer >= 2: any other value, NaN
     included, raises a ValueError that names it.
     """
     if not eps > 0:  # NaN fails too
         raise ValueError(f"eps must be positive, got {eps}")
-    if not (isinstance(degree_budget, numbers.Integral) and degree_budget >= 1):
-        raise ValueError(f"degree_budget must be >= 1 and an integer, got {degree_budget}")
+    if not 0 <= delta < math.inf:  # NaN fails too
+        raise ValueError(f"delta must be finite and >= 0, got {delta}")
+    for name, value, least in (("degree_budget", degree_budget, 1), ("arity", arity, 1),
+                               ("grid_points", grid_points, 2)):
+        if not (isinstance(value, numbers.Integral) and value >= least):
+            raise ValueError(f"{name} must be >= {least} and an integer, got {value}")
     axis = np.linspace(0.0, 1.0, grid_points)
     shape = (grid_points,) * arity
     gvals = np.array([float(g(x)) for x in itertools.product(axis, repeat=arity)]).reshape(shape)
     x1 = np.broadcast_to(axis.reshape((-1,) + (1,) * (arity - 1)), shape)
 
-    if np.any(np.abs(gvals[x1 < delta]) > 1e-12):
-        raise ValueError("support assertion violated: g does not vanish below delta")
+    if np.any(np.abs(gvals[x1 <= delta]) > 1e-12):
+        raise ValueError("support assertion violated: g does not vanish where x_1 <= delta")
     if gvals.min() < -1e-9 or gvals.max() > 1.0 + 1e-9:
         raise ValueError("g must take values in [0, 1]")
 

@@ -183,10 +183,13 @@ def _excursion_metric_many(points: Sequence[ExcursionPath], i: np.ndarray, j: np
     right=0.0), its value at a segment's right end, and ``left`` is that with
     the grid-end rule, its value at a left end.  A pair's merged grid is the
     tau points on either grid, so it keeps the points, values and order of
-    terms of ``excursion_metric``.  Working memory is these three (paths x
-    |tau|) tables, 17 bytes a cell, plus one chunk of pairs.  measura's
-    batches sit on a few dt-lattices, so tau stays short; grids that share
-    no points make it as long as all grids together.
+    terms of ``excursion_metric``.  The pairs are taken in (stable) order of
+    merged-grid size, so in each chunk the segments of equal-size pairs are
+    contiguous and each such group is one (pairs x segments) block, summed
+    pairwise along its rows as the scalar sum is.  Working memory is these
+    three (paths x |tau|) tables, 17 bytes a cell, plus one chunk of pairs.
+    measura's batches sit on a few dt-lattices, so tau stays short; grids that
+    share no points make it as long as all grids together.
     """
     tau = _sorted_distinct(*(p.grid for p in points))
     on = np.zeros((len(points), tau.size), dtype=bool)
@@ -196,24 +199,28 @@ def _excursion_metric_many(points: Sequence[ExcursionPath], i: np.ndarray, j: np
         right[r] = np.interp(tau, p.grid, p.values, right=0.0)
     left = np.where(tau >= np.array([p.end for p in points])[:, None], 0.0, right)
     inv = np.array([0.0 if math.isinf(p.zeta) else 1.0 / p.zeta for p in points])
-    out = np.empty(i.size)
     step = max(1, _CHUNK_CELLS // tau.size)
+    size = np.empty(i.size, dtype=np.intp)  # each pair's merged-grid size
     for lo in range(0, i.size, step):
-        a, b = i[lo : lo + step], j[lo : lo + step]
+        size[lo : lo + step] = np.count_nonzero(on[i[lo : lo + step]] | on[j[lo : lo + step]], axis=1)
+    order = np.argsort(size, kind="stable")
+    out = np.empty(i.size)
+    for lo in range(0, i.size, step):
+        k = order[lo : lo + step]
+        a, b = i[k], j[k]
         row, pos = np.nonzero(on[a] | on[b])  # each pair's merged grid, a row each
         s = np.flatnonzero(row[1:] == row[:-1])  # segment s runs from pos[s] to pos[s + 1]
         row, p0, p1 = row[s], pos[s], pos[s + 1]
         ra, rb = a[row], b[row]
         x = np.concatenate((right[ra, p1] - right[rb, p1], left[ra, p0] - left[rb, p0]))
         seg = (tau[p1] - tau[p0]) * _segment_means(x, s.size)
-        n_seg = np.bincount(row, minlength=a.size)
-        by_n = np.argsort(n_seg, kind="stable")
-        n_sorted = n_seg[by_n]
-        first = (np.cumsum(n_seg) - n_seg)[by_n]
-        table = seg[np.minimum(first[:, None] + np.arange(n_sorted[-1]), seg.size - 1)]  # pairs by n, a row each
-        bounds = (np.flatnonzero(n_sorted[1:] != n_sorted[:-1]) + 1).tolist()
-        for g0, g1 in zip([0, *bounds], [*bounds, a.size]):  # pairwise sums, as np.add.reduceat's are not
-            out[lo + by_n[g0:g1]] = np.add.reduce(table[g0:g1, : n_sorted[g0]], axis=1)
+        n = size[k]
+        bounds = (np.flatnonzero(n[1:] != n[:-1]) + 1).tolist()
+        start = 0
+        for g0, g1 in zip([0, *bounds], [*bounds, k.size]):  # pairwise sums, as np.add.reduceat's are not
+            block = seg[start : start + (g1 - g0) * (n[g0] - 1)].reshape(g1 - g0, n[g0] - 1)
+            out[k[g0:g1]] = np.add.reduce(block, axis=1)
+            start += block.size
     np.minimum(out, 1.0, out=out)
     out += np.abs(inv[i] - inv[j])
     return out

@@ -16,6 +16,7 @@ with n blocks converge pointwise to the zero state while G_1 stays pinned at 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,9 +97,9 @@ def phi_inverse(mu: AtomicMeasure) -> FragmentationSequence:
 
 
 def g_p(s: FragmentationSequence, p: int) -> float:
-    """Power sum sum_i s_i^p, correctly rounded."""
-    if p < 1:
-        raise ValueError("p must be a positive integer")
+    """Power sum sum_i s_i^p, correctly rounded; p must be an integer >= 1."""
+    if not (isinstance(p, numbers.Integral) and p >= 1):
+        raise ValueError(f"p must be a positive integer, got {p}")
     return math.fsum(v**p for v in s.values)
 
 

@@ -228,6 +228,41 @@ class TestStoneWeierstrass:
         assert poly.evaluate((0.0,)) == 0.0
         assert poly.evaluate_exact((0,)) == 0
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"delta": math.nan}, "delta must be finite and >= 0, got nan"),
+        ({"delta": -1.0}, "delta must be finite and >= 0, got -1.0"),
+        ({"delta": math.inf}, "delta must be finite and >= 0, got inf"),
+        ({"grid_points": 1}, "grid_points must be >= 2 and an integer, got 1"),
+        ({"grid_points": 0}, "grid_points must be >= 2 and an integer, got 0"),
+        ({"arity": 0}, "arity must be >= 1 and an integer, got 0"),
+    ], ids=["delta-nan", "delta-negative", "delta-inf", "grid-one-point", "grid-empty", "arity-zero"])
+    def test_argument_that_would_skip_a_check_rejected(self, kwargs, message):
+        # with these the support check or the verification grid checks nothing, or numpy fails
+        args = {"delta": 0.25, "eps": 0.1, "degree_budget": 8} | kwargs
+        with pytest.raises(ValueError, match=message):
+            stone_weierstrass_p0(lambda x: 1.0, **args)
+
+    def test_support_check_covers_the_face_at_delta_zero(self):
+        with pytest.raises(ValueError, match="support assertion"):
+            stone_weierstrass_p0(lambda x: 1.0, delta=0.0, eps=0.1, degree_budget=8)
+
+    @pytest.mark.parametrize("x, message", [
+        ((1.5, 0.5), r"x\[0\] = 1.5 lies outside the cube"),
+        ((-0.5, 0.5), r"x\[0\] = -0.5 lies outside the cube"),
+        ((0.5, math.nan), r"x\[1\] = nan lies outside the cube"),
+        ((math.inf, 0.5), r"x\[0\] = inf lies outside the cube"),
+        ((0.5, 0.5, 2.0), r"x\[2\] = 2.0 lies outside the cube"),
+    ], ids=["above-1", "below-0", "nan", "inf", "unused-coordinate"])
+    def test_evaluate_refuses_points_outside_the_cube(self, x, message):
+        poly = stone_weierstrass_p0(smooth_step_2d, delta=0.25, eps=0.05, degree_budget=32, arity=2)
+        with pytest.raises(ValueError, match=message):
+            poly.evaluate(x)
+
+    def test_evaluate_accepts_the_faces(self):
+        poly = stone_weierstrass_p0(smooth_step_2d, delta=0.25, eps=0.05, degree_budget=32, arity=2)
+        for x in ((0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0), (1.0,)):
+            assert poly.evaluate(x) == pytest.approx(float(poly.evaluate_exact(x)), abs=1e-12)
+
     def test_syntactic_p0_check_catches_constant_terms(self):
         base = stone_weierstrass_p0(lambda x: x[0] * ramp((x[0] - 0.25) / 0.25), delta=0.25, eps=0.1,
                                     degree_budget=64)
@@ -247,6 +282,23 @@ def exact_bernstein_weights(n, x):
     return np.array([math.comb(n, j) * up[j] * down[n - j] / den for j in range(n + 1)])
 
 
+def cumprod_bernstein_weights(n, x):
+    """The weights as built by np.cumprod, the reference for the scalar recurrence."""
+    if x <= 0.0 or x >= 1.0:
+        w = np.zeros(n + 1)
+        w[0 if x <= 0.0 else n] = 1.0
+        return w
+    m = min(int((n + 1) * x), n)
+    r = x / (1.0 - x)
+    w = np.empty(n + 1)
+    w[m] = 1.0
+    up = np.arange(m, n)
+    w[m + 1 :] = np.cumprod((n - up) / (up + 1.0) * r)
+    down = np.arange(m - 1, -1, -1)
+    w[:m] = np.cumprod((down + 1.0) / ((n - down) * r))[::-1]
+    return w / w.sum()
+
+
 class TestBernsteinWeights:
     def test_matches_exact_rational_weights(self):
         for n in (1, 7, 64, 256, 1000):
@@ -262,3 +314,9 @@ class TestBernsteinWeights:
             w = _bernstein_weights(5000, x)
             assert np.all(np.isfinite(w)) and np.all(w >= 0.0)
             assert w.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_scalar_recurrence_equals_the_cumprod_weights_bitwise(self):
+        rng = np.random.default_rng(37)
+        for n in (1, 2, 7, 32, 64, 256, 1000):
+            for x in [*rng.uniform(0.0, 1.0, 25).tolist(), 0.0, 1.0, 1e-9, 1.0 - 1e-9]:
+                assert np.array_equal(_bernstein_weights(n, x), cumprod_bernstein_weights(n, x)), (n, x)

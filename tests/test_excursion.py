@@ -216,6 +216,26 @@ class TestBatchedMetric:
         for (e1, e2), d in zip(pairs, got.tolist()):
             assert d.hex() == excursion_metric(e1, e2).hex()
 
+    def test_pairs_in_descending_merged_grid_size_come_back_in_input_order(self):
+        # the batch takes pairs in order of merged-grid size; given them largest first, every
+        # pair is moved, and several chunks hold several sizes each
+        rng = np.random.default_rng(37)
+        paths = []
+        for n in range(1, 90):
+            vals = np.abs(np.cumsum(rng.standard_normal(n + 1))) * 0.4
+            vals[-1] = 0.0
+            dt = float(rng.choice([0.01, 0.02]))
+            paths.append(ExcursionPath(np.arange(n + 1) * dt, vals, zeta=n * dt if n % 3 else math.inf))
+        pairs = [(paths[k], paths[int(rng.integers(k + 1))]) for k in range(len(paths))]
+        pairs *= 3
+        sizes = [_sorted_distinct(e1.grid, e2.grid).size for e1, e2 in pairs]
+        order = sorted(range(len(pairs)), key=lambda k: -sizes[k])
+        pairs = [pairs[k] for k in order]
+        assert [sizes[k] for k in order] == sorted(sizes, reverse=True) and sizes[order[0]] > sizes[order[-1]]
+        assert len(pairs) > 3 * (_CHUNK_CELLS // _sorted_distinct(*(e.grid for e in paths)).size)
+        got = _distances_of(pairs)
+        assert [d.hex() for d in got.tolist()] == [excursion_metric(e1, e2).hex() for e1, e2 in pairs]
+
     def test_an_overflowing_slope_reads_the_value_at_its_grid_point(self):
         # slope 1e10 / 1e-300 is inf, and inf * 0 is NaN where np.interp returns the value itself
         steep = ExcursionPath([0.0, 1e-300, 1.0], [0.0, 1e10, 0.0], zeta=1.0)

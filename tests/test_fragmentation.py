@@ -1,3 +1,4 @@
+import math
 
 import numpy as np
 import pytest
@@ -134,6 +135,12 @@ class TestPowerAndExponentialSums:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             g_p(seq(0.5), 0)
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, math.nan, math.inf, -1])
+    def test_power_must_be_a_positive_integer(self, p):
+        with pytest.raises(ValueError, match=f"p must be a positive integer, got {p}"):
+            g_p(seq(0.5, 0.5), p)
+        assert g_p(seq(0.5, 0.5), np.int64(2)) == 0.5
 
 
 class TestConvergenceChecks:
