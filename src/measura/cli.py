@@ -3,7 +3,8 @@
 Each claim is computed by one claim function (``<command>_claim``) that takes
 explicit inputs and returns (rows, verdicts); the acceptance criteria call the
 same functions with their own inputs.  A command's runner only adapts the
-configuration onto its claim function's inputs.
+configuration onto its claim function's inputs.  ``functional_claim`` is the
+one claim without a command.
 
 One process runs one command, selected with --command; results are written as
 CSV (header row, 17-significant-digit decimals, fields with commas quoted) or
@@ -35,7 +36,14 @@ import numpy as np
 
 from . import __version__
 from .algebra import NonConvergenceError, stone_weierstrass_p0
-from .excursion import ExcursionFunctional, empirical_lhs, step_indicator
+from .excursion import (
+    ExcursionFunctional,
+    empirical_lhs,
+    smoothed_bump,
+    smoothed_cutoff,
+    step_indicator,
+    target_rhs,
+)
 from .fragmentation import block_uniform_state, g_p
 from .levy import (
     LevyTriple,
@@ -209,6 +217,24 @@ def excursion_claim(eps: float, n_paths: int, seeds: Sequence[int]):
         rows.append({"t": t, "lhs": lhs, "se": se, "target": target, "ratio": lhs / target})
         ok = ok and abs(lhs - target) <= 3.0 * se
     return rows, {"tail_matches_within_3se": ok}
+
+
+def functional_claim(eps: float, n_paths: int, n_bessel: int, seeds: Sequence[int]):
+    """(1/eps) E_eps[F] by killed paths against the excursion-measure target of F, within 3 combined SEs.
+
+    F = h(zeta) ∫ f(t) g(e(t)) dt with h = smoothed_cutoff(1, 1) (constant
+    from 2 on), f = smoothed_bump(0.5, 1.5, 0.1) and g = min(x, 1).  The lhs
+    steps n_paths paths at dt 1e-4 up to horizon 2 from seeds[0]; the
+    ``target_rhs`` target steps n_bessel Bessel paths at dt 5e-3 from seeds[1].
+    No command runs this claim; criterion 09 does.
+    """
+    F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                            pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, lambda x: np.minimum(x, 1.0)),))
+    lhs, lhs_se = empirical_lhs(F, eps, n_paths, dt=1e-4, horizon=2.0, seed=seeds[0])
+    rhs, rhs_se = target_rhs(F, n_bessel, dt=5e-3, r_grid=np.linspace(0.0, 8.0, 200), seed=seeds[1])
+    combined = math.hypot(lhs_se, rhs_se)
+    rows = [{"lhs": lhs, "lhs_se": lhs_se, "rhs": rhs, "rhs_se": rhs_se, "z": (lhs - rhs) / combined}]
+    return rows, {"lhs_matches_target_within_3se": abs(lhs - rhs) <= 3.0 * combined}
 
 
 def fragmentation_claim(ns: Sequence[int]):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,6 +43,14 @@ def _require_finite(*, nonnegative: bool = False, **values: float) -> None:
     for name, v in values.items():
         if not (0.0 <= v if nonnegative else 0.0 < v) or v == math.inf:  # NaN fails the first test
             raise ValueError(f"{name} must be finite and {'nonnegative' if nonnegative else 'positive'}, got {v}")
+
+
+def _require_int(name: str, v) -> int:
+    """v as an int (numpy integers too, but no float or str), else ValueError naming it."""
+    try:
+        return operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {v!r}") from None
 
 
 def kappa(r):
@@ -321,9 +329,11 @@ class ExcursionFunctional:
     pairs: tuple[tuple[Callable, float, Callable], ...] = ()
 
     def __post_init__(self):
+        _require_finite(h_constant_after=self.h_constant_after, nonnegative=True)
         for _, t_end, g in self.pairs:
-            if t_end <= 0.0:
-                raise ValueError("window support must have positive length")
+            if not 0.0 < t_end < math.inf:
+                raise ValueError(f"window support must have positive length: f_support_end must be finite and "
+                                 f"positive, got {t_end}")
             if abs(float(g(0.0))) > 1e-12:
                 raise ValueError("level weights must vanish at 0")
 
@@ -433,10 +443,7 @@ def empirical_lhs(
     the window weights; it grows with neither n_paths nor the horizon.
     Returns (mean, standard error).
     """
-    try:
-        n_paths = operator.index(n_paths)  # numpy integers too, but no float or str
-    except TypeError:
-        raise ValueError(f"n_paths must be an int, got {n_paths!r}") from None
+    n_paths = _require_int("n_paths", n_paths)
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     _require_finite(eps=eps, dt=dt, horizon=horizon)
@@ -459,43 +466,64 @@ def empirical_lhs(
     return mean / eps, math.sqrt(sq_dev / (n_paths - 1) / n_paths) / eps
 
 
-def _hitting_kernel(h: Callable, h_tail: float, s_max: float) -> Callable:
-    """hit(t, a) = H(t, a) = ∫ h(t + s) l^a(s) ds elementwise in levels a >= 0, for t >= 0, h = h_tail past s_max.
+_HIT_BLOCK = 16  # window times per table block; the block, not the step count, sizes the working table
+
+
+class _hitting_kernel:
+    """H(t, a) = ∫ h(t + s) l^a(s) ds in levels a >= 0, for times t >= 0, h = h_tail past s_max.
 
     W[i, k] = l^{a_i}(s_k) w_k, ``levy_hitting_density`` times the weights
     of 6-point Gauss-Legendre panels (doubling from 2e-16 to 0.06, then at
     most 0.03 wide), maps h(t + s) - h_tail to H - h_tail on 400 levels
-    log-spaced from 1e-7 to 5.5 sqrt(s_max); a 4-point Lagrange interpolation
-    in log a reads off the levels asked for, clamped into that range (below
-    it H is within O(a) of h(t); above it l^a has mass under 4e-8 on
-    (0, s_max]).  The error stays below 1e-6 for h smooth on the panel width.
-    A hard step is not resolved: for h = 1_{r > 1} against
-    erf(a / sqrt(2 (1 - t))) on levels 1e-4 to 5, the error reaches 3.0e-4,
-    1.6e-3 and 6.9e-3 at t = 0.5, 0.77 and 0.9.
+    log-spaced from 1e-7 to 5.5 sqrt(s_max).  ``rows(times)`` yields H on
+    those levels at each time in turn, built _HIT_BLOCK times at once: one h
+    call on (block x nodes) and one matrix product with W per block, so the
+    table is re-read once per block, not once per time, and its working size
+    depends on neither the number of times nor the caller's paths.
+    ``read(row, levels)``, a 4-point Lagrange interpolation in log a, reads
+    off the levels asked for, clamped into that range (below it H is within
+    O(a) of h(t); above it l^a has mass under 4e-8 on (0, s_max]);
+    ``hit(t, levels)`` is the two at one time t.  The error stays below 1e-6
+    for h smooth on the panel width.  A hard step is not resolved: for
+    h = 1_{r > 1} against erf(a / sqrt(2 (1 - t))) on levels 1e-4 to 5, the
+    error reaches 3.0e-4, 1.6e-3 and 6.9e-3 at t = 0.5, 0.77 and 0.9.
     """
-    from numpy.polynomial.legendre import leggauss
 
-    s_max = max(s_max, 0.06)  # h(t + s) - h_tail vanishes beyond the given s_max
-    edges = np.concatenate((np.geomspace(2e-16, 0.06, 49)[:-1],
-                            np.linspace(0.06, s_max, 1 + math.ceil((s_max - 0.06) / 0.03))))
-    x, w = leggauss(6)
-    half = np.diff(edges)[:, None] / 2.0
-    s = (edges[:-1, None] + half * (1.0 + x)).ravel()
-    log_a = np.linspace(math.log(1e-7), math.log(5.5 * math.sqrt(s_max)), 400)
-    a = np.exp(log_a)
-    W = levy_hitting_density(a[:, None], s)
-    W *= (half * w).ravel()
+    def __init__(self, h: Callable, h_tail: float, s_max: float):
+        from numpy.polynomial.legendre import leggauss
 
-    def hit(t: float, levels: np.ndarray) -> np.ndarray:
-        on_grid = W @ (np.asarray(h(t + s), dtype=float) - h_tail) + h_tail
-        u = (np.clip(np.log(np.maximum(levels, a[0])), log_a[0], log_a[-1]) - log_a[0]) / (log_a[1] - log_a[0])
-        i = np.clip(u.astype(np.int64) - 1, 0, a.size - 4)
+        s_max = max(s_max, 0.06)  # h(t + s) - h_tail vanishes beyond the given s_max
+        edges = np.concatenate((np.geomspace(2e-16, 0.06, 49)[:-1],
+                                np.linspace(0.06, s_max, 1 + math.ceil((s_max - 0.06) / 0.03))))
+        x, w = leggauss(6)
+        half = np.diff(edges)[:, None] / 2.0
+        self.h, self.h_tail = h, h_tail
+        self.s = (edges[:-1, None] + half * (1.0 + x)).ravel()
+        self.log_a = np.linspace(math.log(1e-7), math.log(5.5 * math.sqrt(s_max)), 400)
+        self.a = np.exp(self.log_a)
+        self.W = levy_hitting_density(self.a[:, None], self.s)
+        self.W *= (half * w).ravel()
+
+    def rows(self, times: np.ndarray) -> Iterator[np.ndarray]:
+        times = np.asarray(times, dtype=float)
+        for start in range(0, times.size, _HIT_BLOCK):
+            t = times[start : start + _HIT_BLOCK, None]
+            h_minus_tail = np.asarray(self.h((t + self.s).ravel()), dtype=float) - self.h_tail
+            table = h_minus_tail.reshape(t.size, self.s.size) @ self.W.T
+            table += self.h_tail
+            yield from table
+
+    def read(self, row: np.ndarray, levels: np.ndarray) -> np.ndarray:
+        log_a = self.log_a
+        u = (np.clip(np.log(np.maximum(levels, self.a[0])), log_a[0], log_a[-1]) - log_a[0]) / (log_a[1] - log_a[0])
+        i = np.clip(u.astype(np.int64) - 1, 0, log_a.size - 4)
         u -= i  # position among the four levels i..i+3, in [0, 3]
         u1, u2, u3 = u - 1.0, u - 2.0, u - 3.0
-        return (u2 * u3 * (u * on_grid[i + 1] - u1 * on_grid[i] / 3.0)
-                + u * u1 * (u2 * on_grid[i + 3] / 3.0 - u3 * on_grid[i + 2])) / 2.0
+        return (u2 * u3 * (u * row[i + 1] - u1 * row[i] / 3.0)
+                + u * u1 * (u2 * row[i + 3] / 3.0 - u3 * row[i + 2])) / 2.0
 
-    return hit
+    def __call__(self, t: float, levels: np.ndarray) -> np.ndarray:
+        return self.read(next(self.rows([t])), levels)
 
 
 def target_rhs(
@@ -511,22 +539,26 @@ def target_rhs(
     plain integral ∫ h(r) kappa(r) dr of the length intensity, which the
     ``excursion`` claim takes in closed form.
 
-    n_bessel >= 2 paths of a 3-d Bessel process from 0 are stepped exactly
-    (as the norm of a 3-d Brownian motion) along the f-support grid, and the
-    r-integral against the hitting density comes from ``_hitting_kernel``,
-    untruncated, so h must be smooth on its 0.03-wide panels (a hard step in
-    h leaves H off by up to 7e-3); ``r_grid`` is checked but unused.  Each
+    n_bessel >= 2 (an int) paths of a 3-d Bessel process from 0 are stepped
+    exactly (as the norm of a 3-d Brownian motion) along the f-support grid,
+    and the r-integral against the hitting density comes from
+    ``_hitting_kernel``, untruncated, so h must be smooth on its 0.03-wide
+    panels (a hard step in h leaves H off by up to 7e-3); ``r_grid`` is
+    checked but unused.  The kernel's level rows at the window steps are
+    built _HIT_BLOCK steps per matrix product, ahead of the paths, and each
+    step reads its own row at that step's rho.  Each
     pair's t-integral uses the window rule of ``empirical_lhs`` and
     ``eval_functional``, the trapezoid rule on the steps inside that pair's
     window (``_window_weights``), so the last step of a window has half weight.
     The t-quadrature runs over all orderings of the pairs' time indices
     through the max-index decomposition, carried as running prefix sums, so
     any number of pairs costs O(grid) per path and the working memory,
-    O(paths x pairs) plus the kernel's table, does not grow with the number
-    of time steps.
+    O(paths x pairs) plus the kernel's table and one block of rows, does not
+    grow with the number of time steps.
     """
     if not F.pairs:
         raise ValueError("target_rhs needs at least one window pair (f, f_support_end, g)")
+    n_bessel = _require_int("n_bessel", n_bessel)
     if n_bessel < 2:
         raise ValueError("n_bessel must be at least 2")
     _require_finite(dt=dt)
@@ -541,11 +573,12 @@ def target_rhs(
     wf = [np.pad(w, (0, times.size - w.size)) for w, _ in _window_weights(F, dt, n_steps)]
 
     rng = np.random.default_rng(seed)
-    hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
     pos = np.zeros((3, n_bessel))  # one row per coordinate, so rho sums three rows
     prefix = np.zeros((len(F.pairs), n_bessel))  # S_i = sum over k < j of P_ik
     per_path = np.zeros(n_bessel)
     inside = np.any(np.array(wf) != 0.0, axis=0)  # outside every window, P_ij = 0 adds nothing
+    hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
+    rows = hit.rows(times[inside])  # H on the kernel's levels at each window step, in step order
     for j in range(times.size):
         if j:
             pos += rng.standard_normal((n_bessel, 3)).T * math.sqrt(times[j] - times[j - 1])
@@ -563,7 +596,7 @@ def target_rhs(
             without_j *= prefix[i]
             prefix[i] += P
         ratio = np.divide(1.0, rho, out=np.zeros(n_bessel), where=rho > 0.0)
-        per_path += (with_j - without_j) * ratio * hit(times[j], rho)
+        per_path += (with_j - without_j) * ratio * hit.read(next(rows), rho)
 
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n_bessel))
 
@@ -647,7 +680,8 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
     ``target_rhs`` at step dt; at t = 0 the path sits at eps, which adds
     g(eps) H(0, eps)/eps for eps > 0 and nothing in the limit.  The
     y-integral runs over _ORACLE_PANELS Gauss-Legendre panels, and H comes
-    from ``_hitting_kernel``.  F must have exactly one window pair.
+    from ``_hitting_kernel``, whose rows at the window steps are built in
+    blocks as in ``target_rhs``.  F must have exactly one window pair.
     """
     if len(F.pairs) != 1:
         raise ValueError("target_oracle takes exactly one window pair")
@@ -661,7 +695,8 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
     unit = ((np.arange(_ORACLE_PANELS)[:, None] + (1.0 + x) / 2.0) / _ORACLE_PANELS).ravel()  # nodes on [0, 1]
     unit_w = np.tile(wx / (2.0 * _ORACLE_PANELS), _ORACLE_PANELS)
     total = float(w[0] * g(eps) * hit(0.0, np.array([eps]))[0]) / eps if eps > 0.0 else 0.0
-    for j in np.flatnonzero(w[1:]) + 1:
+    steps = np.flatnonzero(w[1:]) + 1
+    for j, row in zip(steps, hit.rows(steps * dt)):
         t = j * dt
         span = eps + 10.0 * math.sqrt(t)
         y = span * unit
@@ -670,7 +705,7 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
         else:
             dens = 2.0 * y / t * np.exp(-(y * y) / (2.0 * t))
         dens *= span * unit_w / math.sqrt(TWO_PI * t)
-        total += float(w[j]) * float(dens @ (np.asarray(g(y), dtype=float) * hit(t, y)))
+        total += float(w[j]) * float(dens @ (np.asarray(g(y), dtype=float) * hit.read(row, y)))
     return total
 
 

@@ -24,22 +24,13 @@ from measura.cli import (
     ExperimentConfig,
     excursion_claim,
     fragmentation_claim,
+    functional_claim,
     levy_converge_claim,
     prohorov_oracle_claim,
     random_measure_claim,
     run,
 )
-from measura.excursion import (
-    ExcursionFunctional,
-    ExcursionPath,
-    bessel_semigroup_check,
-    empirical_lhs,
-    excursion_metric,
-    levy_hitting_density,
-    smoothed_bump,
-    smoothed_cutoff,
-    target_rhs,
-)
+from measura.excursion import ExcursionPath, bessel_semigroup_check, excursion_metric, levy_hitting_density
 from measura.fragmentation import (
     FragmentationSequence,
     g_p,
@@ -220,16 +211,9 @@ def test_criterion_09_excursion_functional_match():
     # over killed paths agrees with the Bessel-representation target within
     # 3 combined standard errors
     start = time.perf_counter()
-    f = smoothed_bump(0.5, 1.5, 0.1)
-    g = lambda x: np.minimum(np.asarray(x, float), 1.0)
-    h = smoothed_cutoff(1.0, 1.0)
-    F = ExcursionFunctional(h=h, h_constant_after=2.0, pairs=((f, 1.5, g),))
-    lhs, lse = empirical_lhs(F, eps=0.01, n_paths=100_000, dt=1e-4, horizon=2.0, seed=909)
-    rhs, rse = target_rhs(F, n_bessel=30_000, dt=5e-3, r_grid=np.linspace(0.0, 8.0, 200), seed=910)
-    combined = math.hypot(lse, rse)
-    ok = abs(lhs - rhs) <= 3.0 * combined
-    check(9, "excursion functional vs Bessel target", ok, time.perf_counter() - start, 600.0,
-          f"lhs={lhs:.5f}+-{lse:.5f} rhs={rhs:.5f}+-{rse:.5f} z={(lhs - rhs) / combined:+.2f}")
+    [row], verdicts = functional_claim(0.01, 100_000, 30_000, seeds=(909, 910))
+    check(9, "excursion functional vs Bessel target", all(verdicts.values()), time.perf_counter() - start, 600.0,
+          f"lhs={row['lhs']:.5f}+-{row['lhs_se']:.5f} rhs={row['rhs']:.5f}+-{row['rhs_se']:.5f} z={row['z']:+.2f}")
 
 
 def test_criterion_10_hitting_density_and_entrance_law():

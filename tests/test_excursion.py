@@ -355,6 +355,22 @@ class TestFunctional:
             ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0,
                                 pairs=((smoothed_bump(0.2, 0.8, 0.1), t_end, lambda x: x),))
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_window_end_that_is_not_finite_is_named(self, t_end):
+        # NaN passed t_end <= 0; inf ended in an OverflowError downstream
+        with pytest.raises(ValueError, match=f"f_support_end must be finite and positive, got {t_end}"):
+            ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0,
+                                pairs=((smoothed_bump(0.2, 0.8, 0.1), t_end, lambda x: x),))
+
+    @pytest.mark.parametrize("h_constant_after", [math.nan, math.inf, -0.5])
+    def test_h_constant_after_that_is_not_finite_and_nonnegative_is_named(self, h_constant_after):
+        # NaN gave a NaN h_tail_value, so empirical_lhs returned (nan, nan) and
+        # the targets ended in "cannot convert float NaN to integer"; inf
+        # ended in an OverflowError
+        with pytest.raises(ValueError, match=f"h_constant_after must be finite and nonnegative, got {h_constant_after}"):
+            ExcursionFunctional(h=step_indicator(1.0), h_constant_after=h_constant_after,
+                                pairs=((smoothed_bump(0.2, 0.8, 0.1), 0.8, lambda x: x),))
+
     def test_bump_narrower_than_its_shoulders_rejected(self):
         with pytest.raises(ValueError, match="bump too narrow for the requested shoulder width"):
             smoothed_bump(0.5, 0.6, 0.05)
@@ -702,6 +718,37 @@ class TestTargetRhs:
             # rho = 0: the a -> 0 limit, a hit at s = 0, is h(t)
             np.testing.assert_allclose(hit(t, np.zeros(3)), float(h(t)), rtol=0.0, atol=1e-6)
 
+    @pytest.mark.parametrize("h, s_max, kinks", [
+        (smoothed_cutoff(1.0, 1.0), 2.0, (1.0, 2.0)),
+        (step_indicator(0.5, width=1.0), 1.5, (0.5, 1.5)),
+    ], ids=["criterion-09-cutoff", "smoothed-step"])
+    def test_hitting_kernel_block_matches_quad(self, h, s_max, kinks):
+        # the same times as one block of table rows, read level by level
+        from measura.excursion import _hitting_kernel
+
+        h_tail = float(h(s_max + 1.0))
+        hit = _hitting_kernel(h, h_tail, s_max)
+        levels = np.array([1e-5, 1e-3, 0.02, 0.05, 0.2, 0.5, 1.0, 3.0])
+        times = np.array([0.0, 0.3, 0.5, 0.999, 1.0, 1.2, 1.49, 1.8, 2.5])
+        for t, row in zip(times, hit.rows(times), strict=True):
+            exact = [self._quad_hitting(h, h_tail, s_max, kinks, t, a) for a in levels]
+            np.testing.assert_allclose(hit.read(row, levels), exact, rtol=0.0, atol=1e-6)
+
+    def test_hitting_kernel_block_rows_match_one_time_calls(self):
+        # 40 times span three blocks; the block product and the one-row
+        # product sum in different orders, so agree to rounding only
+        from measura.excursion import _hitting_kernel
+
+        h = smoothed_cutoff(1.0, 1.0)
+        hit = _hitting_kernel(h, 0.0, 2.0)
+        times = np.linspace(0.5, 1.5, 40)
+        block = np.array(list(hit.rows(times)))
+        one_at_a_time = np.array([next(hit.rows([t])) for t in times])
+        np.testing.assert_allclose(block, one_at_a_time, rtol=0.0, atol=1e-14)
+        levels = np.array([0.0, 1e-3, 0.3, 2.0])
+        for t, row in zip(times, block):
+            np.testing.assert_allclose(hit.read(row, levels), hit(t, levels), rtol=0.0, atol=1e-14)
+
     def test_pair_free_functional_rejected(self):
         # the pair-free integral ∫ h kappa has no Bessel expectation to estimate
         F = ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0)
@@ -823,22 +870,31 @@ class TestTargetRhs:
                 target_rhs(F, n_bessel=n, dt=0.02, r_grid=np.linspace(0, 6, 120), seed=0)
 
     def test_working_memory_does_not_grow_with_time_steps(self):
-        # 2000 paths x 301 time steps: the hitting kernel's (levels x nodes)
-        # table, 2.2 MB, is the largest array; nothing of size (paths x times)
-        # is kept.  The bound is that of the (paths x grid) buffer it replaced
+        # 2000 paths x 301 and x 1201 time steps: the hitting kernel's
+        # (levels x nodes) table, 2.2 MB, is the largest array; nothing of
+        # size (paths x times) is kept.  The bound is that of the (paths x
+        # grid) buffer it replaced, and 4x the steps may add no more than one
+        # block of h values: the kernel's block has _HIT_BLOCK times at any dt
         import tracemalloc
+
+        from measura.excursion import _HIT_BLOCK, _hitting_kernel
 
         g = lambda x: np.minimum(np.asarray(x, float), 1.0)
         F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
                                 pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, g),))
         n_paths, r_grid = 2000, np.linspace(0.0, 8.0, 200)
-        tracemalloc.start()
-        try:
-            target_rhs(F, n_bessel=n_paths, dt=5e-3, r_grid=r_grid, seed=1)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2 * n_paths * r_grid.size * 8
+        target_rhs(F, n_bessel=2, dt=5e-3, r_grid=r_grid, seed=1)  # leaves first-call allocations out of the peaks
+        peaks = []
+        for dt in (5e-3, 1.25e-3):
+            tracemalloc.start()
+            try:
+                target_rhs(F, n_bessel=n_paths, dt=dt, r_grid=r_grid, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) <= 2 * n_paths * r_grid.size * 8
+        block = _HIT_BLOCK * _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after).s.size * 8
+        assert peaks[1] - peaks[0] <= block
 
 
 def scipy_bin_probs(edges, t, x):
@@ -894,6 +950,12 @@ class TestInputGuards:
         # each used to end in a TypeError from range or <
         with pytest.raises(ValueError, match="n_paths must be an int, got"):
             empirical_lhs(_WINDOWED, 0.05, n_paths, 1e-3, 2.5, seed=1)
+
+    @pytest.mark.parametrize("n_bessel", [100.5, 100.0, math.nan, "200"])
+    def test_a_bessel_path_count_that_is_not_an_int_is_named(self, n_bessel):
+        # the floats used to end in a TypeError from numpy, the str in one from <
+        with pytest.raises(ValueError, match="n_bessel must be an int, got"):
+            target_rhs(_WINDOWED, n_bessel, 1e-3, np.linspace(0, 6, 120), seed=0)
 
     def test_a_numpy_integer_path_count_runs_as_the_int(self):
         assert empirical_lhs(_WINDOWED, 0.05, np.int64(150), 1e-3, 2.5, seed=1) == \
