@@ -281,9 +281,9 @@ def stone_weierstrass_p0(
     gvals = np.array([float(g(x)) for x in itertools.product(axis, repeat=arity)]).reshape(shape)
     x1 = np.broadcast_to(axis.reshape((-1,) + (1,) * (arity - 1)), shape)
 
-    if np.any(np.abs(gvals[x1 <= delta]) > 1e-12):
+    if not np.all(np.abs(gvals[x1 <= delta]) <= 1e-12):  # NaN fails too
         raise ValueError("support assertion violated: g does not vanish where x_1 <= delta")
-    if gvals.min() < -1e-9 or gvals.max() > 1.0 + 1e-9:
+    if not (gvals.min() >= -1e-9 and gvals.max() <= 1.0 + 1e-9):  # min and max are NaN if any value is
         raise ValueError("g must take values in [0, 1]")
 
     degrees = []

@@ -53,6 +53,14 @@ def _require_int(name: str, v) -> int:
         raise ValueError(f"{name} must be an int, got {v!r}") from None
 
 
+def _whole_steps(horizon: float, dt: float) -> int:
+    """horizon / dt as an int, else ValueError naming both: the dt-grid must end at the horizon."""
+    steps = horizon / dt
+    if not (math.isfinite(steps) and abs(steps - round(steps)) <= 1e-9 * steps):
+        raise ValueError(f"horizon must be a whole number of dt steps, got horizon {horizon} and dt {dt}")
+    return round(steps)
+
+
 def kappa(r):
     """(2 pi r^3)^(-1/2), the excursion-length intensity."""
     r = np.asarray(r, dtype=float)
@@ -144,38 +152,17 @@ def _segment_means(x: np.ndarray, n: int) -> np.ndarray:
 
 
 def excursion_metric(e1: ExcursionPath, e2: ExcursionPath) -> float:
-    """(∫ |e1 - e2| ∧ 1 dt) ∧ 1 + |1/zeta_1 - 1/zeta_2|.
+    """(∫ |e1 - e2| ∧ 1 dt) ∧ 1 + |1/zeta_1 - 1/zeta_2|, as its batched form on one pair.
 
     The integral is exact for the piecewise-linear representation: on each
     linear piece of the merged grid, min(|e1 - e2|, 1) is integrated in closed
     form (``_segment_means``), kinks at the crossings of the difference
     through 0 and +-1 included, so the grid is never refined.  Plain
     trapezoid on the merged grid can violate the triangle inequality by
-    O(dt); the exact value cannot.
-
-    Grid-end rule: a path is 0 on the open ray past its grid end, so on the
-    one segment that starts at its grid end it starts from 0; segments that
-    start later read 0 from ``np.interp(..., right=0.0)`` already.
-
-    ``excursion_metric.many`` is the batched form ``metric_core.distances``
-    uses; it takes each pair's merged grid from the union grid of its batch,
-    with the np.interp values and the grid-end rule used here, and equals this
-    function bit for bit.
+    O(dt); the exact value cannot.  ``excursion_metric.many``, the batched
+    form ``metric_core.distances`` uses, is the one implementation.
     """
-    tau = _sorted_distinct(e1.grid, e2.grid)  # the merged grid
-    n = tau.size - 1
-    v1 = np.interp(tau, e1.grid, e1.values, right=0.0)
-    v2 = np.interp(tau, e2.grid, e2.values, right=0.0)
-    d = v1 - v2
-    x = np.concatenate((d[1:], d[:-1]))  # differences at the segments' right ends, then at their left ends
-    k1, k2 = tau.searchsorted((e1.grid[-1], e2.grid[-1]))
-    for k in (k1, k2):
-        if k < n:  # the segment that starts at a grid end
-            x[n + k] = (0.0 if k >= k1 else v1[k]) - (0.0 if k >= k2 else v2[k])
-    integral = float(np.add.reduce((tau[1:] - tau[:-1]) * _segment_means(x, n)))
-    inv1 = 0.0 if math.isinf(e1.zeta) else 1.0 / e1.zeta
-    inv2 = 0.0 if math.isinf(e2.zeta) else 1.0 / e2.zeta
-    return min(integral, 1.0) + abs(inv1 - inv2)
+    return float(_excursion_metric_many((e1, e2), np.array([0]), np.array([1]))[0])
 
 
 # excursion_metric.many takes at most _CHUNK_CELLS // |tau| pairs at a time,
@@ -184,20 +171,20 @@ _CHUNK_CELLS = 8192
 
 
 def _excursion_metric_many(points: Sequence[ExcursionPath], i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """``excursion_metric(points[i[k]], points[j[k]])`` for every k, bit for bit.
+    """``excursion_metric(points[i[k]], points[j[k]])`` for every k.
 
     Each path is read once on the union grid tau of all the paths' grids:
     ``on`` marks its grid points, ``right`` is np.interp(tau, grid, values,
-    right=0.0), its value at a segment's right end, and ``left`` is that with
-    the grid-end rule, its value at a left end.  A pair's merged grid is the
-    tau points on either grid, so it keeps the points, values and order of
-    terms of ``excursion_metric``.  The pairs are taken in (stable) order of
-    merged-grid size, so in each chunk the segments of equal-size pairs are
-    contiguous and each such group is one (pairs x segments) block, summed
-    pairwise along its rows as the scalar sum is.  Working memory is these
-    three (paths x |tau|) tables, 17 bytes a cell, plus one chunk of pairs.
-    measura's batches sit on a few dt-lattices, so tau stays short; grids that
-    share no points make it as long as all grids together.
+    right=0.0), its value at a segment's right end, and ``left`` its value at
+    a left end, 0 from its grid end on: a path is 0 on the open ray past its
+    grid (the grid-end rule).  A pair's merged grid is the tau points on
+    either grid.  The pairs are taken in (stable) order of merged-grid size,
+    so in each chunk the segments of equal-size pairs are contiguous and each
+    such group is one (pairs x segments) block, summed pairwise along its
+    rows; a pair gets the same bits in any batch, alone too.  Working memory
+    is these three (paths x |tau|) tables, 17 bytes a cell, plus one chunk of
+    pairs.  measura's batches sit on a few dt-lattices, so tau stays short;
+    grids that share no points make it as long as all grids together.
     """
     tau = _sorted_distinct(*(p.grid for p in points))
     on = np.zeros((len(points), tau.size), dtype=bool)
@@ -292,10 +279,11 @@ def sample_killed_bm(eps: float, dt: float, horizon: float, seed) -> ExcursionPa
     """One killed-Brownian path started at eps, absorbed at 0 or censored at the horizon.
 
     The path is ``_killed_chunks``'s single row on the dt-grid, stream ``default_rng(seed)``;
-    an absorbed path ends with the 0 recorded at the absorption grid time.
+    an absorbed path ends with the 0 recorded at the absorption grid time.  The
+    horizon must be a whole number of dt steps.
     """
     _require_finite(eps=eps, dt=dt, horizon=horizon)
-    times = np.arange(int(round(horizon / dt)) + 1) * dt
+    times = np.arange(_whole_steps(horizon, dt) + 1) * dt
     chunks, zeta = [np.array([float(eps)])], math.inf
     for _, xs, first, done in _killed_chunks(eps, times, np.random.default_rng(seed), 1):
         chunks.append(xs[0, : first[0]])
@@ -430,7 +418,8 @@ def empirical_lhs(
 ) -> tuple[float, float]:
     """(1/eps) E_eps[F] by Monte Carlo over killed-Brownian paths.
 
-    Paths are stepped only at the dt-grid points F reads: 0, the horizon,
+    The horizon must be a whole number of dt steps.  Paths are stepped only
+    at the dt-grid points F reads: 0, the horizon,
     each point of nonzero window weight and each k with h(k dt) != h((k + 1) dt).
     In between, window weights are 0 and h has one value, so a kill there,
     recorded at the next kept point, leaves F unchanged, and the bridge kill
@@ -447,7 +436,7 @@ def empirical_lhs(
     if n_paths < 100:
         raise ValueError("n_paths must be at least 100")
     _require_finite(eps=eps, dt=dt, horizon=horizon)
-    max_steps = int(round(horizon / dt))
+    max_steps = _whole_steps(horizon, dt)
     windows = _window_weights(F, dt, max_steps)
     h_grid = np.arange(int(min(max_steps, max(F.h_constant_after / dt, 0.0) + 2.0)) + 1) * dt  # past h_constant_after
     h_on_grid = np.broadcast_to(np.asarray(F.h(h_grid), dtype=float), h_grid.shape)  # h may return a scalar
@@ -486,7 +475,9 @@ class _hitting_kernel:
     ``hit(t, levels)`` is the two at one time t.  The error stays below 1e-6
     for h smooth on the panel width.  A hard step is not resolved: for
     h = 1_{r > 1} against erf(a / sqrt(2 (1 - t))) on levels 1e-4 to 5, the
-    error reaches 3.0e-4, 1.6e-3 and 6.9e-3 at t = 0.5, 0.77 and 0.9.
+    error reaches 3.0e-4, 1.6e-3 and 6.9e-3 at t = 0.5, 0.77 and 0.9.  The
+    last bits of the block product depend on the BLAS thread count, so the
+    bits of H repeat only at a fixed count.
     """
 
     def __init__(self, h: Callable, h_tail: float, s_max: float):
@@ -554,7 +545,8 @@ def target_rhs(
     through the max-index decomposition, carried as running prefix sums, so
     any number of pairs costs O(grid) per path and the working memory,
     O(paths x pairs) plus the kernel's table and one block of rows, does not
-    grow with the number of time steps.
+    grow with the number of time steps.  Its bits repeat only at a fixed
+    BLAS thread count (``_hitting_kernel``).
     """
     if not F.pairs:
         raise ValueError("target_rhs needs at least one window pair (f, f_support_end, g)")
@@ -681,7 +673,8 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
     g(eps) H(0, eps)/eps for eps > 0 and nothing in the limit.  The
     y-integral runs over _ORACLE_PANELS Gauss-Legendre panels, and H comes
     from ``_hitting_kernel``, whose rows at the window steps are built in
-    blocks as in ``target_rhs``.  F must have exactly one window pair.
+    blocks as in ``target_rhs``, so its bits repeat only at a fixed BLAS
+    thread count.  F must have exactly one window pair.
     """
     if len(F.pairs) != 1:
         raise ValueError("target_oracle takes exactly one window pair")

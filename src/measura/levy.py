@@ -64,6 +64,9 @@ class LevyTriple:
         object.__setattr__(self, "C", C)
         if C.shape != (b.size, b.size):
             raise ValueError("C must be D x D with D = len(b)")
+        for name, v in (("b", b), ("C", C)):
+            if not np.isfinite(v).all():
+                raise ValueError(f"{name} must be finite, got {v.tolist()}")
         if not np.allclose(C, C.T, atol=1e-12):
             raise ValueError("C must be symmetric")
         if np.linalg.eigvalsh(C).min() < -1e-10:
@@ -266,10 +269,13 @@ def finite_ground_space(labels: Sequence[Point]) -> MetricStructure:
 
 
 def laplace_functional(law: RandomMeasureLaw, phi: Callable) -> float:
-    """L(phi) = <phi, b> + sum_atoms w (1 - exp(-<phi, nu>)) for phi >= 0 on E."""
+    """L(phi) = <phi, b> + sum_atoms w (1 - exp(-<phi, nu>)) for finite phi >= 0 on E."""
     for e in law.ground_set:
-        if phi(e) < 0.0:
+        v = phi(e)
+        if v < 0.0:
             raise ValueError(f"negative phi value at {e!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"phi value {v} at {e!r} is not finite")
     linear = integrate(law.b, phi).real
     jump = 0.0
     for nu, w in law.mu.atoms:

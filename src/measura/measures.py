@@ -220,7 +220,9 @@ def prohorov_distance_bruteforce(nu1: AtomicMeasure, nu2: AtomicMeasure) -> floa
     between any two atoms, numbered nu1's first, raises ValueError.
     Independent of :func:`prohorov_distance` on purpose: no cross block, no
     max flow, and one scalar ``space.dist`` call per pair, so that it also
-    checks the batched distances ``prohorov_distance`` uses.
+    checks the batched distances ``prohorov_distance`` uses, except on the
+    excursion space, whose scalar distance is its batched form on one pair
+    (the tests check that form against an independent reference).
     """
     space = _require_same_space(nu1.space, nu2.space)
     pts = [p for p, _ in nu1.atoms] + [p for p, _ in nu2.atoms]

@@ -35,12 +35,14 @@ class MetricStructure:
     j)``: the float array of ``dist(points[i[k]], points[j[k]])`` over k, equal
     to the scalar values bit for bit.  It converts and checks every point it
     is given, raising the ValueError ``dist`` raises on a bad one.  The
-    built-in metrics carry one.  :func:`distances` is the one place that looks
-    for it, and gives it only the points some pair queries; a ``dist`` without
-    one, such as a function wrapped around a built-in ``dist``, is called once
-    per pair instead.  A built-in metric gives NaN, in both forms, for a
-    point with a NaN coordinate, and :func:`sample_metric_axioms` and
-    ``prohorov_distance`` refuse a non-finite distance.
+    built-in metrics carry one; ``excursion_metric`` is its batched form on
+    one pair, so the two agree by construction.  :func:`distances` is the one
+    place that looks for it, and gives it only the points some pair queries;
+    a ``dist`` without one, such as a function wrapped around a built-in
+    ``dist``, is called once per pair instead.  A built-in metric gives NaN,
+    in both forms, for a point with a NaN coordinate, and
+    :func:`sample_metric_axioms` and ``prohorov_distance`` refuse a
+    non-finite distance.
     """
 
     dist: Callable[[Point, Point], float]

@@ -162,8 +162,9 @@ class TestStoneWeierstrass:
         (lambda x: x[0], 0.1, 8.0, "degree_budget must be >= 1 and an integer, got 8.0"),
         (lambda x: 2.0 * x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
         (lambda x: -x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
+        (lambda x: math.nan if x[0] > 0.5 else 0.0, 0.05, 64, r"g must take values in \[0, 1\]"),
     ], ids=["eps-zero", "eps-negative", "eps-nan", "budget-zero", "budget-nan", "budget-float", "g-above-1",
-            "g-below-0"])
+            "g-below-0", "g-nan"])
     def test_bad_argument_rejected(self, g, eps, budget, message):
         with pytest.raises(ValueError, match=message):
             stone_weierstrass_p0(g, delta=0.0, eps=eps, degree_budget=budget)

@@ -214,7 +214,7 @@ class TestBatchedMetric:
         pairs = [(e1, e2) for e1 in paths for e2 in paths]
         got = _distances_of(pairs)
         for (e1, e2), d in zip(pairs, got.tolist()):
-            assert d.hex() == excursion_metric(e1, e2).hex()
+            assert d.hex() == excursion_metric(e1, e2).hex() == _reference_excursion_metric(e1, e2).hex()
 
     def test_pairs_in_descending_merged_grid_size_come_back_in_input_order(self):
         # the batch takes pairs in order of merged-grid size; given them largest first, every
@@ -235,6 +235,7 @@ class TestBatchedMetric:
         assert len(pairs) > 3 * (_CHUNK_CELLS // _sorted_distinct(*(e.grid for e in paths)).size)
         got = _distances_of(pairs)
         assert [d.hex() for d in got.tolist()] == [excursion_metric(e1, e2).hex() for e1, e2 in pairs]
+        assert [d.hex() for d in got.tolist()] == [_reference_excursion_metric(e1, e2).hex() for e1, e2 in pairs]
 
     def test_an_overflowing_slope_reads_the_value_at_its_grid_point(self):
         # slope 1e10 / 1e-300 is inf, and inf * 0 is NaN where np.interp returns the value itself
@@ -245,6 +246,7 @@ class TestBatchedMetric:
         got = _distances_of(pairs)
         assert np.isfinite(got).all()
         assert [d.hex() for d in got.tolist()] == [excursion_metric(e1, e2).hex() for e1, e2 in pairs]
+        assert [d.hex() for d in got.tolist()] == [_reference_excursion_metric(e1, e2).hex() for e1, e2 in pairs]
 
 
 def _path(dt, values, zeta=None):
@@ -966,6 +968,25 @@ class TestInputGuards:
     def test_a_bad_r_grid_is_refused(self, r_grid):
         with pytest.raises(ValueError, match="r_grid must be increasing and nonnegative"):
             target_rhs(_WINDOWED, 2, 1e-3, r_grid, seed=0)
+
+    @pytest.mark.parametrize("fn, dt, horizon", [("sample_killed_bm", 0.3, 1.0), ("empirical_lhs", 0.3, 1.0),
+                                                 ("sample_killed_bm", 0.1, 1.05), ("empirical_lhs", 0.1, 1.05),
+                                                 ("sample_killed_bm", 1e-3, 1e-4), ("empirical_lhs", 5e-324, 1.0)])
+    def test_a_horizon_off_the_dt_grid_is_named(self, fn, dt, horizon):
+        # the step count used to be rounded, which moved the horizon: 1.0 at dt 0.3 ran to 0.9
+        with pytest.raises(ValueError, match=f"horizon must be a whole number of dt steps, got horizon {horizon} "
+                                             f"and dt {dt}"):
+            _CALLS[fn](eps=0.05, dt=dt, horizon=horizon)
+
+    def test_a_horizon_past_the_constant_h_but_off_the_dt_grid_is_named(self):
+        # this one used to raise "horizon too short", although 1.0 >= 0.95
+        F = ExcursionFunctional(h=step_indicator(0.95), h_constant_after=0.95)
+        with pytest.raises(ValueError, match="horizon must be a whole number of dt steps"):
+            empirical_lhs(F, 1.0, 200, 0.3, 1.0, seed=1)
+
+    def test_a_horizon_a_rounding_error_off_the_dt_grid_runs(self):
+        # 0.3 / 0.1 is 2.9999999999999996: three steps
+        assert sample_killed_bm(5.0, 0.1, 0.3, seed=1).grid.size == 4
 
     def test_no_bessel_samples_is_refused(self):
         # the histogram divided by zero: a RuntimeWarning and a NaN report

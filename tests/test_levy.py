@@ -81,10 +81,16 @@ class TestPsiExponent:
     @pytest.mark.parametrize("C, message", [
         (np.eye(3), "C must be D x D with D = len"), (np.eye(2)[:1], "C must be D x D with D = len"),
         ([[1.0, 0.5], [0.0, 1.0]], "C must be symmetric"),
-    ], ids=["3x3", "1x2", "asymmetric"])
+        ([[math.inf, 0.0], [0.0, 1.0]], "C must be finite"), ([[math.nan, 0.0], [0.0, 1.0]], "C must be finite"),
+    ], ids=["3x3", "1x2", "asymmetric", "inf", "nan"])
     def test_covariance_shape_and_symmetry(self, C, message):
         with pytest.raises(ValueError, match=message):
             triple([0.0, 0.0], C, [], dim=2)
+
+    @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
+    def test_non_finite_drift_rejected(self, b):
+        with pytest.raises(ValueError, match="b must be finite"):
+            triple([b, 0.0], np.eye(2), [], dim=2)
 
 
 class TestRecovery:
@@ -280,6 +286,9 @@ class TestLaplaceFunctionals:
     def test_negative_phi_rejected(self):
         with pytest.raises(ValueError, match="negative phi"):
             laplace_functional(self.law(), lambda e: -1.0)
+        for v in (math.nan, math.inf):  # non-finite values are refused by name, not summed
+            with pytest.raises(ValueError, match=f"phi value {v} at 'a' is not finite"):
+                laplace_functional(self.law(), lambda e: v)
 
     @pytest.mark.parametrize("atom", ["a", "zero"])
     def test_jump_atom_that_is_not_a_nonzero_measure_rejected(self, atom):
