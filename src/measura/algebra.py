@@ -20,14 +20,13 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .metric_core import BoundedSetWitness, MetricStructure, Point
+from .metric_core import BoundedSetWitness, MetricStructure, Point, _require_finite, _require_int
 
 ComplexFn = Callable[[Point], complex]
 
@@ -264,18 +263,15 @@ def stone_weierstrass_p0(
     returned polynomial p satisfies |g(x) - p(x)| <= eps * x_1 at every point
     of the verification grid (``grid_points`` per axis, faces included), or
     NonConvergenceError("degree budget exhausted") is raised.  ``eps`` must be
-    positive, ``delta`` finite and >= 0, ``degree_budget`` and ``arity``
-    integers >= 1 and ``grid_points`` an integer >= 2: any other value, NaN
-    included, raises a ValueError that names it.
+    finite and positive, ``delta`` finite and nonnegative, ``degree_budget``
+    and ``arity`` ints of at least 1 and ``grid_points`` an int of at least 2:
+    any other value, NaN included, raises a ValueError that names it.
     """
-    if not eps > 0:  # NaN fails too
-        raise ValueError(f"eps must be positive, got {eps}")
-    if not 0 <= delta < math.inf:  # NaN fails too
-        raise ValueError(f"delta must be finite and >= 0, got {delta}")
-    for name, value, least in (("degree_budget", degree_budget, 1), ("arity", arity, 1),
-                               ("grid_points", grid_points, 2)):
-        if not (isinstance(value, numbers.Integral) and value >= least):
-            raise ValueError(f"{name} must be >= {least} and an integer, got {value}")
+    _require_finite(eps=eps)
+    _require_finite(delta=delta, nonnegative=True)
+    degree_budget = _require_int("degree_budget", degree_budget, 1)
+    arity = _require_int("arity", arity, 1)
+    grid_points = _require_int("grid_points", grid_points, 2)
     axis = np.linspace(0.0, 1.0, grid_points)
     shape = (grid_points,) * arity
     gvals = np.array([float(g(x)) for x in itertools.product(axis, repeat=arity)]).reshape(shape)

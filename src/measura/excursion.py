@@ -25,32 +25,16 @@ exact samples.  Everything here runs on numpy and the math module.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .metric_core import _sorted_distinct
+from .metric_core import _require_finite, _require_int, _sorted_distinct
 
 TWO_PI = 2.0 * math.pi
 # numpy has no erf: math.erf, applied elementwise, serves _bessel_cdf
 _erf = np.frompyfunc(math.erf, 1, 1)
-
-
-def _require_finite(*, nonnegative: bool = False, **values: float) -> None:
-    """Raise ValueError naming the first of ``values`` that is not finite and positive (or nonnegative)."""
-    for name, v in values.items():
-        if not (0.0 <= v if nonnegative else 0.0 < v) or v == math.inf:  # NaN fails the first test
-            raise ValueError(f"{name} must be finite and {'nonnegative' if nonnegative else 'positive'}, got {v}")
-
-
-def _require_int(name: str, v) -> int:
-    """v as an int (numpy integers too, but no float or str), else ValueError naming it."""
-    try:
-        return operator.index(v)
-    except TypeError:
-        raise ValueError(f"{name} must be an int, got {v!r}") from None
 
 
 def _whole_steps(horizon: float, dt: float) -> int:
@@ -319,10 +303,8 @@ class ExcursionFunctional:
     def __post_init__(self):
         _require_finite(h_constant_after=self.h_constant_after, nonnegative=True)
         for _, t_end, g in self.pairs:
-            if not 0.0 < t_end < math.inf:
-                raise ValueError(f"window support must have positive length: f_support_end must be finite and "
-                                 f"positive, got {t_end}")
-            if abs(float(g(0.0))) > 1e-12:
+            _require_finite(f_support_end=t_end)
+            if not abs(float(g(0.0))) <= 1e-12:  # NaN fails too
                 raise ValueError("level weights must vanish at 0")
 
     @property
@@ -432,9 +414,7 @@ def empirical_lhs(
     the window weights; it grows with neither n_paths nor the horizon.
     Returns (mean, standard error).
     """
-    n_paths = _require_int("n_paths", n_paths)
-    if n_paths < 100:
-        raise ValueError("n_paths must be at least 100")
+    n_paths = _require_int("n_paths", n_paths, 100)
     _require_finite(eps=eps, dt=dt, horizon=horizon)
     max_steps = _whole_steps(horizon, dt)
     windows = _window_weights(F, dt, max_steps)
@@ -550,9 +530,7 @@ def target_rhs(
     """
     if not F.pairs:
         raise ValueError("target_rhs needs at least one window pair (f, f_support_end, g)")
-    n_bessel = _require_int("n_bessel", n_bessel)
-    if n_bessel < 2:
-        raise ValueError("n_bessel must be at least 2")
+    n_bessel = _require_int("n_bessel", n_bessel, 2)
     _require_finite(dt=dt)
     r = np.asarray(r_grid, dtype=float)
     if r.size < 2 or r[0] < 0.0 or np.any(np.diff(r) <= 0):
@@ -640,8 +618,7 @@ def bessel_semigroup_check(t: float, x: float, n_samples: int, seed) -> BesselCh
     """
     _require_finite(t=t)
     _require_finite(x=x, nonnegative=True)
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
+    n_samples = _require_int("n_samples", n_samples, 1)
     rng = np.random.default_rng(seed)
     samples = np.linalg.norm(
         np.array([x, 0.0, 0.0]) + rng.standard_normal((n_samples, 3)) * math.sqrt(t), axis=1
@@ -713,19 +690,24 @@ def smoothstep(u):
 
 
 def step_indicator(threshold: float, width: float = 0.0) -> Callable:
-    """1_{r > threshold}, optionally C^1-smoothed over [threshold, threshold + width]."""
-    if width <= 0.0:
+    """1_{r > threshold}, C^1-smoothed over [threshold, threshold + width] if width > 0; width 0 is a hard step."""
+    _require_finite(threshold=threshold, width=width, nonnegative=True)
+    if width == 0.0:
         return lambda r: np.where(np.asarray(r, dtype=float) > threshold, 1.0, 0.0)
     return lambda r: smoothstep((np.asarray(r, dtype=float) - threshold) / width)
 
 
 def smoothed_cutoff(start: float, width: float) -> Callable:
     """1 on [0, start], C^1 decay to 0 on [start, start + width], 0 after."""
+    _require_finite(start=start, nonnegative=True)
+    _require_finite(width=width)
     return lambda r: 1.0 - smoothstep((np.asarray(r, dtype=float) - start) / width)
 
 
 def smoothed_bump(a: float, b: float, width: float) -> Callable:
     """C^1 bump: 0 outside [a, b], 1 on [a + width, b - width]."""
+    _require_finite(a=a, b=b, nonnegative=True)
+    _require_finite(width=width)
     if b - a <= 2.0 * width:
         raise ValueError("bump too narrow for the requested shoulder width")
 

@@ -16,13 +16,12 @@ with n blocks converge pointwise to the zero state while G_1 stays pinned at 1.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 from .algebra import FunctionFamily, TestFunction
 from .measures import AtomicMeasure, ConvergenceReport, weak_sharp_report
-from .metric_core import MetricStructure
+from .metric_core import MetricStructure, _require_int
 
 MASS_TOL = 1e-12
 
@@ -98,8 +97,7 @@ def phi_inverse(mu: AtomicMeasure) -> FragmentationSequence:
 
 def g_p(s: FragmentationSequence, p: int) -> float:
     """Power sum sum_i s_i^p, correctly rounded; p must be an integer >= 1."""
-    if not (isinstance(p, numbers.Integral) and p >= 1):
-        raise ValueError(f"p must be a positive integer, got {p}")
+    p = _require_int("p", p, 1)
     return math.fsum(v**p for v in s.values)
 
 
@@ -144,6 +142,7 @@ def block_uniform_state(n: int) -> FragmentationSequence:
     nudged once by the residual 1 - fsum so the float masses sum to exactly 1
     (for n up to 5000 that residual is never negative, so the state stays
     nonincreasing; a broken order would fail FragmentationSequence's check)."""
+    n = _require_int("n", n, 1)
     vals = [1.0 / n] * n
     vals[0] += 1.0 - math.fsum(vals)
     return FragmentationSequence(tuple(vals))

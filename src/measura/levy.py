@@ -88,11 +88,14 @@ def psi_exponent(triple: LevyTriple, u: Sequence[float]) -> complex:
     """log E[exp(i u . Z)] for the law with the given triple.
 
     i u.b - u.Cu/2 + sum_atoms w (exp(i u.x) - 1 - i u.x h(x)) with h the
-    compensator weight, the indicator of the unit sup-norm ball.
+    compensator weight, the indicator of the unit sup-norm ball.  u must be
+    finite: a NaN or infinite coordinate raises ValueError naming u.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (triple.dim,):
         raise ValueError(f"u must have dimension {triple.dim}")
+    if not np.isfinite(u).all():
+        raise ValueError(f"u must be finite, got {u.tolist()}")
     val = 1j * float(u @ triple.b) - 0.5 * float(u @ triple.C @ u)
     for p, w in triple.mu.atoms:
         x = np.asarray(p, dtype=float)
@@ -240,7 +243,8 @@ class RandomMeasureLaw:
     """Drift measure b on a finite set E plus a jump measure over M_f(E) \\ {0}.
 
     The jump measure's atoms are themselves atomic measures on E; each must
-    have positive total mass.
+    have positive total mass.  E is ``finite_ground_space(ground_set)``: b or
+    a jump atom on any other space is refused by name.
     """
 
     ground_set: tuple
@@ -248,9 +252,14 @@ class RandomMeasureLaw:
     mu: AtomicMeasure
 
     def __post_init__(self):
-        for nu, _ in self.mu.atoms:
+        label = finite_ground_space(self.ground_set).label
+        if self.b.space.label != label:
+            raise ValueError(f"b lives on {self.b.space.label!r}, not on the ground set {label!r}")
+        for k, (nu, _) in enumerate(self.mu.atoms):
             if not isinstance(nu, AtomicMeasure) or nu.total_mass <= 0.0:
                 raise ValueError("jump-measure atoms must be nonzero finite measures on E")
+            if nu.space.label != label:
+                raise ValueError(f"jump-measure atom {k} lives on {nu.space.label!r}, not on the ground set {label!r}")
 
 
 def finite_ground_space(labels: Sequence[Point]) -> MetricStructure:

@@ -13,6 +13,8 @@ metrics the rest of the library relies on:
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
@@ -83,6 +85,24 @@ def _sorted_distinct(*parts) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
+def _require_finite(*, nonnegative: bool = False, **values: float) -> None:
+    """Raise ValueError naming the first of ``values`` that is not finite and positive (or nonnegative)."""
+    for name, v in values.items():
+        if not (0.0 <= v if nonnegative else 0.0 < v) or v == math.inf:  # NaN fails the first test
+            raise ValueError(f"{name} must be finite and {'nonnegative' if nonnegative else 'positive'}, got {v}")
+
+
+def _require_int(name: str, v, least: int) -> int:
+    """v as an int of at least ``least`` (numpy integers too, but no float or str), else ValueError naming it."""
+    try:
+        v = operator.index(v)
+    except TypeError:
+        raise ValueError(f"{name} must be an int, got {v!r}") from None
+    if v < least:
+        raise ValueError(f"{name} must be at least {least}, got {v}")
+    return v
+
+
 _BALL_SLACK = 1e-12  # absolute rounding allowance on the ball radius
 
 
@@ -138,8 +158,7 @@ def sup_norm_space(dim: int) -> MetricStructure:
     Any other shape raises ValueError naming it, where numpy would broadcast
     it against the other point.  A NaN coordinate gives a NaN distance.
     """
-    if dim < 1:
-        raise ValueError(f"dimension must be at least 1, got {dim}")
+    dim = _require_int("dim", dim, 1)
 
     def coords(p: Point) -> np.ndarray:
         a = np.asarray(p, dtype=float)
@@ -267,8 +286,10 @@ def sample_metric_axioms(
     d(y, z); every distinct ordered pair among them is evaluated once, all in
     one :func:`distances` call, and d(x, y) apart from d(y, x), so that the
     symmetry check compares two evaluations.  A distance that is not finite
-    raises ValueError naming its index pair.
+    raises ValueError naming its index pair.  ``n_triples`` must be an int of
+    at least 0; no triples report no violation.
     """
+    n_triples = _require_int("n_triples", n_triples, 0)
     pts = list(points)
     n = len(pts)
     if n < 2:

@@ -154,17 +154,18 @@ class TestStoneWeierstrass:
             stone_weierstrass_p0(lambda x: x[0], delta=0.5, eps=0.1, degree_budget=8)
 
     @pytest.mark.parametrize("g, eps, budget, message", [
-        (lambda x: x[0], 0.0, 8, "eps must be positive"),
-        (lambda x: x[0], -0.1, 8, "eps must be positive"),
-        (lambda x: x[0], math.nan, 8, "eps must be positive, got nan"),
-        (lambda x: x[0], 0.1, 0, "degree_budget must be >= 1"),
-        (lambda x: x[0], 0.1, math.nan, "degree_budget must be >= 1 and an integer, got nan"),
-        (lambda x: x[0], 0.1, 8.0, "degree_budget must be >= 1 and an integer, got 8.0"),
+        (lambda x: x[0], 0.0, 8, "eps must be finite and positive, got 0.0"),
+        (lambda x: x[0], -0.1, 8, "eps must be finite and positive, got -0.1"),
+        (lambda x: x[0], math.nan, 8, "eps must be finite and positive, got nan"),
+        (lambda x: x[0], math.inf, 8, "eps must be finite and positive, got inf"),
+        (lambda x: x[0], 0.1, 0, "degree_budget must be at least 1, got 0"),
+        (lambda x: x[0], 0.1, math.nan, "degree_budget must be an int, got nan"),
+        (lambda x: x[0], 0.1, 8.0, "degree_budget must be an int, got 8.0"),
         (lambda x: 2.0 * x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
         (lambda x: -x[0], 0.1, 8, r"g must take values in \[0, 1\]"),
         (lambda x: math.nan if x[0] > 0.5 else 0.0, 0.05, 64, r"g must take values in \[0, 1\]"),
-    ], ids=["eps-zero", "eps-negative", "eps-nan", "budget-zero", "budget-nan", "budget-float", "g-above-1",
-            "g-below-0", "g-nan"])
+    ], ids=["eps-zero", "eps-negative", "eps-nan", "eps-inf", "budget-zero", "budget-nan", "budget-float",
+            "g-above-1", "g-below-0", "g-nan"])
     def test_bad_argument_rejected(self, g, eps, budget, message):
         with pytest.raises(ValueError, match=message):
             stone_weierstrass_p0(g, delta=0.0, eps=eps, degree_budget=budget)
@@ -230,12 +231,12 @@ class TestStoneWeierstrass:
         assert poly.evaluate_exact((0,)) == 0
 
     @pytest.mark.parametrize("kwargs, message", [
-        ({"delta": math.nan}, "delta must be finite and >= 0, got nan"),
-        ({"delta": -1.0}, "delta must be finite and >= 0, got -1.0"),
-        ({"delta": math.inf}, "delta must be finite and >= 0, got inf"),
-        ({"grid_points": 1}, "grid_points must be >= 2 and an integer, got 1"),
-        ({"grid_points": 0}, "grid_points must be >= 2 and an integer, got 0"),
-        ({"arity": 0}, "arity must be >= 1 and an integer, got 0"),
+        ({"delta": math.nan}, "delta must be finite and nonnegative, got nan"),
+        ({"delta": -1.0}, "delta must be finite and nonnegative, got -1.0"),
+        ({"delta": math.inf}, "delta must be finite and nonnegative, got inf"),
+        ({"grid_points": 1}, "grid_points must be at least 2, got 1"),
+        ({"grid_points": 0}, "grid_points must be at least 2, got 0"),
+        ({"arity": 0}, "arity must be at least 1, got 0"),
     ], ids=["delta-nan", "delta-negative", "delta-inf", "grid-one-point", "grid-empty", "arity-zero"])
     def test_argument_that_would_skip_a_check_rejected(self, kwargs, message):
         # with these the support check or the verification grid checks nothing, or numpy fails

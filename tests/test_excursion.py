@@ -353,7 +353,7 @@ class TestKilledBM:
 class TestFunctional:
     @pytest.mark.parametrize("t_end", [0.0, -1.0])
     def test_window_support_of_no_length_rejected(self, t_end):
-        with pytest.raises(ValueError, match="window support must have positive length"):
+        with pytest.raises(ValueError, match=f"f_support_end must be finite and positive, got {t_end}"):
             ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0,
                                 pairs=((smoothed_bump(0.2, 0.8, 0.1), t_end, lambda x: x),))
 
@@ -376,6 +376,45 @@ class TestFunctional:
     def test_bump_narrower_than_its_shoulders_rejected(self):
         with pytest.raises(ValueError, match="bump too narrow for the requested shoulder width"):
             smoothed_bump(0.5, 0.6, 0.05)
+
+    def test_a_level_weight_that_is_nan_at_0_is_refused(self):
+        # abs(nan) > 1e-12 is False, so this used to be accepted
+        with pytest.raises(ValueError, match="level weights must vanish at 0"):
+            ExcursionFunctional(h=step_indicator(1.0), h_constant_after=1.0,
+                                pairs=((smoothed_bump(0.2, 0.8, 0.1), 0.8, lambda x: x + math.nan),))
+
+    @pytest.mark.parametrize("args, message", [
+        ((math.nan,), "threshold must be finite and nonnegative, got nan"),
+        ((-1.0,), "threshold must be finite and nonnegative, got -1.0"),
+        ((1.0, math.nan), "width must be finite and nonnegative, got nan"),
+        ((1.0, -0.5), "width must be finite and nonnegative, got -0.5"),
+    ], ids=["threshold-nan", "threshold-negative", "width-nan", "width-negative"])
+    def test_a_bad_step_is_named(self, args, message):
+        # a NaN threshold or width used to give NaN values, a negative width a hard step
+        with pytest.raises(ValueError, match=message):
+            step_indicator(*args)
+
+    @pytest.mark.parametrize("start, width, message", [
+        (math.nan, 1.0, "start must be finite and nonnegative, got nan"),
+        (-1.0, 1.0, "start must be finite and nonnegative, got -1.0"),
+        (1.0, 0.0, "width must be finite and positive, got 0.0"),
+        (1.0, math.inf, "width must be finite and positive, got inf"),
+    ], ids=["start-nan", "start-negative", "width-zero", "width-inf"])
+    def test_a_bad_cutoff_is_named(self, start, width, message):
+        # width 0 used to divide by zero, a NaN start to give NaN values
+        with pytest.raises(ValueError, match=message):
+            smoothed_cutoff(start, width)
+
+    @pytest.mark.parametrize("a, b, width, message", [
+        (math.nan, 1.5, 0.1, "a must be finite and nonnegative, got nan"),
+        (0.5, math.inf, 0.1, "b must be finite and nonnegative, got inf"),
+        (0.5, 1.5, -0.1, "width must be finite and positive, got -0.1"),
+        (0.5, 1.5, 0.0, "width must be finite and positive, got 0.0"),
+    ], ids=["a-nan", "b-inf", "width-negative", "width-zero"])
+    def test_a_bad_bump_is_named(self, a, b, width, message):
+        # width -0.1 used to give a bump that is identically 0, width 0 to divide by zero
+        with pytest.raises(ValueError, match=message):
+            smoothed_bump(a, b, width)
 
     def test_unit_functional(self):
         F = ExcursionFunctional(h=lambda r: np.ones_like(np.asarray(r, float)), h_constant_after=0.0)
@@ -992,6 +1031,12 @@ class TestInputGuards:
         # the histogram divided by zero: a RuntimeWarning and a NaN report
         with pytest.raises(ValueError, match="n_samples must be at least 1"):
             bessel_semigroup_check(1.0, 0.0, n_samples=0, seed=1)
+
+    @pytest.mark.parametrize("n_samples", [100.5, "100"])
+    def test_a_bessel_sample_count_that_is_not_an_int_is_named(self, n_samples):
+        # 100.5 used to end in a TypeError from numpy, "100" in one from <
+        with pytest.raises(ValueError, match="n_samples must be an int, got"):
+            bessel_semigroup_check(1.0, 0.0, n_samples, 1)
 
     @pytest.mark.parametrize("dt, eps, name", [(math.nan, 0.0, "dt"), (math.inf, 0.0, "dt"), (0.01, math.nan, "eps"),
                                                (0.01, -1.0, "eps")])

@@ -114,6 +114,13 @@ class TestPowerAndExponentialSums:
             assert s.is_proper
             assert all(a >= b for a, b in zip(s.values, s.values[1:]))
 
+    @pytest.mark.parametrize("n, message", [(0, "at least 1, got 0"), (-2, "at least 1, got -2"),
+                                            (2.5, "an int, got 2.5")], ids=["zero", "negative", "float"])
+    def test_block_count_must_be_a_positive_int(self, n, message):
+        # these used to end in a ZeroDivisionError, an IndexError and a TypeError
+        with pytest.raises(ValueError, match=f"n must be {message}"):
+            block_uniform_state(n)
+
     def test_gp_matches_integral_against_embedding(self):
         rng = np.random.default_rng(12)
         for _ in range(200):
@@ -138,7 +145,7 @@ class TestPowerAndExponentialSums:
 
     @pytest.mark.parametrize("p", [1.5, 2.0, math.nan, math.inf, -1])
     def test_power_must_be_a_positive_integer(self, p):
-        with pytest.raises(ValueError, match=f"p must be a positive integer, got {p}"):
+        with pytest.raises(ValueError, match=f"p must be {'at least 1' if p == -1 else 'an int'}, got {p}"):
             g_p(seq(0.5, 0.5), p)
         assert g_p(seq(0.5, 0.5), np.int64(2)) == 0.5
 

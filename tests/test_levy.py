@@ -74,6 +74,13 @@ class TestPsiExponent:
         with pytest.raises(ValueError, match="dimension"):
             psi_exponent(t, np.zeros(3))
 
+    @pytest.mark.parametrize("u", [math.nan, math.inf])
+    def test_non_finite_argument_rejected(self, u):
+        # these used to give nan+nanj after a RuntimeWarning from matmul
+        t = triple([0.0], np.eye(1), [])
+        with pytest.raises(ValueError, match=re.escape(f"u must be finite, got [{u}]")):
+            psi_exponent(t, [u])
+
     def test_psd_validation(self):
         with pytest.raises(ValueError, match="semidefinite"):
             triple([0.0], [[-1.0]], [])
@@ -297,6 +304,17 @@ class TestLaplaceFunctionals:
         with pytest.raises(ValueError, match="jump-measure atoms must be nonzero finite measures on E"):
             RandomMeasureLaw(self.LABELS, AtomicMeasure.empty(ground),
                              AtomicMeasure.from_atoms(finite_ground_space(self.LABELS), [(nu, 1.0)]))
+
+    @pytest.mark.parametrize("which", ["b", "jump atom"])
+    def test_measure_off_the_ground_set_rejected(self, which):
+        # a b charging "c" used to be accepted, and recover_b_measure then found no atoms
+        wider = finite_ground_space(("a", "b", "c"))
+        ground = finite_ground_space(("a", "b"))
+        off = AtomicMeasure.from_atoms(wider, [("c", 1.0)])
+        on = AtomicMeasure.from_atoms(ground, [("a", 1.0)])
+        b, nu, name = (off, on, "b") if which == "b" else (on, off, "jump-measure atom 0")
+        with pytest.raises(ValueError, match=re.escape(f"{name} lives on {wider.label!r}, not on the ground set")):
+            RandomMeasureLaw(("a", "b"), b, AtomicMeasure.from_atoms(ground, [(nu, 1.0)]))
 
     def test_empty_ground_set_rejected(self):
         with pytest.raises(ValueError, match="discrete space needs at least one point"):

@@ -110,6 +110,11 @@ class TestSupNorm:
         with pytest.raises(ValueError, match="at least 1"):
             sup_norm_space(0)
 
+    def test_a_dimension_that_is_not_an_int_is_named(self):
+        # 2.5 used to end in a TypeError from numpy
+        with pytest.raises(ValueError, match="dim must be an int, got 2.5"):
+            sup_norm_space(2.5)
+
 
 def test_a_space_needs_a_label():
     with pytest.raises(TypeError):
@@ -401,6 +406,13 @@ class TestAxiomSampler:
             assert _reference_axioms(space, [0.0, 1.0, 2.0], 100, np.random.default_rng(0)).ok
         with pytest.raises(ValueError, match=r"non-finite distance .* between points \d+ and \d+"):
             sample_metric_axioms(space, [0.0, 1.0, 2.0], 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("n_triples, message", [(2.5, "an int, got 2.5"), (-1, "at least 0, got -1")],
+                             ids=["float", "negative"])
+    def test_a_bad_triple_count_is_named(self, n_triples, message):
+        # 2.5 used to end in a TypeError, -1 in numpy's "negative dimensions are not allowed"
+        with pytest.raises(ValueError, match=f"n_triples must be {message}"):
+            sample_metric_axioms(real_line(), [0.0, 1.0], n_triples, np.random.default_rng(0))
 
     @pytest.mark.parametrize("points", [[], [0.0]])
     def test_fewer_than_two_points_rejected(self, points):
