@@ -26,13 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .metric_core import BoundedSetWitness, MetricStructure, Point, _require_finite, _require_int
+from .metric_core import BoundedSetWitness, MetricStructure, NonConvergenceError, Point, _require_finite, _require_int
 
 ComplexFn = Callable[[Point], complex]
-
-
-class NonConvergenceError(RuntimeError):
-    """A limit schedule or a degree escalation ended without meeting its tolerance."""
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,12 @@ configurations, including the seed, reproduce identical output bytes;
 wall-clock time is kept on the in-memory result only, never in the emitted
 file.  ``excursion`` steps its killed paths at 0, t and 2t only, where its
 claim is exact, so no command takes a simulation step.
+
+Start-up: each claim function imports what it reads from its home module
+when it is called, so ``import measura.cli`` loads ``metric_core`` alone and
+a command loads only the modules its claim runs.  The functions perfbench
+reads as ``measura.cli.<name>`` resolve to those home-module functions on
+access, through the module ``__getattr__``.
 """
 
 from __future__ import annotations
@@ -30,37 +36,36 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from importlib import import_module
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
-from .algebra import NonConvergenceError, stone_weierstrass_p0
-from .excursion import (
-    ExcursionFunctional,
-    empirical_lhs,
-    smoothed_bump,
-    smoothed_cutoff,
-    step_indicator,
-    target_rhs,
-)
-from .fragmentation import block_uniform_state, g_p
-from .levy import (
-    LevyTriple,
-    RandomMeasureLaw,
-    default_m_schedule,
-    f_phi_family,
-    finite_ground_space,
-    laplace_functional,
-    levy_family,
-    levy_ground_space,
-    psi_exponent,
-    recover_C,
-    recover_b,
-    recover_b_measure,
-)
-from .measures import AtomicMeasure, prohorov_distance, prohorov_distance_bruteforce, weak_sharp_report
-from .metric_core import real_line
+from .metric_core import NonConvergenceError, real_line
+
+if TYPE_CHECKING:
+    from .levy import RandomMeasureLaw
+
+# Functions perfbench reads as measura.cli.<name> (it patches them and names
+# its spans after them); each resolves, on access, to its home module's
+# function, which is the one the claims import and call.
+_HOME = {
+    "empirical_lhs": "excursion",
+    "prohorov_distance": "measures",
+    "prohorov_distance_bruteforce": "measures",
+    "recover_C": "levy",
+    "recover_b": "levy",
+    "recover_b_measure": "levy",
+    "stone_weierstrass_p0": "algebra",
+    "weak_sharp_report": "measures",
+}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f"{__package__}.{_HOME[name]}"), name)
 
 FORMATS = ("csv", "json")
 EXCURSION_TIMES = (0.5, 1.0, 2.0)  # the lifetime thresholds t of the excursion claim
@@ -146,6 +151,9 @@ class ExperimentResult:
 
 
 def levy_recover_claim(m_max: float, tol: float):
+    from .levy import LevyTriple, default_m_schedule, levy_ground_space, psi_exponent, recover_C, recover_b
+    from .measures import AtomicMeasure
+
     space = levy_ground_space(2)
     mu = AtomicMeasure.from_atoms(space, [((1.5, -0.4), 0.8), ((0.3, 0.2), 0.5), ((4.0, 1.0), 0.2)])
     triple = LevyTriple(np.array([0.5, -0.25]), np.array([[2.0, 1.0], [1.0, 3.0]]), mu)
@@ -167,6 +175,9 @@ def levy_recover_claim(m_max: float, tol: float):
 
 def levy_converge_claim(pair_seed: int):
     """delta_{1+1/n} -> delta_1 under 20 F_u*F_v members, (u, v) drawn from pair_seed."""
+    from .levy import levy_family
+    from .measures import AtomicMeasure, weak_sharp_report
+
     rng = np.random.default_rng(pair_seed)
     pairs = [(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 1)) for _ in range(20)]
     fam = levy_family(1, pairs)
@@ -181,6 +192,9 @@ def levy_converge_claim(pair_seed: int):
 def random_measure_claim(law: RandomMeasureLaw, identity_samples, schedule: Sequence[float]):
     """F_phi product identity on each (phi, psi, nu-weights) sample over law.ground_set,
     and recovery of the drift b from the Laplace functional along schedule."""
+    from .levy import f_phi_family, finite_ground_space, laplace_functional, recover_b_measure
+    from .measures import AtomicMeasure
+
     labels = law.ground_set
     ground = finite_ground_space(labels)
     worst_identity = 0.0
@@ -208,6 +222,8 @@ def excursion_claim(eps: float, n_paths: int, seeds: Sequence[int]):
     Binomial(n_paths, erf(eps / sqrt(2t))) under the bridge kill.  A kill in
     (t, 2t] gives h = 1, as survival does, so the second step decides nothing.
     """
+    from .excursion import ExcursionFunctional, empirical_lhs, step_indicator
+
     rows = []
     ok = True
     for t, seed in zip(EXCURSION_TIMES, seeds):
@@ -228,6 +244,8 @@ def functional_claim(eps: float, n_paths: int, n_bessel: int, seeds: Sequence[in
     ``target_rhs`` target steps n_bessel Bessel paths at dt 5e-3 from seeds[1].
     No command runs this claim; criterion 09 does.
     """
+    from .excursion import ExcursionFunctional, empirical_lhs, smoothed_bump, smoothed_cutoff, target_rhs
+
     F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
                             pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, lambda x: np.minimum(x, 1.0)),))
     lhs, lhs_se = empirical_lhs(F, eps, n_paths, dt=1e-4, horizon=2.0, seed=seeds[0])
@@ -239,6 +257,8 @@ def functional_claim(eps: float, n_paths: int, n_bessel: int, seeds: Sequence[in
 
 def fragmentation_claim(ns: Sequence[int]):
     """The G_1 discontinuity witness: G_1 of the uniform n-block state is exactly 1."""
+    from .fragmentation import block_uniform_state, g_p
+
     rows = []
     all_one = True
     for n in ns:
@@ -250,6 +270,8 @@ def fragmentation_claim(ns: Sequence[int]):
 
 
 def sw_approx_claim(degree_budget: int):
+    from .algebra import stone_weierstrass_p0
+
     def ramp(u):
         return min(max(u, 0.0), 1.0)
 
@@ -267,6 +289,8 @@ def sw_approx_claim(degree_budget: int):
 
 def prohorov_oracle_claim(seed: int, n_instances: int, weight_floor: float):
     """Max flow against the exact brute-force oracle on 1-4-atom pairs at U(-2, 2), weights U(weight_floor, 2)."""
+    from .measures import AtomicMeasure, prohorov_distance, prohorov_distance_bruteforce
+
     rng = np.random.default_rng(seed)
     space = real_line()
 
@@ -294,6 +318,9 @@ def prohorov_oracle_claim(seed: int, n_instances: int, weight_floor: float):
 
 
 def _run_random_measure(cfg: ExperimentConfig):
+    from .levy import RandomMeasureLaw, finite_ground_space
+    from .measures import AtomicMeasure
+
     labels = ("a", "b", "c")
     ground = finite_ground_space(labels)
     nu1 = AtomicMeasure.from_atoms(ground, [("a", 0.7), ("b", 0.4)])

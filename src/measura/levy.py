@@ -26,9 +26,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .algebra import FunctionFamily, NonConvergenceError, TestFunction
+from .algebra import FunctionFamily, TestFunction
 from .measures import AtomicMeasure, finite_measure_space, integrate
-from .metric_core import MetricStructure, Point, point_removal_metric, sup_norm_space
+from .metric_core import MetricStructure, NonConvergenceError, Point, point_removal_metric, sup_norm_space
 
 Vector = np.ndarray
 ExponentFn = Callable[[Vector], complex]

@@ -20,12 +20,14 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .algebra import FunctionFamily
 from .metric_core import MetricStructure, Point, _sorted_distinct, distances
+
+if TYPE_CHECKING:  # an annotation only: prohorov-oracle runs without loading algebra
+    from .algebra import FunctionFamily
 
 # prohorov_distance_bruteforce enumerates all 2^n unions of the n support atoms
 SUBSET_LIMIT = 14

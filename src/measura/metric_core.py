@@ -9,11 +9,16 @@ metrics the rest of the library relies on:
 * :func:`hilbert_cube_metric` metrizes the slice of [0,1]-valued sequences
   with positive first coordinate, making first coordinates of bounded sets
   stay away from zero.
+
+Every command loads this module, so it also holds what the whole package
+shares: :class:`NonConvergenceError` and the argument checks
+``_require_finite`` and ``_require_int``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
@@ -21,6 +26,10 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 Point = Any
+
+
+class NonConvergenceError(RuntimeError):
+    """A limit schedule or a degree escalation ended without meeting its tolerance."""
 
 
 @dataclass(frozen=True)
@@ -86,8 +95,13 @@ def _sorted_distinct(*parts) -> np.ndarray:
 
 
 def _require_finite(*, nonnegative: bool = False, **values: float) -> None:
-    """Raise ValueError naming the first of ``values`` that is not finite and positive (or nonnegative)."""
+    """Raise ValueError naming the first of ``values`` that is not finite and positive (or nonnegative).
+
+    A value that is not a real number (a str, a bool, a complex) is refused by name before any comparison.
+    """
     for name, v in values.items():
+        if isinstance(v, bool) or not isinstance(v, numbers.Real):
+            raise ValueError(f"{name} must be a real number, got {v!r}")
         if not (0.0 <= v if nonnegative else 0.0 < v) or v == math.inf:  # NaN fails the first test
             raise ValueError(f"{name} must be finite and {'nonnegative' if nonnegative else 'positive'}, got {v}")
 

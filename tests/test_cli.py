@@ -307,7 +307,7 @@ class TestCommands:
         assert len(res.rows) == 3
 
     def test_excursion_thresholds_of_neighbouring_seeds_share_no_stream(self, monkeypatch):
-        import measura.cli as cli
+        import measura.excursion as excursion
 
         seeds = []
 
@@ -315,7 +315,7 @@ class TestCommands:
             seeds.append(seed)
             return 1.0, 0.1
 
-        monkeypatch.setattr(cli, "empirical_lhs", fake_lhs)
+        monkeypatch.setattr(excursion, "empirical_lhs", fake_lhs)
         for root in (7, 8):
             run(ExperimentConfig(command="excursion", seed=root))
         assert len(seeds) == 6 and len(set(seeds)) == 6
@@ -456,7 +456,58 @@ def _src_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
 
 
+# The measura modules each command leaves loaded, measura and measura.cli aside.
+COMMAND_MODULES = {
+    "excursion": {"metric_core", "excursion"},
+    "sw-approx": {"metric_core", "algebra"},
+    "prohorov-oracle": {"metric_core", "measures"},
+    "fragmentation": {"metric_core", "algebra", "measures", "fragmentation"},
+    "levy-recover": {"metric_core", "algebra", "measures", "levy"},
+    "levy-converge": {"metric_core", "algebra", "measures", "levy"},
+    "random-measure": {"metric_core", "algebra", "measures", "levy"},
+}
+PRINT_MEASURA_MODULES = "print(' '.join(sorted(m for m in sys.modules if m.split('.')[0] == 'measura')))"
+
+
+def _run_fresh(code: str, *argv: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter with measura from src/."""
+    proc = subprocess.run([sys.executable, "-c", code, *argv], env=_src_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 class TestStartup:
+    def test_package_import_loads_no_submodule(self):
+        assert _run_fresh("import sys, measura; " + PRINT_MEASURA_MODULES).split() == ["measura"]
+
+    def test_cli_import_loads_only_metric_core(self):
+        out = _run_fresh("import sys, measura.cli; " + PRINT_MEASURA_MODULES)
+        assert out.split() == ["measura", "measura.cli", "measura.metric_core"]
+
+    @pytest.mark.parametrize("command", COMMAND_MODULES)
+    def test_a_command_loads_only_its_modules(self, command, tmp_path):
+        argv = ["--command", command, "--out", str(tmp_path / "out.csv")]
+        argv += {"excursion": ["--seed", "1", "--n-paths", "2000"], "prohorov-oracle": ["--seed", "1"]}.get(command, [])
+        out = _run_fresh("import sys; from measura.cli import main; main(sys.argv[1:]); " + PRINT_MEASURA_MODULES,
+                         *argv)
+        expected = {"measura", "measura.cli", *(f"measura.{m}" for m in COMMAND_MODULES[command])}
+        assert out.splitlines()[-1].split() == sorted(expected)
+
+    def test_every_export_resolves_and_is_listed(self):
+        code = ("import measura; listed = dir(measura); "
+                "print(all(getattr(measura, n) is not None and n in listed for n in measura.__all__))")
+        assert _run_fresh(code).strip() == "True"
+
+    def test_star_import_binds_every_export(self):
+        code = "import measura; from measura import *; print(sorted(set(measura.__all__) - set(globals())))"
+        assert _run_fresh(code).strip() == "[]"
+
+    def test_non_convergence_error_is_one_class(self):
+        code = ("import measura, measura.algebra, measura.metric_core; "
+                "print(measura.NonConvergenceError is measura.algebra.NonConvergenceError "
+                "is measura.metric_core.NonConvergenceError)")
+        assert _run_fresh(code).strip() == "True"
+
     def test_import_loads_no_scipy(self, tmp_path):
         # every module, both Bessel laws, a one-pair target and a command run with scipy unimportable
         out = tmp_path / "witness.csv"

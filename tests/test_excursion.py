@@ -394,6 +394,11 @@ class TestFunctional:
         with pytest.raises(ValueError, match=message):
             step_indicator(*args)
 
+    def test_a_threshold_that_is_a_str_is_named(self):
+        # "1" used to end in a TypeError from its comparison with 0.0
+        with pytest.raises(ValueError, match="threshold must be a real number, got '1'"):
+            step_indicator("1")
+
     @pytest.mark.parametrize("start, width, message", [
         (math.nan, 1.0, "start must be finite and nonnegative, got nan"),
         (-1.0, 1.0, "start must be finite and nonnegative, got -1.0"),

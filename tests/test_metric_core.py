@@ -11,6 +11,7 @@ from measura.metric_core import (
     BoundedSetWitness,
     MetricAxiomReport,
     MetricStructure,
+    _require_finite,
     distances,
     hilbert_cube_metric,
     point_removal_metric,
@@ -114,6 +115,21 @@ class TestSupNorm:
         # 2.5 used to end in a TypeError from numpy
         with pytest.raises(ValueError, match="dim must be an int, got 2.5"):
             sup_norm_space(2.5)
+
+
+class TestRequireFinite:
+    @pytest.mark.parametrize("nonnegative", [False, True])
+    def test_a_bool_is_named(self, nonnegative):
+        # True used to pass as the number 1
+        with pytest.raises(ValueError, match="x must be a real number, got True"):
+            _require_finite(x=True, nonnegative=nonnegative)
+
+    def test_a_complex_is_named(self):
+        with pytest.raises(ValueError, match=r"x must be a real number, got 1j"):
+            _require_finite(x=1j)
+
+    def test_numpy_reals_pass(self):
+        _require_finite(a=np.float32(0.5), b=np.int64(2), c=np.float64(1e300))
 
 
 def test_a_space_needs_a_label():
