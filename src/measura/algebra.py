@@ -18,6 +18,7 @@ evaluation and its exact power-basis terms as the oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -162,8 +163,9 @@ def _bernstein_eval(values: np.ndarray, n: int, points: Sequence[Sequence[float]
     return out
 
 
+@functools.lru_cache(maxsize=1024)
 def _bernstein_weights(n: int, x: float) -> np.ndarray:
-    """Binomial(n, x) probabilities C(n, j) x^j (1 - x)^(n - j) for x in [0, 1].
+    """Binomial(n, x) probabilities C(n, j) x^j (1 - x)^(n - j) for x in [0, 1], read-only.
 
     At x <= 0 all the mass is on j = 0 and at x >= 1 on j = n.  Inside, the
     weight at the mode is set to 1 and the others are built outward from it
@@ -174,11 +176,19 @@ def _bernstein_weights(n: int, x: float) -> np.ndarray:
     bits are the cumprod form's.  The loop is cheaper than the numpy calls
     below n of about 100 and dearer above; at such degrees the exact lattice
     and its power terms cost far more than the weights.
+
+    The vectors are cached, at most 1024 of them (2.1 MB at n = 256): the
+    verification grid of :func:`stone_weierstrass_p0` asks for the same
+    abscissae on every axis, and ``CubePolynomial.evaluate`` at the grid
+    points asks for them again.  The vector depends only on (n, float(x)), so
+    a cached one has the bits a fresh one would; it is read-only so that no
+    caller can change what the next one gets.
     """
     x = float(x)  # a numpy scalar would make every step of the loops a numpy call
     if x <= 0.0 or x >= 1.0:
         w = np.zeros(n + 1)
         w[0 if x <= 0.0 else n] = 1.0
+        w.flags.writeable = False
         return w
     m = min(int((n + 1) * x), n)
     r = x / (1.0 - x)
@@ -192,25 +202,38 @@ def _bernstein_weights(n: int, x: float) -> np.ndarray:
         p *= (j + 1.0) / ((n - j) * r)
         w[j] = p
     w = np.array(w)
-    return w / w.sum()
+    w /= w.sum()
+    w.flags.writeable = False
+    return w
 
 
 _FACE_OFFSET = 2.0**-30  # power of two: scaling by it is exact in floats
 
 
-def _scaled_ratio_lattice(g, n: int, arity: int) -> np.ndarray:
+def _scaled_ratio_lattice(g, n: int, arity: int, known: dict[tuple[float, ...], Fraction]) -> np.ndarray:
     """Exact lattice values of g(x)/x_1 at x = j/n, as an object array of Fractions.
 
     On the x_1 = 0 face the ratio is taken by continuity, sampled just inside
     the cube; for g supported away from the face this is exactly 0.
+
+    ``known`` maps lattice points ``tuple(j_i / n)`` to their values and is
+    filled in here, so that a caller building lattices of several degrees
+    calls g and builds a Fraction once per point.  That is exact: j/n and
+    2j/2n are the same float, so g sees the same point, and Fraction(n, j_1)
+    is the same rational at both degrees.  Distinct lattice points of degrees
+    below 2**26 are distinct floats, so no two of them share a key.
     """
     lattice = np.empty((n + 1,) * arity, dtype=object)
     for j in np.ndindex(lattice.shape):
-        if j[0] == 0:
-            x = (_FACE_OFFSET,) + tuple(ji / n for ji in j[1:])
-            lattice[j] = Fraction(float(g(x)) / _FACE_OFFSET)  # exact: power-of-two scaling
-        else:
-            lattice[j] = Fraction(float(g(tuple(ji / n for ji in j)))) * Fraction(n, j[0])
+        x = tuple(ji / n for ji in j)
+        value = known.get(x)
+        if value is None:
+            if j[0] == 0:
+                value = Fraction(float(g((_FACE_OFFSET,) + x[1:])) / _FACE_OFFSET)  # exact: power-of-two scaling
+            else:
+                value = Fraction(float(g(x))) * Fraction(n, j[0])
+            known[x] = value
+        lattice[j] = value
     return lattice
 
 
@@ -262,6 +285,13 @@ def stone_weierstrass_p0(
     finite and positive, ``delta`` finite and nonnegative, ``degree_budget``
     and ``arity`` ints of at least 1 and ``grid_points`` an int of at least 2:
     any other value, NaN included, raises a ValueError that names it.
+
+    The degrees tried are 1, 2, 4, ... and then ``degree_budget``.  Their
+    lattices share one dict of exact values, so g is called once per distinct
+    lattice point over the whole trail ((n + 1)**arity times if the last
+    degree n is a power of two), and each grid abscissa's weight vector is
+    built once per degree and then served from the cache of
+    :func:`_bernstein_weights`, also to ``evaluate`` at the grid points.
     """
     _require_finite(eps=eps)
     _require_finite(delta=delta, nonnegative=True)
@@ -285,8 +315,9 @@ def stone_weierstrass_p0(
         n *= 2
     degrees.append(degree_budget)
 
+    known: dict[tuple[float, ...], Fraction] = {}
     for n in degrees:
-        lattice = _scaled_ratio_lattice(g, n, arity)
+        lattice = _scaled_ratio_lattice(g, n, arity, known)
         values = lattice.astype(float)
         approx = _bernstein_eval(values, n, [axis] * arity)
         if np.all(np.abs(gvals - x1 * approx) <= eps * x1 + 1e-12):

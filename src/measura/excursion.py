@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .metric_core import _require_finite, _require_int, _sorted_distinct
+from .metric_core import _require_finite, _require_int, _require_real, _sorted_distinct
 
 TWO_PI = 2.0 * math.pi
 # numpy has no erf: math.erf, applied elementwise, serves _bessel_cdf
@@ -77,8 +77,9 @@ class ExcursionPath:
 
     ``zeta`` is the first grid time the path is absorbed at 0; censored paths
     (not absorbed before the horizon) carry ``zeta = inf``, and that is what
-    ``censored`` reads.  Values at grid times beyond the lifetime are zero,
-    and the path is extended by zero past its grid.
+    ``censored`` reads.  A ``zeta`` that is not a real number (a str, a
+    bool) is refused by name.  Values at grid times beyond the lifetime are
+    zero, and the path is extended by zero past its grid.
     """
 
     grid: np.ndarray
@@ -98,6 +99,7 @@ class ExcursionPath:
             raise ValueError("grid must be finite and strictly increasing")
         if not np.all((values >= 0.0) & (values < math.inf)):
             raise ValueError("path values must be finite and nonnegative")
+        _require_real("zeta", self.zeta)
         if not self.zeta > 0.0:
             raise ValueError("lifetime must be positive: the zero path is excluded")
         if np.any(values[grid > self.zeta] != 0.0):

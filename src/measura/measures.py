@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import numpy as np
 
-from .metric_core import MetricStructure, Point, _sorted_distinct, distances
+from .metric_core import MetricStructure, Point, _require_real, _sorted_distinct, distances
 
 if TYPE_CHECKING:  # an annotation only: prohorov-oracle runs without loading algebra
     from .algebra import FunctionFamily
@@ -35,22 +35,32 @@ SUBSET_LIMIT = 14
 
 @dataclass(frozen=True)
 class AtomicMeasure:
-    """Finite list of (point, positive weight) atoms on a metric structure."""
+    """Finite list of (point, positive weight) atoms on a metric structure.
+
+    A weight that is not a real number (a str, a bool) is refused with a
+    ValueError naming the atom's index, here and in ``from_atoms``, whose
+    ``float`` would otherwise take "1.5" and True.
+    """
 
     atoms: tuple[tuple[Point, float], ...]
     space: MetricStructure
 
     def __post_init__(self):
-        for p, w in self.atoms:
+        for i, (_, w) in enumerate(self.atoms):
+            _require_real(f"atom {i} weight", w)
             if not (w > 0.0) or not math.isfinite(w):
                 raise ValueError(f"atom weights must be positive and finite, got {w}")
 
     @classmethod
     def from_atoms(cls, space: MetricStructure, atoms: Iterable[tuple[Point, float]]) -> "AtomicMeasure":
+        atoms = tuple(atoms)
+        for i, (_, w) in enumerate(atoms):
+            _require_real(f"atom {i} weight", w)  # before float(), which takes "1.5" and True
         return cls(tuple((p, float(w)) for p, w in atoms), space)
 
     @classmethod
     def dirac(cls, space: MetricStructure, point: Point, weight: float = 1.0) -> "AtomicMeasure":
+        _require_real("atom 0 weight", weight)
         return cls(((point, float(weight)),), space)
 
     @classmethod

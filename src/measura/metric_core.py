@@ -12,7 +12,7 @@ metrics the rest of the library relies on:
 
 Every command loads this module, so it also holds what the whole package
 shares: :class:`NonConvergenceError` and the argument checks
-``_require_finite`` and ``_require_int``.
+``_require_real``, ``_require_finite`` and ``_require_int``.
 """
 
 from __future__ import annotations
@@ -94,14 +94,19 @@ def _sorted_distinct(*parts) -> np.ndarray:
     return a[np.concatenate(([True], a[1:] != a[:-1]))]
 
 
+def _require_real(name: str, v) -> None:
+    """Raise ValueError naming v if it is not a real number (a str, a bool, a complex), before any comparison."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {v!r}")
+
+
 def _require_finite(*, nonnegative: bool = False, **values: float) -> None:
     """Raise ValueError naming the first of ``values`` that is not finite and positive (or nonnegative).
 
     A value that is not a real number (a str, a bool, a complex) is refused by name before any comparison.
     """
     for name, v in values.items():
-        if isinstance(v, bool) or not isinstance(v, numbers.Real):
-            raise ValueError(f"{name} must be a real number, got {v!r}")
+        _require_real(name, v)
         if not (0.0 <= v if nonnegative else 0.0 < v) or v == math.inf:  # NaN fails the first test
             raise ValueError(f"{name} must be finite and {'nonnegative' if nonnegative else 'positive'}, got {v}")
 

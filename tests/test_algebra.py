@@ -223,6 +223,56 @@ class TestStoneWeierstrass:
         assert len(set(calls)) == tried
         assert len(calls) <= 2 * 25 * tried
 
+    def test_the_measure_space_call_builds_each_weight_vector_once(self):
+        # 25 abscissae at each of the degrees 1, 2, 4, ..., 32: the second axis of
+        # the grid and evaluate at the grid points are served from the cache
+        _bernstein_weights.cache_clear()
+        poly = stone_weierstrass_p0(
+            smooth_step_2d, delta=0.25, eps=0.05, degree_budget=256, arity=2, grid_points=25
+        )
+        assert poly.degree == 32
+        axis = np.linspace(0.0, 1.0, 25)
+        for x1 in axis:
+            for x2 in axis:
+                poly.evaluate((x1, x2))
+        assert _bernstein_weights.cache_info().misses == 25 * 6 == 150
+
+    def test_g_is_called_once_per_lattice_point_across_the_degrees(self):
+        # the grid, then the degree-32 lattice, which holds the lattices of 1, 2, ..., 16
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return smooth_step_2d(x)
+
+        poly = stone_weierstrass_p0(counted, delta=0.25, eps=0.05, degree_budget=256, arity=2, grid_points=25)
+        assert poly.degree == 32
+        assert len(calls) == 25**2 + 33**2
+
+    @pytest.mark.parametrize("degrees", [(1, 2, 4, 8, 16, 32), (1, 2, 4, 8, 16, 24)], ids=["doubling", "budget-24"])
+    def test_shared_lattice_values_equal_fresh_ones(self, degrees):
+        known = {}
+        for n in degrees:
+            shared = algebra._scaled_ratio_lattice(smooth_step_2d, n, 2, known)
+        fresh = algebra._scaled_ratio_lattice(smooth_step_2d, degrees[-1], 2, {})
+        assert shared.shape == fresh.shape and all(a == b for a, b in zip(shared.flat, fresh.flat))
+
+    def test_cached_weights_give_the_bits_of_fresh_ones(self, monkeypatch):
+        poly = stone_weierstrass_p0(
+            smooth_step_2d, delta=0.25, eps=0.05, degree_budget=256, arity=2, grid_points=25
+        )
+        points = np.random.default_rng(42).uniform(0.0, 1.0, (200, 2))
+        first = [poly.evaluate(x).hex() for x in points]
+        again = [poly.evaluate(x).hex() for x in points]  # every vector from the cache
+        monkeypatch.setattr(algebra, "_bernstein_weights", _bernstein_weights.__wrapped__)
+        fresh = [poly.evaluate(x).hex() for x in points]
+        assert first == again == fresh
+        rebuilt = stone_weierstrass_p0(
+            smooth_step_2d, delta=0.25, eps=0.05, degree_budget=256, arity=2, grid_points=25
+        )
+        assert rebuilt.terms == poly.terms
+        assert rebuilt.bernstein_values.tobytes() == poly.bernstein_values.tobytes()
+
     @pytest.mark.parametrize("eps, budget", [(0.1, 64), (0.05, 512)])  # the second is criterion 05's case
     def test_p0_face_value_is_zero(self, eps, budget):
         g = lambda x: x[0] * ramp((x[0] - 0.25) / 0.25)
@@ -310,6 +360,13 @@ class TestBernsteinWeights:
                     assert np.array_equal(w, exact), (n, x)
                 err = np.abs(w - exact).max()
                 assert err <= 1e-15, (n, x, err)
+
+    @pytest.mark.parametrize("x", [0.0, 0.3, 1.0])
+    def test_a_returned_vector_is_read_only(self, x):
+        w = _bernstein_weights(8, x)
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 0.5
+        assert _bernstein_weights(8, x) is w
 
     def test_high_degree_is_finite_and_normalised(self):
         for x in (1e-3, 0.37, 0.999):

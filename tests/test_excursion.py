@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -39,6 +40,16 @@ class TestExcursionPath:
     def test_zero_lifetime_rejected(self):
         with pytest.raises(ValueError, match="lifetime"):
             ExcursionPath(np.array([0.0]), np.array([0.0]), zeta=0.0)
+
+    @pytest.mark.parametrize("zeta", ["1", True, 1j], ids=["str", "bool", "complex"])
+    def test_a_lifetime_that_is_not_a_real_number_is_named(self, zeta):
+        # a str ended in a TypeError from the comparison with 0.0, and True was accepted
+        with pytest.raises(ValueError, match=rf"zeta must be a real number, got {re.escape(repr(zeta))}"):
+            ExcursionPath([0.0, 1.0], [0.5, 0.0], zeta=zeta)
+
+    def test_a_censored_path_keeps_an_infinite_lifetime(self):
+        assert ExcursionPath([0.0, 1.0], [0.5, 0.3], zeta=math.inf).censored
+        assert not ExcursionPath([0.0, 1.0], [0.5, 0.0], zeta=np.float64(1.0)).censored
 
     def test_values_after_lifetime_must_vanish(self):
         grid = np.array([0.0, 0.5, 1.0])

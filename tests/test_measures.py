@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,31 @@ class TestIntegrate:
     def test_weights_must_be_positive(self):
         with pytest.raises(ValueError, match="positive"):
             measure((0.0, -1.0))
+
+    @pytest.mark.parametrize("w", [0.0, -1.0, math.inf, math.nan], ids=["zero", "negative", "inf", "nan"])
+    def test_nonpositive_or_non_finite_weight_keeps_its_message(self, w):
+        for build in (lambda: AtomicMeasure(((0.0, w),), SPACE), lambda: measure((0.0, w))):
+            with pytest.raises(ValueError, match="atom weights must be positive and finite"):
+                build()
+
+    @pytest.mark.parametrize("w", ["1", "1.5", True, False, 1 + 0j, None],
+                             ids=["str", "str-float", "true", "false", "complex", "none"])
+    def test_a_weight_that_is_not_a_real_number_is_named_by_index(self, w):
+        # AtomicMeasure(...) compared the str with 0.0 (TypeError); from_atoms took "1.5" and True through float()
+        message = rf"atom 1 weight must be a real number, got {re.escape(repr(w))}"
+        with pytest.raises(ValueError, match=message):
+            AtomicMeasure(((0.0, 1.0), (1.0, w)), SPACE)
+        with pytest.raises(ValueError, match=message):
+            measure((0.0, 1.0), (1.0, w))
+        with pytest.raises(ValueError, match=message.replace("atom 1", "atom 0")):
+            AtomicMeasure.dirac(SPACE, 0.0, w)
+
+    def test_numpy_and_rational_weights_pass(self):
+        from fractions import Fraction
+
+        mu = measure((0.0, np.float64(0.5)), (1.0, np.int64(2)), (2.0, Fraction(1, 4)), (3.0, np.float32(0.25)))
+        assert mu.atoms == ((0.0, 0.5), (1.0, 2.0), (2.0, 0.25), (3.0, 0.25))
+        assert all(type(w) is float for _, w in mu.atoms)
 
 
 class TestProhorov:
