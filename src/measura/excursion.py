@@ -345,17 +345,23 @@ def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[t
 
     The steps are 0..last with last * dt <= t_end + 1e-12 (and last <= max_steps),
     the points ``eval_functional`` integrates over; the last step of each
-    window has half weight, whether or not a later window runs past it.
+    window has half weight, whether or not a later window runs past it.  A
+    window whose weights are all 0, the dt-grid missing every nonzero value
+    of f_i, is refused: every estimate would read a silent 0.
     """
     out = []
-    for f, t_end, g in F.pairs:
+    for i, (f, t_end, g) in enumerate(F.pairs):
         times = np.arange(min(max_steps, int((t_end + 1e-12) / dt) + 1) + 1) * dt
         times = times[times <= t_end + 1e-12]
         half_gaps = 0.5 * np.diff(times)
         w = np.zeros(times.size)
         w[:-1] += half_gaps
         w[1:] += half_gaps
-        out.append((w * np.asarray(f(times), dtype=float), g))
+        w *= np.asarray(f(times), dtype=float)
+        if not w.any():
+            raise ValueError(f"window {i} on [0, {t_end}] weighs no step of the grid at dt {dt}: "
+                             f"f is 0 at each of its steps up to {times[-1]}")
+        out.append((w, g))
     return out
 
 
@@ -439,6 +445,18 @@ def empirical_lhs(
 
 _HIT_BLOCK = 16  # window times per table block; the block, not the step count, sizes the working table
 
+# Gauss-Legendre nodes and weights on [-1, 1], the bits numpy.polynomial.legendre.leggauss(n) returns
+_GAUSS_LEGENDRE = {
+    6: (np.array([-0.9324695142031519, -0.6612093864662645, -0.2386191860831969,
+                  0.2386191860831969, 0.6612093864662645, 0.9324695142031519]),
+        np.array([0.17132449237917027, 0.3607615730481387, 0.46791393457269104,
+                  0.46791393457269104, 0.3607615730481387, 0.17132449237917027])),
+    8: (np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+                  0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]),
+        np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+                  0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706])),
+}
+
 
 class _hitting_kernel:
     """H(t, a) = ∫ h(t + s) l^a(s) ds in levels a >= 0, for times t >= 0, h = h_tail past s_max.
@@ -446,7 +464,9 @@ class _hitting_kernel:
     W[i, k] = l^{a_i}(s_k) w_k, ``levy_hitting_density`` times the weights
     of 6-point Gauss-Legendre panels (doubling from 2e-16 to 0.06, then at
     most 0.03 wide), maps h(t + s) - h_tail to H - h_tail on 400 levels
-    log-spaced from 1e-7 to 5.5 sqrt(s_max).  ``rows(times)`` yields H on
+    log-spaced from 1e-7 to 5.5 sqrt(s_max).  The rule is
+    ``_GAUSS_LEGENDRE[6]``, which holds leggauss(6)'s bits, so the table is
+    leggauss's and no call imports numpy.polynomial.  ``rows(times)`` yields H on
     those levels at each time in turn, built _HIT_BLOCK times at once: one h
     call on (block x nodes) and one matrix product with W per block, so the
     table is re-read once per block, not once per time, and its working size
@@ -463,12 +483,10 @@ class _hitting_kernel:
     """
 
     def __init__(self, h: Callable, h_tail: float, s_max: float):
-        from numpy.polynomial.legendre import leggauss
-
         s_max = max(s_max, 0.06)  # h(t + s) - h_tail vanishes beyond the given s_max
         edges = np.concatenate((np.geomspace(2e-16, 0.06, 49)[:-1],
                                 np.linspace(0.06, s_max, 1 + math.ceil((s_max - 0.06) / 0.03))))
-        x, w = leggauss(6)
+        x, w = _GAUSS_LEGENDRE[6]
         half = np.diff(edges)[:, None] / 2.0
         self.h, self.h_tail = h, h_tail
         self.s = (edges[:-1, None] + half * (1.0 + x)).ravel()
@@ -513,13 +531,18 @@ def target_rhs(
     ``excursion`` claim takes in closed form.
 
     n_bessel >= 2 (an int) paths of a 3-d Bessel process from 0 are stepped
-    exactly (as the norm of a 3-d Brownian motion) along the f-support grid,
-    and the r-integral against the hitting density comes from
-    ``_hitting_kernel``, untruncated, so h must be smooth on its 0.03-wide
-    panels (a hard step in h leaves H off by up to 7e-3); ``r_grid`` is
-    checked but unused.  The kernel's level rows at the window steps are
-    built _HIT_BLOCK steps per matrix product, ahead of the paths, and each
-    step reads its own row at that step's rho.  Each
+    exactly (as the norm of a 3-d Brownian motion) only at the dt-grid steps
+    some pair weighs: each step draws 3 normals per path and takes one exact
+    Gaussian step of variance times[j] - times[prev] from the previous
+    weighed step (from 0 for the first), over any stretch no window reads.
+    The joint law of rho at the weighed steps, so the estimator's law, is
+    that of stepping every dt; a functional weighed at every step from 0
+    gets those draws bit for bit.  The r-integral against the hitting
+    density comes from ``_hitting_kernel``, untruncated, so h must be smooth
+    on its 0.03-wide panels (a hard step in h leaves H off by up to 7e-3);
+    ``r_grid`` is checked but unused.  The kernel's level rows at the
+    weighed steps are built _HIT_BLOCK steps per matrix product, ahead of
+    the paths, and each step reads its own row at that step's rho.  Each
     pair's t-integral uses the window rule of ``empirical_lhs`` and
     ``eval_functional``, the trapezoid rule on the steps inside that pair's
     window (``_window_weights``), so the last step of a window has half weight.
@@ -548,14 +571,14 @@ def target_rhs(
     pos = np.zeros((3, n_bessel))  # one row per coordinate, so rho sums three rows
     prefix = np.zeros((len(F.pairs), n_bessel))  # S_i = sum over k < j of P_ik
     per_path = np.zeros(n_bessel)
-    inside = np.any(np.array(wf) != 0.0, axis=0)  # outside every window, P_ij = 0 adds nothing
+    steps = np.flatnonzero(np.any(np.array(wf) != 0.0, axis=0))  # outside every window, P_ij = 0 adds nothing
     hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
-    rows = hit.rows(times[inside])  # H on the kernel's levels at each window step, in step order
-    for j in range(times.size):
-        if j:
-            pos += rng.standard_normal((n_bessel, 3)).T * math.sqrt(times[j] - times[j - 1])
-        if not inside[j]:
-            continue
+    rows = hit.rows(times[steps])  # H on the kernel's levels at each weighed step, in step order
+    prev = 0
+    for j in steps:
+        if j:  # rho at the steps in between is never read: one exact step across them
+            pos += rng.standard_normal((n_bessel, 3)).T * math.sqrt(times[j] - times[prev])
+            prev = j
         rho = np.sqrt(pos[0] * pos[0] + pos[1] * pos[1] + pos[2] * pos[2])
         # sum over index tuples, split by the position of the maximal time
         # index: prod_i (S_i + P_ij) - prod_i S_i collects exactly the tuples
@@ -650,20 +673,19 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
     ``target_rhs`` samples.  The t-integral is the window rule of
     ``target_rhs`` at step dt; at t = 0 the path sits at eps, which adds
     g(eps) H(0, eps)/eps for eps > 0 and nothing in the limit.  The
-    y-integral runs over _ORACLE_PANELS Gauss-Legendre panels, and H comes
-    from ``_hitting_kernel``, whose rows at the window steps are built in
-    blocks as in ``target_rhs``, so its bits repeat only at a fixed BLAS
-    thread count.  F must have exactly one window pair.
+    y-integral runs over _ORACLE_PANELS panels of ``_GAUSS_LEGENDRE[8]``,
+    which holds leggauss(8)'s bits, and H comes from ``_hitting_kernel``,
+    whose rows at the window steps are built in blocks as in ``target_rhs``,
+    so its bits repeat only at a fixed BLAS thread count.  F must have
+    exactly one window pair.
     """
     if len(F.pairs) != 1:
         raise ValueError("target_oracle takes exactly one window pair")
     _require_finite(dt=dt)
     _require_finite(eps=eps, nonnegative=True)
-    from numpy.polynomial.legendre import leggauss
-
     [(w, g)] = _window_weights(F, dt, int(math.ceil(F.pairs[0][1] / dt)))
     hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
-    x, wx = leggauss(8)
+    x, wx = _GAUSS_LEGENDRE[8]
     unit = ((np.arange(_ORACLE_PANELS)[:, None] + (1.0 + x) / 2.0) / _ORACLE_PANELS).ravel()  # nodes on [0, 1]
     unit_w = np.tile(wx / (2.0 * _ORACLE_PANELS), _ORACLE_PANELS)
     total = float(w[0] * g(eps) * hit(0.0, np.array([eps]))[0]) / eps if eps > 0.0 else 0.0

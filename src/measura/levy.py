@@ -62,6 +62,8 @@ class LevyTriple:
         C = np.asarray(self.C, dtype=float)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "C", C)
+        if b.ndim != 1:
+            raise ValueError(f"b must be a 1-d vector, got shape {b.shape}")
         if C.shape != (b.size, b.size):
             raise ValueError("C must be D x D with D = len(b)")
         for name, v in (("b", b), ("C", C)):

@@ -872,28 +872,33 @@ class TestTargetRhs:
         Each window has its own trapezoid weights: dt inside, dt / 2 at 0 and
         at its last step, 0 past it.  H(t, rho_t) comes from the hitting kernel
         at every step.  rho takes the same per-step draws as
-        target_rhs: the norm of a 3-d Brownian motion from 0 stepped along the
-        time grid.
+        target_rhs: the norm of a 3-d Brownian motion from 0, stepped from 0
+        to the first step some window weighs, then from each weighed step to
+        the next; rho is left at 0 on the steps no window weighs.
         """
         from measura.excursion import _hitting_kernel
 
         t_max = max(t_end for _, t_end, _ in F.pairs)
-        rng = np.random.default_rng(seed)
         times = np.arange(int(math.ceil(t_max / dt)) + 1) * dt
-        pos = np.zeros((n_bessel, 3))
-        rho = np.zeros((n_bessel, times.size))
-        for j in range(1, times.size):
-            pos += rng.standard_normal((n_bessel, 3)) * math.sqrt(times[j] - times[j - 1])
-            rho[:, j] = np.linalg.norm(pos, axis=1)
-        hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
-        hv = np.column_stack([hit(t, a) for t, a in zip(times, rho.T)])
-        q = np.where(rho > 0, hv / np.where(rho > 0, rho, 1.0), 0.0)
-        a = []
+        wf = []
         for f, t_end, g in F.pairs:
             inside = times <= t_end + 1e-12
             w = np.where(inside, dt, 0.0)
             w[0] = w[np.flatnonzero(inside)[-1]] = 0.5 * dt
-            a.append(w * np.where(inside, f(times), 0.0) * g(rho))
+            wf.append(w * np.where(inside, f(times), 0.0))
+        weighed = np.flatnonzero(np.any(np.array(wf) != 0.0, axis=0))
+        rng = np.random.default_rng(seed)
+        pos = np.zeros((n_bessel, 3))
+        rho = np.zeros((n_bessel, times.size))
+        prev = 0
+        for j in weighed[weighed > 0]:
+            pos += rng.standard_normal((n_bessel, 3)) * math.sqrt(times[j] - times[prev])
+            rho[:, j] = np.linalg.norm(pos, axis=1)
+            prev = j
+        hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
+        hv = np.column_stack([hit(t, a) for t, a in zip(times, rho.T)])
+        q = np.where(rho > 0, hv / np.where(rho > 0, rho, 1.0), 0.0)
+        a = [w * g(rho) for w, (_, _, g) in zip(wf, F.pairs)]
         # weighted at the later index max(j1, j2)
         jb = np.maximum.outer(np.arange(times.size), np.arange(times.size))
         return float(np.mean([np.sum(np.outer(a[0][i], a[1][i]) * q[i][jb]) for i in range(n_bessel)]))
@@ -917,6 +922,57 @@ class TestTargetRhs:
         r_grid = np.linspace(0, 6, 120)
         val, se = target_rhs(F, n_bessel=400, dt=0.02, r_grid=r_grid, seed=7)
         assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, 7), rel=1e-10)
+
+    def test_windows_with_a_gap_match_naive_mesh(self):
+        # no window weighs (0.4, 0.9): rho takes one exact step across the gap
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        pairs = ((smoothed_bump(0.1, 0.4, 0.1), 0.4, g), (smoothed_bump(0.9, 1.2, 0.1), 1.2, g))
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0, pairs=pairs)
+        val, _ = target_rhs(F, n_bessel=400, dt=0.02, r_grid=np.linspace(0, 6, 120), seed=7)
+        assert val != 0.0
+        assert val == pytest.approx(self._naive_two_pair_mesh(F, 400, 0.02, 7), rel=1e-10)
+
+    def test_draws_three_normals_per_path_at_each_weighed_step(self):
+        # a Generator passed as the seed is used as it is: the steps before the
+        # window, at t <= 0.5 where f = 0, draw nothing
+        f = smoothed_bump(0.5, 1.5, 0.1)
+        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
+        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0, pairs=((f, 1.5, g),))
+        n_bessel, dt = 50, 0.02
+        weighed = np.count_nonzero(f(np.arange(1, 76) * dt))
+        assert weighed == 49
+        rng = np.random.default_rng(11)
+        target_rhs(F, n_bessel, dt, np.linspace(0, 6, 120), seed=rng)
+        fresh = np.random.default_rng(11)
+        fresh.standard_normal(3 * n_bessel * weighed)
+        assert np.array_equal(rng.standard_normal(8), fresh.standard_normal(8))
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_gauss_legendre_table_holds_the_bits_of_leggauss(self, n):
+        from numpy.polynomial.legendre import leggauss
+
+        from measura.excursion import _GAUSS_LEGENDRE
+
+        for table, exact in zip(_GAUSS_LEGENDRE[n], leggauss(n), strict=True):
+            assert table.dtype == exact.dtype and table.tobytes() == exact.tobytes()
+
+    def test_the_target_and_its_oracle_leave_numpy_polynomial_unloaded(self):
+        import subprocess
+        import sys
+
+        from test_cli import _src_env
+
+        code = ("import sys; import numpy as np; "
+                "from measura.excursion import ExcursionFunctional, smoothed_bump, smoothed_cutoff, target_oracle, "
+                "target_rhs; "
+                "g = lambda x: np.minimum(np.asarray(x, float), 1.0); "
+                "F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0, "
+                "pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, g),)); "
+                "target_rhs(F, 20, 0.02, np.linspace(0.0, 8.0, 200), seed=1); target_oracle(F, 0.02); "
+                "print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+        proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_fewer_than_two_bessel_paths_rejected(self):
         g = lambda x: np.minimum(np.asarray(x, float), 1.0)
@@ -1053,6 +1109,16 @@ class TestInputGuards:
         # 100.5 used to end in a TypeError from numpy, "100" in one from <
         with pytest.raises(ValueError, match="n_samples must be an int, got"):
             bessel_semigroup_check(1.0, 0.0, n_samples, 1)
+
+    @pytest.mark.parametrize("call", [
+        lambda: target_rhs(_WINDOWED, 100, 0.8, np.linspace(0, 6, 120), seed=0),
+        lambda: target_oracle(_WINDOWED, 0.8),
+        lambda: empirical_lhs(_WINDOWED, 0.01, 1000, 0.8, 2.4, 1),
+    ], ids=["target_rhs", "target_oracle", "empirical_lhs"])
+    def test_a_dt_that_misses_every_nonzero_value_of_f_is_refused(self, call):
+        # the grid 0, 0.8 misses the bump on (0.2, 0.8): each used to return a quiet 0
+        with pytest.raises(ValueError, match=re.escape("window 0 on [0, 0.8] weighs no step of the grid at dt 0.8")):
+            call()
 
     @pytest.mark.parametrize("dt, eps, name", [(math.nan, 0.0, "dt"), (math.inf, 0.0, "dt"), (0.01, math.nan, "eps"),
                                                (0.01, -1.0, "eps")])

@@ -94,6 +94,12 @@ class TestPsiExponent:
         with pytest.raises(ValueError, match=message):
             triple([0.0, 0.0], C, [], dim=2)
 
+    @pytest.mark.parametrize("b, shape", [([[1.0]], (1, 1)), (1.0, ())], ids=["2-d", "scalar"])
+    def test_a_drift_that_is_not_1d_is_named_with_its_shape(self, b, shape):
+        # [[1.0]] used to be accepted, and psi_exponent then ended in a TypeError
+        with pytest.raises(ValueError, match=re.escape(f"b must be a 1-d vector, got shape {shape}")):
+            LevyTriple(b, [[1.0]], AtomicMeasure.empty(SPACE1))
+
     @pytest.mark.parametrize("b", [math.nan, math.inf, -math.inf])
     def test_non_finite_drift_rejected(self, b):
         with pytest.raises(ValueError, match="b must be finite"):
