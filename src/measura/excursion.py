@@ -7,19 +7,22 @@ absorption would bias lifetimes upward by O(sqrt(dt))).
 
 Path functionals are products of time-window integrals F_{f,g}(e) =
 ∫ f(t) g(e(t)) dt and a lifetime weight h(zeta).  Their scaled expectations
-under killed Brownian motion started at eps are compared against the target
-computed from the 3-dimensional Bessel representation: for lifetime weight h
-and at least one window pair (f_i, g_i),
+under killed Brownian motion started at eps are compared against
+``target_oracle``, the exact finite-eps target of the same expectation for
+one window pair.  ``target_rhs`` is the Monte Carlo form of the eps -> 0
+target for any number of pairs, from the 3-dimensional Bessel
+representation: for lifetime weight h and at least one window pair
+(f_i, g_i),
 
     target = ∫ f(t) ∫_0^inf h(tbar + r) E_0[ g(rho_t)/rho_tbar * l^{rho_tbar}(r) ] dr dt,
 
 with rho a 3-d Bessel process from 0 (simulated exactly as the norm of a
 3-d Brownian motion) and l^a the first-hitting-time density of level 0 from
 level a, l^a(r) = a (2 pi r^3)^(-1/2) exp(-a^2 / (2r)), integrated over all r
-by ``_hitting_kernel``; ``target_oracle`` gives a one-pair target without
-Monte Carlo.  The marginal laws of rho have the closed-form distribution
-function ``_bessel_cdf``, which ``bessel_semigroup_check`` tests against
-exact samples.  Everything here runs on numpy and the math module.
+by ``_hitting_kernel``; ``target_oracle`` gives the one-pair target at any
+eps >= 0 without Monte Carlo.  The marginal laws of rho have the closed-form
+distribution function ``_bessel_cdf``, which ``bessel_semigroup_check`` tests
+against exact samples.  Everything here runs on numpy and the math module.
 """
 
 from __future__ import annotations
@@ -294,8 +297,9 @@ class ExcursionFunctional:
     ``h`` must be constant on [h_constant_after, inf); each pair is
     (f, f_support_end, g) with f supported in [0, f_support_end] and g(0) = 0
     (so the window integrand dies with the path).  f, g, h must accept numpy
-    arrays.  h may step hard at h_constant_after, but ``target_rhs`` is
-    accurate only for h smooth on 0.03-wide panels (see ``_hitting_kernel``).
+    arrays.  h may step hard at h_constant_after, but ``target_rhs`` and
+    ``target_oracle`` are accurate only for h smooth on 0.03-wide panels
+    (see ``_hitting_kernel``).
     """
 
     h: Callable
@@ -677,7 +681,8 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
     which holds leggauss(8)'s bits, and H comes from ``_hitting_kernel``,
     whose rows at the window steps are built in blocks as in ``target_rhs``,
     so its bits repeat only at a fixed BLAS thread count.  F must have
-    exactly one window pair.
+    exactly one window pair.  Criterion 09, through ``cli.functional_claim``,
+    compares the killed-path lhs at eps = 0.01 with this target at that eps.
     """
     if len(F.pairs) != 1:
         raise ValueError("target_oracle takes exactly one window pair")

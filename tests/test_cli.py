@@ -74,6 +74,12 @@ class TestConfigValidation:
         with pytest.raises(UsageError, match="seed: must be an unsigned 64-bit integer"):
             ExperimentConfig(command="prohorov-oracle", seed=seed).validate()
 
+    @pytest.mark.parametrize("out", [5, Path("fragmentation.csv")], ids=["int", "path"])
+    def test_out_that_is_not_a_str_named(self, out):
+        # an int used to end in a TypeError from os.path; out is declared str | None
+        with pytest.raises(UsageError, match=f"out: must be a str, not {type(out).__name__}"):
+            run(ExperimentConfig(command="fragmentation", out=out))
+
     def test_sw_approx_degree_budget_below_one(self):
         with pytest.raises(UsageError, match="m-max"):
             ExperimentConfig(command="sw-approx", m_max=0.5).validate()
@@ -543,7 +549,8 @@ class TestStartup:
         assert after == "False"
 
     def test_cli_import_loads_no_numpy_polynomial(self):
-        # the Gauss-Legendre nodes are imported where they are used, not at start-up
+        # the Gauss-Legendre rules are a module table in measura.excursion, not leggauss calls,
+        # so start-up loads no numpy.polynomial
         code = "import sys, measura.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))"
         proc = subprocess.run([sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr

@@ -6,7 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import maxwell, norm
 
-from measura.cli import EXCURSION_TIMES, excursion_claim
+from measura.cli import EXCURSION_TIMES, excursion_claim, functional_claim
 from measura.excursion import (
     _CHUNK_CELLS,
     BesselCheckReport,
@@ -714,6 +714,11 @@ class TestLockstepSimulator:
         assert max(peaks) <= 1.25 * peaks[0]
 
 
+# criterion 09's functional, as functional_claim builds it
+_CRITERION_09 = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
+                                    pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, lambda x: np.minimum(x, 1.0)),))
+
+
 class TestTargetRhs:
     def test_levy_density_normalizes(self):
         for alpha in (0.2, 1.0, 3.7):
@@ -846,16 +851,35 @@ class TestTargetRhs:
         assert target_oracle(F, dt=0.01) == pytest.approx(expected, abs=1e-6)
 
     def test_target_rhs_matches_the_oracle_at_criterion_09_inputs(self):
-        # criterion 09's target, paths, step and seed: the Monte Carlo mean
-        # lies within 3 of its own standard errors of its deterministic value
-        g = lambda x: np.minimum(np.asarray(x, float), 1.0)
-        F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
-                                pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, g),))
+        # the Bessel rhs at the inputs criterion 09 used before it compared
+        # with target_oracle: the Monte Carlo mean lies within 3 of its own
+        # standard errors of its deterministic value
+        F = _CRITERION_09
         val, se = target_rhs(F, n_bessel=30_000, dt=5e-3, r_grid=np.linspace(0.0, 8.0, 200), seed=910)
         oracle = target_oracle(F, dt=5e-3)
         assert abs(val - oracle) <= 3.0 * se
         # the killed-Brownian value at eps > 0 tends to the Bessel limit
         assert abs(target_oracle(F, dt=5e-3, eps=1e-3) - oracle) <= 1e-6
+
+    def test_functional_claim_compares_the_lhs_with_the_finite_eps_oracle(self):
+        [row], verdicts = functional_claim(0.01, 2000, seed=5)
+        assert (row["lhs"], row["lhs_se"]) == empirical_lhs(_CRITERION_09, 0.01, 2000, dt=1e-4, horizon=2.0, seed=5)
+        assert row["target"] == target_oracle(_CRITERION_09, 1e-3, 0.01)
+        assert row["z"] == (row["lhs"] - row["target"]) / row["lhs_se"]
+        assert verdicts == {"lhs_matches_target_within_3se": True}
+
+    def test_oracle_at_the_claims_step_has_converged(self):
+        # functional_claim reads the oracle at dt 1e-3; at eps = 0.01 the lhs SE is about 5e-3
+        assert abs(target_oracle(_CRITERION_09, 1e-3, 0.01) - target_oracle(_CRITERION_09, 5e-3, 0.01)) <= 1e-8
+
+    def test_finite_eps_oracle_tends_to_the_limit_at_rate_eps_squared(self):
+        # (1/eps) q_t(eps, y) = (2y/t) phi_t(y) [1 + eps^2 (y^2 - 3t)/(6t^2) + O(eps^4)], so the
+        # gap over eps^2 settles near its eps^2 coefficient, about -0.0368 here; the eps = 0
+        # density at eps > 0, or a dropped 1/eps, moves the quotient far off
+        limit = target_oracle(_CRITERION_09, 5e-3)
+        q1, q2 = ((target_oracle(_CRITERION_09, 5e-3, eps) - limit) / eps**2 for eps in (0.1, 0.05))
+        assert abs(q1 - q2) <= 1e-4
+        assert -0.038 <= q1 <= -0.036 and -0.038 <= q2 <= -0.036
 
     def test_oracle_takes_one_pair(self):
         g = lambda x: np.minimum(np.asarray(x, float), 1.0)
