@@ -82,7 +82,6 @@ class ExperimentConfig:
     eps: float = 0.01
     n_paths: int | None = None  # the command's own default, N_PATHS_DEFAULT, when it reads n_paths
     m_max: float = 1e3
-    tol: float = 1e-2
     out: str | None = None
     format: str = "csv"
 
@@ -106,7 +105,7 @@ class ExperimentConfig:
             raise UsageError(f"seed: required for stochastic command {self.command!r}")
         if self.seed is not None and not (0 <= self.seed < 2**64):
             raise UsageError("seed: must be an unsigned 64-bit integer")
-        for name, value in (("eps", self.eps), ("m-max", self.m_max), ("tol", self.tol)):
+        for name, value in (("eps", self.eps), ("m-max", self.m_max)):
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise UsageError(f"{name}: must be a number, not {type(value).__name__}")
             if not (value > 0.0 and math.isfinite(value)):
@@ -152,7 +151,7 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def levy_recover_claim(m_max: float, tol: float):
+def levy_recover_claim(m_max: float):
     from .levy import LevyTriple, default_m_schedule, levy_ground_space, psi_exponent, recover_C, recover_b
     from .measures import AtomicMeasure
 
@@ -172,7 +171,7 @@ def levy_recover_claim(m_max: float, tol: float):
         rows.append({"entry": f"b[{k}]", "true": triple.b[k], "recovered": b_hat[k],
                      "abs_err": abs(triple.b[k] - b_hat[k])})
     worst = max(r["abs_err"] for r in rows)
-    return rows, {"recovered_within_tol": worst < tol}
+    return rows, {"recovered_within_tol": worst < 1e-2}
 
 
 def levy_converge_claim(pair_seed: int):
@@ -351,7 +350,7 @@ class Command(NamedTuple):
 
 
 COMMAND_TABLE = {
-    "levy-recover": Command(lambda cfg: levy_recover_claim(cfg.m_max, cfg.tol), ("m_max", "tol"),
+    "levy-recover": Command(lambda cfg: levy_recover_claim(cfg.m_max), ("m_max",),
         "Levy-Khintchine triple recovery: drift and covariance from a synthetic characteristic exponent."),
     "levy-converge": Command(lambda cfg: levy_converge_claim(pair_seed=0), (),
         "Weak#-convergence of Levy measures delta_{1+1/n} -> delta_1 under sampled F_u*F_v products."),
@@ -445,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "prohorov-oracle: instances, at most 500 (default 500)")
     parser.add_argument("--m-max", type=float, default=defaults.m_max,
                         help="largest argument in limit schedules / degree budget")
-    parser.add_argument("--tol", type=float, default=defaults.tol, help="verdict tolerance")
     parser.add_argument("--out", default=defaults.out, help="output path (default: <command>.<format>)")
     parser.add_argument("--format", choices=FORMATS, default=defaults.format)
     return parser

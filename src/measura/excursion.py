@@ -20,9 +20,9 @@ with rho a 3-d Bessel process from 0 (simulated exactly as the norm of a
 3-d Brownian motion) and l^a the first-hitting-time density of level 0 from
 level a, l^a(r) = a (2 pi r^3)^(-1/2) exp(-a^2 / (2r)), integrated over all r
 by ``_hitting_kernel``; ``target_oracle`` gives the one-pair target at any
-eps >= 0 without Monte Carlo.  The marginal laws of rho have the closed-form
-distribution function ``_bessel_cdf``, which ``bessel_semigroup_check`` tests
-against exact samples.  Everything here runs on numpy and the math module.
+eps >= 0 without Monte Carlo, integrating the entrance law
+m_t(y) = (2y/t) phi_t(y) of rho at eps = 0.  Everything here runs on numpy
+and the math module.
 """
 
 from __future__ import annotations
@@ -36,8 +36,6 @@ import numpy as np
 from .metric_core import _require_finite, _require_int, _require_real, _sorted_distinct
 
 TWO_PI = 2.0 * math.pi
-# numpy has no erf: math.erf, applied elementwise, serves _bessel_cdf
-_erf = np.frompyfunc(math.erf, 1, 1)
 
 
 def _whole_steps(horizon: float, dt: float) -> int:
@@ -600,67 +598,6 @@ def target_rhs(
     return float(per_path.mean()), float(per_path.std(ddof=1) / math.sqrt(n_bessel))
 
 
-# ---------------------------------------------------------------------------
-# Bessel semigroup diagnostics
-# ---------------------------------------------------------------------------
-
-
-_BESSEL_BINS = 24  # equal-width histogram bins on [0, x + 4.5 sqrt(t)]
-
-
-@dataclass(frozen=True)
-class BesselCheckReport:
-    sup_deviation: float
-    se_max: float
-
-    @property
-    def ok(self) -> bool:
-        return self.sup_deviation < 3.0 * self.se_max
-
-
-def _bessel_cdf(y, t: float, x: float) -> np.ndarray:
-    """P(rho_t <= y) for the 3-d Bessel process rho from x >= 0, elementwise in y >= 0.
-
-    From x > 0 the law is the h-transform x^-1 y (phi_t(y - x) - phi_t(y + x)) dy
-    of killed Brownian motion, so
-    P(rho_t <= y) = (erf((y - x)/sqrt(2t)) + erf((y + x)/sqrt(2t)))/2 - (t/x)(phi_t(y - x) - phi_t(y + x));
-    from 0 it is the Maxwell limit erf(y/sqrt(2t)) - y sqrt(2/(pi t)) exp(-y^2/(2t)).
-    """
-    y = np.asarray(y, dtype=float)
-    s = math.sqrt(2.0 * t)
-    if x == 0.0:
-        return np.asarray(_erf(y / s), dtype=float) - y * math.sqrt(2.0 / (math.pi * t)) * np.exp(-((y / s) ** 2))
-    lo, hi = (y - x) / s, (y + x) / s
-    # phi_t(y - x) - phi_t(y + x) = (exp(-lo^2) - exp(-hi^2)) / (sqrt(pi) s)
-    kernel = (np.exp(-(lo**2)) - np.exp(-(hi**2))) / (math.sqrt(math.pi) * s)
-    return 0.5 * np.asarray(_erf(lo) + _erf(hi), dtype=float) - (t / x) * kernel
-
-
-def bessel_semigroup_check(t: float, x: float, n_samples: int, seed) -> BesselCheckReport:
-    """Histogram of the 3-d Bessel marginal at time t against its stated law.
-
-    Started at x > 0 the marginal is the h-transform x^-1 Q_t(x, dy) y of
-    killed Brownian motion (reflection-principle kernel); started at 0 it is
-    the entrance law 2 kappa(t) y^2 exp(-y^2/(2t)) dy.  The marginal is drawn
-    exactly as the norm of a shifted 3-d Gaussian; the exact bin masses are
-    differences of ``_bessel_cdf``.
-    """
-    _require_finite(t=t)
-    _require_finite(x=x, nonnegative=True)
-    n_samples = _require_int("n_samples", n_samples, 1)
-    rng = np.random.default_rng(seed)
-    samples = np.linalg.norm(
-        np.array([x, 0.0, 0.0]) + rng.standard_normal((n_samples, 3)) * math.sqrt(t), axis=1
-    )
-    y_max = x + 4.5 * math.sqrt(t)
-    edges = np.linspace(0.0, y_max, _BESSEL_BINS + 1)
-    counts, _ = np.histogram(samples, bins=edges)
-    empirical = counts / n_samples
-    exact = np.diff(_bessel_cdf(edges, t, x))
-    se = np.sqrt(np.clip(exact * (1.0 - exact), 0.0, None) / n_samples)
-    return BesselCheckReport(sup_deviation=float(np.max(np.abs(empirical - exact))), se_max=float(se.max()))
-
-
 _ORACLE_PANELS = 100  # Gauss-Legendre panels of 8 nodes in y on [0, eps + 10 sqrt(t)]
 
 
@@ -676,7 +613,12 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
     the 3-d Bessel marginal rho_t from 0 times the weight 1/y that
     ``target_rhs`` samples.  The t-integral is the window rule of
     ``target_rhs`` at step dt; at t = 0 the path sits at eps, which adds
-    g(eps) H(0, eps)/eps for eps > 0 and nothing in the limit.  The
+    w_0 g(eps) H(0, eps)/eps for eps > 0.  As eps -> 0 that term tends to
+    w_0 g'(0) H(0, 0), not to 0, but the eps = 0 value drops it, as
+    ``target_rhs`` (rho_0 = 0) and the continuum target do.  So for a window
+    with f(0) != 0 the eps = 0 value differs from the limit of the eps > 0
+    values by w_0 g'(0) H(0, 0), which is O(dt): with h = 1 and g(y) = y
+    they are sum w - w_0 and sum w.  Criterion 09's bump has f(0) = 0.  The
     y-integral runs over _ORACLE_PANELS panels of ``_GAUSS_LEGENDRE[8]``,
     which holds leggauss(8)'s bits, and H comes from ``_hitting_kernel``,
     whose rows at the window steps are built in blocks as in ``target_rhs``,

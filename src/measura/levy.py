@@ -28,7 +28,8 @@ import numpy as np
 
 from .algebra import FunctionFamily, TestFunction
 from .measures import AtomicMeasure, finite_measure_space, integrate
-from .metric_core import MetricStructure, NonConvergenceError, Point, point_removal_metric, sup_norm_space
+from .metric_core import (MetricStructure, NonConvergenceError, Point, _require_real, point_removal_metric,
+                          sup_norm_space)
 
 Vector = np.ndarray
 ExponentFn = Callable[[Vector], complex]
@@ -283,6 +284,7 @@ def laplace_functional(law: RandomMeasureLaw, phi: Callable) -> float:
     """L(phi) = <phi, b> + sum_atoms w (1 - exp(-<phi, nu>)) for finite phi >= 0 on E."""
     for e in law.ground_set:
         v = phi(e)
+        _require_real(f"phi value at {e!r}", v)
         if v < 0.0:
             raise ValueError(f"negative phi value at {e!r}")
         if not math.isfinite(v):

@@ -112,8 +112,10 @@ def _require_finite(*, nonnegative: bool = False, **values: float) -> None:
 
 
 def _require_int(name: str, v, least: int) -> int:
-    """v as an int of at least ``least`` (numpy integers too, but no float or str), else ValueError naming it."""
+    """v as an int of at least ``least`` (numpy integers too, but no bool, float or str), else ValueError naming it."""
     try:
+        if isinstance(v, bool):  # operator.index takes True as 1
+            raise TypeError
         v = operator.index(v)
     except TypeError:
         raise ValueError(f"{name} must be an int, got {v!r}") from None

@@ -46,23 +46,21 @@ class TestConfigValidation:
             ExperimentConfig(command="prohorov-oracle", seed=1, n_paths=0).validate()
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
-    @pytest.mark.parametrize("field, name", [("eps", "eps"), ("m_max", "m-max"), ("tol", "tol")])
+    @pytest.mark.parametrize("field, name", [("eps", "eps"), ("m_max", "m-max")])
     def test_non_finite_numeric_field_named(self, field, name, value):
         # each field on a command that reads it, so the finiteness check fires
-        command = {"eps": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}[field]
+        command = {"eps": "excursion", "m_max": "sw-approx"}[field]
         seed = 1 if command in STOCHASTIC_COMMANDS else None
         with pytest.raises(UsageError, match=f"{name}: must be positive and finite"):
             ExperimentConfig(command=command, seed=seed, **{field: value}).validate()
 
     @pytest.mark.parametrize("field, value", [("seed", 7.5), ("seed", True), ("n_paths", 10.5), ("eps", True),
-                                              ("m_max", True), ("tol", True), ("eps", "0.1"), ("eps", None),
-                                              ("eps", 1j), ("m_max", "512"), ("m_max", None), ("tol", "0.05"),
-                                              ("tol", 0.05 + 0j)])
+                                              ("m_max", True), ("eps", "0.1"), ("eps", None), ("eps", 1j),
+                                              ("m_max", "512"), ("m_max", None)])
     def test_non_integral_seed_or_n_paths_named(self, field, value):
         # also a bool for a float field: True must not run as 1.0; a str, None
         # or complex must not reach a comparison
-        command = {"eps": "excursion", "m_max": "sw-approx", "tol": "levy-recover"}.get(
-            field, "prohorov-oracle")
+        command = {"eps": "excursion", "m_max": "sw-approx"}.get(field, "prohorov-oracle")
         fields = {"seed": 7, "n_paths": 100} if command in STOCHASTIC_COMMANDS else {}
         config = ExperimentConfig(command=command, **{**fields, field: value})
         kind = "an int" if field in ("seed", "n_paths") else "a number"
@@ -99,7 +97,7 @@ class TestConfigValidation:
 
 # The ExperimentConfig fields each command reads besides out and format.
 READS = {
-    "levy-recover": ("m_max", "tol"),
+    "levy-recover": ("m_max",),
     "levy-converge": (),
     "random-measure": (),
     "excursion": ("seed", "eps", "n_paths"),
@@ -108,7 +106,7 @@ READS = {
     "prohorov-oracle": ("seed", "n_paths"),
 }
 # A valid value other than the default for each numeric flag.
-FLAG_VALUES = {"seed": "3", "eps": "0.05", "n_paths": "200", "m_max": "512", "tol": "0.05"}
+FLAG_VALUES = {"seed": "3", "eps": "0.05", "n_paths": "200", "m_max": "512"}
 READ_PAIRS = [(c, f) for c in READS for f in READS[c]]
 UNREAD_PAIRS = [(c, f) for c in READS for f in FLAG_VALUES if f not in READS[c]]
 
@@ -122,7 +120,7 @@ def _flag_argv(command, field, tmp_path):
 class TestCommandFlags:
     def test_each_command_has_its_flags(self):
         assert set(READS) == set(COMMANDS)
-        assert len(READ_PAIRS) == 8 and len(UNREAD_PAIRS) == 27
+        assert len(READ_PAIRS) == 7 and len(UNREAD_PAIRS) == 21
 
     @pytest.mark.parametrize("command, field", UNREAD_PAIRS)
     def test_unread_flag_is_usage_error(self, command, field, tmp_path, capsys):
@@ -167,7 +165,7 @@ class TestCommandFlags:
     def test_help_lists_each_commands_flags(self):
         help_text = build_parser().format_help()
         assert "flags: --seed --eps --n-paths" in help_text
-        assert "flags: --m-max --tol" in help_text
+        assert "flags: --m-max\n" in help_text and "--tol" not in help_text
 
 
 class TestParser:
@@ -440,13 +438,8 @@ import measura
 for info in pkgutil.iter_modules(measura.__path__):
     importlib.import_module(f"measura.{info.name}")
 from measura import cli
-from measura.excursion import (ExcursionFunctional, _BESSEL_BINS, _bessel_cdf, bessel_semigroup_check,
-                               smoothed_bump, smoothed_cutoff, target_rhs)
+from measura.excursion import ExcursionFunctional, smoothed_bump, smoothed_cutoff, target_rhs
 
-for t, x in ((1.0, 0.0), (0.7, 1.3)):
-    bessel_semigroup_check(t, x, n_samples=4000, seed=1)
-    edges = np.linspace(0.0, x + 4.5 * np.sqrt(t), _BESSEL_BINS + 1)
-    assert abs(np.diff(_bessel_cdf(edges, t, x)).sum() - 1.0) < 1e-3
 g = lambda y: np.minimum(np.asarray(y, float), 1.0)
 F = ExcursionFunctional(h=smoothed_cutoff(1.0, 1.0), h_constant_after=2.0,
                         pairs=((smoothed_bump(0.5, 1.5, 0.1), 1.5, g),))
@@ -515,7 +508,7 @@ class TestStartup:
         assert _run_fresh(code).strip() == "True"
 
     def test_import_loads_no_scipy(self, tmp_path):
-        # every module, both Bessel laws, a one-pair target and a command run with scipy unimportable
+        # every module, a one-pair target and a command run with scipy unimportable
         out = tmp_path / "witness.csv"
         proc = subprocess.run([sys.executable, "-c", SCIPY_BLOCKED_RUN, str(out)], env=_src_env(), capture_output=True,
                               text=True)

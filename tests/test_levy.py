@@ -303,6 +303,12 @@ class TestLaplaceFunctionals:
             with pytest.raises(ValueError, match=f"phi value {v} at 'a' is not finite"):
                 laplace_functional(self.law(), lambda e: v)
 
+    @pytest.mark.parametrize("v", ["1", 1j, None, True], ids=["str", "complex", "None", "bool"])
+    def test_a_phi_value_that_is_not_a_real_number_is_named(self, v):
+        # the str, complex and None used to end in a TypeError from <, and True was taken as 1
+        with pytest.raises(ValueError, match=re.escape(f"phi value at 'a' must be a real number, got {v!r}")):
+            laplace_functional(self.law(), lambda e: v)
+
     @pytest.mark.parametrize("atom", ["a", "zero"])
     def test_jump_atom_that_is_not_a_nonzero_measure_rejected(self, atom):
         ground = finite_ground_space(self.LABELS)

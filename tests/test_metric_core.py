@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from measura.metric_core import (
     MetricAxiomReport,
     MetricStructure,
     _require_finite,
+    _require_int,
     distances,
     hilbert_cube_metric,
     point_removal_metric,
@@ -130,6 +132,18 @@ class TestRequireFinite:
 
     def test_numpy_reals_pass(self):
         _require_finite(a=np.float32(0.5), b=np.int64(2), c=np.float64(1e300))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _require_int("n", True, 1), "n must be an int, got True"),
+    (lambda: _require_int("n", False, 0), "n must be an int, got False"),
+    (lambda: _require_int("n", np.True_, 1), "n must be an int, got np.True_"),
+    (lambda: sup_norm_space(True), "dim must be an int, got True"),
+], ids=["True", "False", "numpy-True", "sup-norm-dim"])
+def test_require_int_refuses_a_bool(call, message):
+    # True used to pass as 1 (sup_norm_space(True) built R^1-sup), while np.True_ was refused
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 def test_a_space_needs_a_label():
