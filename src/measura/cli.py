@@ -31,7 +31,6 @@ import dataclasses
 import io
 import json
 import math
-import numbers
 import os
 import sys
 import time
@@ -69,6 +68,7 @@ def __getattr__(name: str):
 
 FORMATS = ("csv", "json")
 EXCURSION_TIMES = (0.5, 1.0, 2.0)  # the lifetime thresholds t of the excursion claim
+EXCURSION_EPS = 0.01  # the excursion command's starting level: its limit target holds at small eps only
 
 
 class UsageError(ValueError):
@@ -79,15 +79,9 @@ class UsageError(ValueError):
 class ExperimentConfig:
     command: str
     seed: int | None = None
-    eps: float = 0.01
-    n_paths: int | None = None  # the command's own default, N_PATHS_DEFAULT, when it reads n_paths
-    m_max: float = 1e3
+    n_paths: int = 100_000  # killed paths per threshold; excursion alone reads it
     out: str | None = None
     format: str = "csv"
-
-    def __post_init__(self):
-        if self.n_paths is None and self.command in COMMANDS:
-            object.__setattr__(self, "n_paths", N_PATHS_DEFAULT.get(self.command))
 
     def validate(self) -> None:
         if self.command not in COMMANDS:
@@ -99,25 +93,14 @@ class ExperimentConfig:
             if field.name not in settable and getattr(self, field.name) != field.default:
                 raise UsageError(f"{field.name.replace('_', '-')}: not read by {self.command}")
         for name, value in (("seed", self.seed), ("n-paths", self.n_paths)):
-            if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
+            if (value is not None or name == "n-paths") and (isinstance(value, bool) or not isinstance(value, int)):
                 raise UsageError(f"{name}: must be an int, not {type(value).__name__}")
         if self.command in STOCHASTIC_COMMANDS and self.seed is None:
             raise UsageError(f"seed: required for stochastic command {self.command!r}")
         if self.seed is not None and not (0 <= self.seed < 2**64):
             raise UsageError("seed: must be an unsigned 64-bit integer")
-        for name, value in (("eps", self.eps), ("m-max", self.m_max)):
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise UsageError(f"{name}: must be a number, not {type(value).__name__}")
-            if not (value > 0.0 and math.isfinite(value)):
-                raise UsageError(f"{name}: must be positive and finite")
-        if self.command == "sw-approx" and not (self.m_max >= 1.0 and self.m_max == int(self.m_max)):
-            raise UsageError("m-max: the sw-approx degree budget must be a whole number, at least 1")
-        if self.n_paths is not None and self.n_paths < 1:
-            raise UsageError("n-paths: must be at least 1")
         if self.command == "excursion" and self.n_paths < 100:
             raise UsageError("n-paths: excursion needs at least 100 paths")
-        if self.command == "prohorov-oracle" and self.n_paths > N_PATHS_DEFAULT["prohorov-oracle"]:
-            raise UsageError(f"n-paths: prohorov-oracle runs at most {N_PATHS_DEFAULT['prohorov-oracle']} instances")
         if self.out is not None and not isinstance(self.out, str):
             raise UsageError(f"out: must be a str, not {type(self.out).__name__}")
         if os.path.isdir(self.out_path):
@@ -151,14 +134,14 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-def levy_recover_claim(m_max: float):
+def levy_recover_claim():
     from .levy import LevyTriple, default_m_schedule, levy_ground_space, psi_exponent, recover_C, recover_b
     from .measures import AtomicMeasure
 
     space = levy_ground_space(2)
     mu = AtomicMeasure.from_atoms(space, [((1.5, -0.4), 0.8), ((0.3, 0.2), 0.5), ((4.0, 1.0), 0.2)])
     triple = LevyTriple(np.array([0.5, -0.25]), np.array([[2.0, 1.0], [1.0, 3.0]]), mu)
-    schedule = default_m_schedule(m_max)
+    schedule = default_m_schedule()
     psi = lambda u: psi_exponent(triple, u)
     C_hat = recover_C(psi, 2, schedule)
     b_hat = recover_b(psi, C_hat, 2, schedule, compensator_moment=triple.compensator_moment())
@@ -225,6 +208,8 @@ def excursion_claim(eps: float, n_paths: int, seeds: Sequence[int]):
     """
     from .excursion import ExcursionFunctional, empirical_lhs, step_indicator
 
+    if len(seeds) != len(EXCURSION_TIMES):
+        raise ValueError(f"seeds must hold one seed per threshold t in {EXCURSION_TIMES}, got {len(seeds)}")
     rows = []
     ok = True
     for t, seed in zip(EXCURSION_TIMES, seeds):
@@ -340,7 +325,7 @@ def _run_random_measure(cfg: ExperimentConfig):
 def _run_excursion(cfg: ExperimentConfig):
     # 3 seed + i gives every (root seed, threshold) pair its own stream
     seeds = [3 * cfg.seed + i for i in range(3)]
-    return excursion_claim(cfg.eps, cfg.n_paths, seeds)
+    return excursion_claim(EXCURSION_EPS, cfg.n_paths, seeds)
 
 
 class Command(NamedTuple):
@@ -350,24 +335,22 @@ class Command(NamedTuple):
 
 
 COMMAND_TABLE = {
-    "levy-recover": Command(lambda cfg: levy_recover_claim(cfg.m_max), ("m_max",),
+    "levy-recover": Command(lambda cfg: levy_recover_claim(), (),
         "Levy-Khintchine triple recovery: drift and covariance from a synthetic characteristic exponent."),
     "levy-converge": Command(lambda cfg: levy_converge_claim(pair_seed=0), (),
         "Weak#-convergence of Levy measures delta_{1+1/n} -> delta_1 under sampled F_u*F_v products."),
     "random-measure": Command(_run_random_measure, (),
         "Laplace-functional product identity and drift-measure recovery for infinitely divisible random measures."),
-    "excursion": Command(_run_excursion, ("seed", "eps", "n_paths"),
+    "excursion": Command(_run_excursion, ("seed", "n_paths"),
         "Ito excursion measure tail: (1/eps) P_eps(lifetime > t) against sqrt(2/(pi t)) for killed Brownian motion."),
     "fragmentation": Command(lambda cfg: fragmentation_claim((1, 2, 5, 10, 100, 1000)), (),
         "Fragmentation power sums, including the G_1 discontinuity witness on uniform block states."),
-    "sw-approx": Command(lambda cfg: sw_approx_claim(int(cfg.m_max)), ("m_max",),
+    "sw-approx": Command(lambda cfg: sw_approx_claim(1000), (),
         "Stone-Weierstrass weighted approximation on the cube by polynomials vanishing on the first-coordinate face."),
-    "prohorov-oracle": Command(
-        lambda cfg: prohorov_oracle_claim(cfg.seed, cfg.n_paths, weight_floor=0.1), ("seed", "n_paths"),
+    "prohorov-oracle": Command(lambda cfg: prohorov_oracle_claim(cfg.seed, 500, weight_floor=0.1), ("seed",),
         "Max-flow Prokhorov distance between small atomic measures against subset-enumeration brute force."),
 }
 COMMANDS = tuple(COMMAND_TABLE)
-N_PATHS_DEFAULT = {"excursion": 100_000, "prohorov-oracle": 500}  # prohorov-oracle's is also its cap
 STOCHASTIC_COMMANDS = tuple(c for c, cmd in COMMAND_TABLE.items() if "seed" in cmd.reads)
 
 
@@ -438,12 +421,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--command", required=True, choices=COMMANDS, metavar="CMD",
                         help="experiment to run (see the list below)")
     parser.add_argument("--seed", type=int, default=defaults.seed, help="root seed; required for stochastic commands")
-    parser.add_argument("--eps", type=float, default=defaults.eps, help="starting level for killed Brownian motion")
     parser.add_argument("--n-paths", type=int, default=defaults.n_paths,
-                        help="excursion: killed paths per threshold, at least 100 (default 100000); "
-                             "prohorov-oracle: instances, at most 500 (default 500)")
-    parser.add_argument("--m-max", type=float, default=defaults.m_max,
-                        help="largest argument in limit schedules / degree budget")
+                        help="excursion: killed paths per threshold, at least 100 (default 100000)")
     parser.add_argument("--out", default=defaults.out, help="output path (default: <command>.<format>)")
     parser.add_argument("--format", choices=FORMATS, default=defaults.format)
     return parser

@@ -342,10 +342,10 @@ def eval_functional(F: ExcursionFunctional, e: ExcursionPath) -> float:
     return out
 
 
-def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[tuple[np.ndarray, Callable]]:
+def _window_weights(F: ExcursionFunctional, dt: float) -> list[tuple[np.ndarray, Callable]]:
     """(w f_i, g_i) per pair: trapezoid weights times f_i on the grid steps inside the window.
 
-    The steps are 0..last with last * dt <= t_end + 1e-12 (and last <= max_steps),
+    The steps are 0..last with last * dt <= t_end + 1e-12,
     the points ``eval_functional`` integrates over; the last step of each
     window has half weight, whether or not a later window runs past it.  A
     window whose weights are all 0, the dt-grid missing every nonzero value
@@ -353,7 +353,7 @@ def _window_weights(F: ExcursionFunctional, dt: float, max_steps: int) -> list[t
     """
     out = []
     for i, (f, t_end, g) in enumerate(F.pairs):
-        times = np.arange(min(max_steps, int((t_end + 1e-12) / dt) + 1) + 1) * dt
+        times = np.arange(int((t_end + 1e-12) / dt) + 2) * dt
         times = times[times <= t_end + 1e-12]
         half_gaps = 0.5 * np.diff(times)
         w = np.zeros(times.size)
@@ -374,7 +374,8 @@ def _lockstep_block(F: ExcursionFunctional, windows: list[tuple[np.ndarray, Call
     Window weights are given at times[0], times[1], ... as far as each window
     runs; the integrals accumulate chunk by chunk (values after the kill are
     zero), so no path is stored.  Returns (zeta, values); zeta is the grid
-    time of the kill, inf for paths censored at times[-1].
+    time of the kill, inf for paths censored at times[-1], where the caller
+    has checked that F is determined (``_check_censoring``).
     """
     kill_step = np.zeros(n, dtype=np.int64)  # 0 while alive or censored
     acc = [np.full(n, w[0] * float(g(eps))) for w, g in windows]
@@ -391,9 +392,7 @@ def _lockstep_block(F: ExcursionFunctional, windows: list[tuple[np.ndarray, Call
     absorbed = kill_step > 0
     zeta = np.where(absorbed, times[kill_step], math.inf)
     values = np.empty(n)
-    if not absorbed.all():
-        _check_censoring(F, float(times[-1]))
-        values[~absorbed] = F.h_tail_value
+    values[~absorbed] = F.h_tail_value
     values[absorbed] = np.asarray(F.h(zeta[absorbed]), dtype=float)
     for a in acc:
         values *= a
@@ -427,7 +426,8 @@ def empirical_lhs(
     n_paths = _require_int("n_paths", n_paths, 100)
     _require_finite(eps=eps, dt=dt, horizon=horizon)
     max_steps = _whole_steps(horizon, dt)
-    windows = _window_weights(F, dt, max_steps)
+    _check_censoring(F, max_steps * dt)  # before any draw, so no seed decides whether F is refused
+    windows = _window_weights(F, dt)
     h_grid = np.arange(int(min(max_steps, max(F.h_constant_after / dt, 0.0) + 2.0)) + 1) * dt  # past h_constant_after
     h_on_grid = np.broadcast_to(np.asarray(F.h(h_grid), dtype=float), h_grid.shape)  # h may return a scalar
     kept = _sorted_distinct([0, max_steps], np.flatnonzero(h_on_grid[1:] != h_on_grid[:-1]),
@@ -567,7 +567,7 @@ def target_rhs(
     times = np.arange(n_steps + 1) * dt
 
     # zero past each window on the common time grid
-    wf = [np.pad(w, (0, times.size - w.size)) for w, _ in _window_weights(F, dt, n_steps)]
+    wf = [np.pad(w, (0, times.size - w.size)) for w, _ in _window_weights(F, dt)]
 
     rng = np.random.default_rng(seed)
     pos = np.zeros((3, n_bessel))  # one row per coordinate, so rho sums three rows
@@ -630,7 +630,7 @@ def target_oracle(F: ExcursionFunctional, dt: float, eps: float = 0.0) -> float:
         raise ValueError("target_oracle takes exactly one window pair")
     _require_finite(dt=dt)
     _require_finite(eps=eps, nonnegative=True)
-    [(w, g)] = _window_weights(F, dt, int(math.ceil(F.pairs[0][1] / dt)))
+    [(w, g)] = _window_weights(F, dt)
     hit = _hitting_kernel(F.h, F.h_tail_value, F.h_constant_after)
     x, wx = _GAUSS_LEGENDRE[8]
     unit = ((np.arange(_ORACLE_PANELS)[:, None] + (1.0 + x) / 2.0) / _ORACLE_PANELS).ravel()  # nodes on [0, 1]

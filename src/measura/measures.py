@@ -37,9 +37,10 @@ SUBSET_LIMIT = 14
 class AtomicMeasure:
     """Finite list of (point, positive weight) atoms on a metric structure.
 
-    A weight that is not a real number (a str, a bool) is refused with a
-    ValueError naming the atom's index, here and in ``from_atoms``, whose
-    ``float`` would otherwise take "1.5" and True.
+    Each weight is checked once, on construction: one that is not a real
+    number (a str, a bool) is refused with a ValueError naming the atom's
+    index before ``float``, which would take "1.5" and True, and the weights
+    are stored as floats.
     """
 
     atoms: tuple[tuple[Point, float], ...]
@@ -50,18 +51,15 @@ class AtomicMeasure:
             _require_real(f"atom {i} weight", w)
             if not (w > 0.0) or not math.isfinite(w):
                 raise ValueError(f"atom weights must be positive and finite, got {w}")
+        object.__setattr__(self, "atoms", tuple((p, float(w)) for p, w in self.atoms))
 
     @classmethod
     def from_atoms(cls, space: MetricStructure, atoms: Iterable[tuple[Point, float]]) -> "AtomicMeasure":
-        atoms = tuple(atoms)
-        for i, (_, w) in enumerate(atoms):
-            _require_real(f"atom {i} weight", w)  # before float(), which takes "1.5" and True
-        return cls(tuple((p, float(w)) for p, w in atoms), space)
+        return cls(tuple(atoms), space)
 
     @classmethod
     def dirac(cls, space: MetricStructure, point: Point, weight: float = 1.0) -> "AtomicMeasure":
-        _require_real("atom 0 weight", weight)
-        return cls(((point, float(weight)),), space)
+        return cls(((point, weight),), space)
 
     @classmethod
     def empty(cls, space: MetricStructure) -> "AtomicMeasure":

@@ -165,9 +165,9 @@ def test_criterion_04_step4_lower_bound():
 def test_criterion_05_stone_weierstrass():
     # g(x) = x1 * ramp((x1 - 0.25)/0.25): returned p lies in P_0 and obeys
     # |g - p| <= 0.05 x1 on a 50-point grid including the x1 = 0 face (the
-    # sw-approx command at degree budget 512)
+    # sw-approx command, at degree budget 1000)
     start = time.perf_counter()
-    res = run(ExperimentConfig("sw-approx", m_max=512))
+    res = run(ExperimentConfig("sw-approx"))
     row = res.rows[0]
     check(5, "weighted Stone-Weierstrass bound", res.passed, time.perf_counter() - start, 5.0,
           f"degree={row['degree']} excess={row['max_excess_over_bound']:.2e}")
@@ -244,7 +244,7 @@ def test_criterion_10_hitting_density_and_entrance_law():
     for f, t_end in ((smoothed_cutoff(0.5, 0.2), 0.7), (smoothed_bump(0.5, 1.5, 0.1), 1.5)):
         linear, square = (ExcursionFunctional(h=one, h_constant_after=0.0, pairs=((f, t_end, g),))
                           for g in (lambda y: np.asarray(y, float), lambda y: np.asarray(y, float) ** 2))
-        [(w, _)] = _window_weights(linear, dt, int(math.ceil(t_end / dt)))
+        [(w, _)] = _window_weights(linear, dt)
         errors += [abs(target_oracle(linear, dt, eps) - math.fsum(w)) for eps in (0.01, 0.1, 0.5)]
         t = np.arange(w.size) * dt
         errors.append(abs(target_oracle(square, dt) - math.fsum(w * 2.0 * np.sqrt(2.0 * t / math.pi))))

@@ -2,6 +2,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,9 +16,16 @@ from measura.cli import (
     UsageError,
     build_parser,
     emit,
+    excursion_claim,
     main,
     run,
+    sw_approx_claim,
 )
+from measura.metric_core import NonConvergenceError
+
+# Former flags that are claim inputs now: the claim that takes each, and the name it refuses a bad value by.
+CLAIM_OF = {"eps": (lambda eps: excursion_claim(eps, 100, seeds=(1, 2, 3)), "eps"),
+            "m_max": (sw_approx_claim, "degree_budget")}
 
 
 class TestConfigValidation:
@@ -40,31 +48,37 @@ class TestConfigValidation:
             ExperimentConfig(command="fragmentation", format="yaml").validate()
 
     def test_bad_numeric_field_named(self):
-        with pytest.raises(UsageError, match="eps: must be positive"):
-            ExperimentConfig(command="excursion", seed=1, eps=-1.0).validate()
-        with pytest.raises(UsageError, match="n-paths: must be at least 1"):
-            ExperimentConfig(command="prohorov-oracle", seed=1, n_paths=0).validate()
+        with pytest.raises(ValueError, match="eps must be finite and positive, got -1.0"):
+            excursion_claim(-1.0, 100, seeds=(1, 2, 3))
+        with pytest.raises(UsageError, match="n-paths: excursion needs at least 100 paths"):
+            ExperimentConfig(command="excursion", seed=1, n_paths=0).validate()
 
     @pytest.mark.parametrize("value", [math.inf, math.nan])
     @pytest.mark.parametrize("field, name", [("eps", "eps"), ("m_max", "m-max")])
-    def test_non_finite_numeric_field_named(self, field, name, value):
-        # each field on a command that reads it, so the finiteness check fires
-        command = {"eps": "excursion", "m_max": "sw-approx"}[field]
-        seed = 1 if command in STOCHASTIC_COMMANDS else None
-        with pytest.raises(UsageError, match=f"{name}: must be positive and finite"):
-            ExperimentConfig(command=command, seed=seed, **{field: value}).validate()
+    def test_non_finite_numeric_field_named(self, field, name, value, capsys):
+        # --eps and --m-max are gone: the parser names the flag, and the claim that takes the value names its input
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["--command", "sw-approx", f"--{name}", str(value)])
+        assert exc.value.code == 2 and f"unrecognized arguments: --{name} {value}" in capsys.readouterr().err
+        claim, input_name = CLAIM_OF[field]
+        with pytest.raises(ValueError, match=f"{input_name} must be "):
+            claim(value)
 
-    @pytest.mark.parametrize("field, value", [("seed", 7.5), ("seed", True), ("n_paths", 10.5), ("eps", True),
-                                              ("m_max", True), ("eps", "0.1"), ("eps", None), ("eps", 1j),
-                                              ("m_max", "512"), ("m_max", None)])
+    @pytest.mark.parametrize("field, value", [("seed", 7.5), ("seed", True), ("n_paths", 10.5), ("n_paths", None),
+                                              ("eps", True), ("m_max", True), ("eps", "0.1"), ("eps", None),
+                                              ("eps", 1j), ("m_max", "512"), ("m_max", None)])
     def test_non_integral_seed_or_n_paths_named(self, field, value):
-        # also a bool for a float field: True must not run as 1.0; a str, None
-        # or complex must not reach a comparison
-        command = {"eps": "excursion", "m_max": "sw-approx"}.get(field, "prohorov-oracle")
-        fields = {"seed": 7, "n_paths": 100} if command in STOCHASTIC_COMMANDS else {}
-        config = ExperimentConfig(command=command, **{**fields, field: value})
-        kind = "an int" if field in ("seed", "n_paths") else "a number"
-        with pytest.raises(UsageError, match=f"{field.replace('_', '-')}: must be {kind}, not"):
+        # also a bool: True must not run as 1 or 1.0; a str, None or complex
+        # must not reach a comparison.  eps and the degree budget are claim
+        # inputs, refused by name by the claim that takes them.
+        if field in CLAIM_OF:
+            claim, name = CLAIM_OF[field]
+            with pytest.raises(ValueError, match=f"{name} must be (a real number|an int), got {re.escape(repr(value))}"):
+                claim(value)
+            return
+        command = {"seed": "prohorov-oracle", "n_paths": "excursion"}[field]
+        config = ExperimentConfig(command=command, **{"seed": 7, field: value})
+        with pytest.raises(UsageError, match=f"{field.replace('_', '-')}: must be an int, not"):
             run(config)
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
@@ -79,54 +93,63 @@ class TestConfigValidation:
             run(ExperimentConfig(command="fragmentation", out=out))
 
     def test_sw_approx_degree_budget_below_one(self):
-        with pytest.raises(UsageError, match="m-max"):
-            ExperimentConfig(command="sw-approx", m_max=0.5).validate()
-        ExperimentConfig(command="sw-approx", m_max=1.0).validate()
+        # the degree budget is sw_approx_claim's input; budget 1 runs, and is exhausted
+        with pytest.raises(ValueError, match="degree_budget must be at least 1, got 0"):
+            sw_approx_claim(0)
+        with pytest.raises(NonConvergenceError, match="degree budget exhausted"):
+            sw_approx_claim(1)
 
-    def test_sw_approx_non_integer_degree_budget(self, tmp_path, capsys):
-        # the budget is a polynomial degree: 512.9 must not run as 512
-        with pytest.raises(UsageError, match="m-max: the sw-approx degree budget must be a whole number"):
-            ExperimentConfig(command="sw-approx", m_max=512.9).validate()
-        out = tmp_path / "sw.csv"
-        assert main(["--command", "sw-approx", "--m-max", "512.9", "--out", str(out)]) == 2
-        assert "m-max" in capsys.readouterr().err
-        assert not out.exists()
-        ExperimentConfig(command="sw-approx", m_max=512.0).validate()
-        ExperimentConfig(command="levy-recover", m_max=512.9).validate()
+    def test_sw_approx_non_integer_degree_budget(self):
+        # the budget is a polynomial degree: 512.9 must not run as 512.  The
+        # command runs budget 1000, which gives the rows of any budget from 256 up
+        with pytest.raises(ValueError, match="degree_budget must be an int, got 512.9"):
+            sw_approx_claim(512.9)
+        assert sw_approx_claim(512) == sw_approx_claim(1000)
 
 
 # The ExperimentConfig fields each command reads besides out and format.
 READS = {
-    "levy-recover": ("m_max",),
+    "levy-recover": (),
     "levy-converge": (),
     "random-measure": (),
-    "excursion": ("seed", "eps", "n_paths"),
+    "excursion": ("seed", "n_paths"),
     "fragmentation": (),
-    "sw-approx": ("m_max",),
-    "prohorov-oracle": ("seed", "n_paths"),
+    "sw-approx": (),
+    "prohorov-oracle": ("seed",),
 }
-# A valid value other than the default for each numeric flag.
-FLAG_VALUES = {"seed": "3", "eps": "0.05", "n_paths": "200", "m_max": "512"}
+# A valid value other than the default for each flag.
+FLAG_VALUES = {"seed": "3", "n_paths": "200"}
+# Flags no command reads any more, each with a value a caller used to pass.
+GONE_FLAGS = {"eps": "0.05", "m_max": "512"}
 READ_PAIRS = [(c, f) for c in READS for f in READS[c]]
-UNREAD_PAIRS = [(c, f) for c in READS for f in FLAG_VALUES if f not in READS[c]]
+UNREAD_PAIRS = [(c, f) for c in READS for f in (*FLAG_VALUES, *GONE_FLAGS) if f not in READS[c]]
 
 
 def _flag_argv(command, field, tmp_path):
     flag = "--" + field.replace("_", "-")
     seed = ["--seed", "1"] if command in STOCHASTIC_COMMANDS and field != "seed" else []
-    return ["--command", command, *seed, flag, FLAG_VALUES[field], "--out", str(tmp_path / f"{command}.csv")]
+    value = {**FLAG_VALUES, **GONE_FLAGS}[field]
+    return ["--command", command, *seed, flag, value, "--out", str(tmp_path / f"{command}.csv")]
 
 
 class TestCommandFlags:
     def test_each_command_has_its_flags(self):
         assert set(READS) == set(COMMANDS)
-        assert len(READ_PAIRS) == 7 and len(UNREAD_PAIRS) == 21
+        assert len(READ_PAIRS) == 3 and len(UNREAD_PAIRS) == 25
 
     @pytest.mark.parametrize("command, field", UNREAD_PAIRS)
     def test_unread_flag_is_usage_error(self, command, field, tmp_path, capsys):
         argv = _flag_argv(command, field, tmp_path)
-        assert main(argv) == 2
-        assert f"{field.replace('_', '-')}: not read by {command}" in capsys.readouterr().err
+        flag = "--" + field.replace("_", "-")
+        if field in GONE_FLAGS:  # no such flag: the parser refuses it
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            message = f"unrecognized arguments: {flag} {GONE_FLAGS[field]}"
+        else:
+            assert main(argv) == 2
+            message = f"{flag[2:]}: not read by {command}"
+        assert message in capsys.readouterr().err
         assert not os.path.exists(argv[-1])
 
     @pytest.mark.parametrize("command, field", READ_PAIRS)
@@ -136,11 +159,11 @@ class TestCommandFlags:
         assert getattr(config, field) != getattr(ExperimentConfig, field)
 
     def test_unread_nan_is_usage_error(self):
-        with pytest.raises(UsageError, match="eps: not read by sw-approx"):
-            ExperimentConfig(command="sw-approx", eps=math.nan).validate()
+        with pytest.raises(UsageError, match="n-paths: not read by sw-approx"):
+            ExperimentConfig(command="sw-approx", n_paths=math.nan).validate()
 
     def test_unread_flag_at_its_default_is_accepted(self, tmp_path):
-        argv = ["--command", "fragmentation", "--eps", "0.01", "--out", str(tmp_path / "frag.csv")]
+        argv = ["--command", "fragmentation", "--n-paths", "100000", "--out", str(tmp_path / "frag.csv")]
         assert main(argv) == 0
 
     @pytest.mark.parametrize("command", COMMANDS)
@@ -164,8 +187,9 @@ class TestCommandFlags:
 
     def test_help_lists_each_commands_flags(self):
         help_text = build_parser().format_help()
-        assert "flags: --seed --eps --n-paths" in help_text
-        assert "flags: --m-max\n" in help_text and "--tol" not in help_text
+        assert "flags: --seed --n-paths\n" in help_text and "flags: --seed\n" in help_text
+        assert help_text.count("flags: none\n") == 5
+        assert not any(flag in help_text for flag in ("--eps", "--m-max", "--tol", "--dt"))
 
 
 class TestParser:
@@ -234,7 +258,7 @@ class TestEmit:
         assert "wall_clock" not in json.dumps(doc)
 
     def test_determinism_bitwise(self, tmp_path):
-        for cfg in (ExperimentConfig(command="prohorov-oracle", seed=7, n_paths=25),
+        for cfg in (ExperimentConfig(command="prohorov-oracle", seed=7),
                     ExperimentConfig(command="excursion", seed=7, n_paths=200)):
             p1, p2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
             emit(run(cfg), "csv", p1)
@@ -301,12 +325,12 @@ class TestCommands:
         assert all(r["G_1"] == 1.0 for r in res.rows)
 
     def test_prohorov_oracle(self):
-        res = run(ExperimentConfig(command="prohorov-oracle", seed=3, n_paths=40))
+        res = run(ExperimentConfig(command="prohorov-oracle", seed=3))
         assert res.passed
         assert max(r["abs_diff"] for r in res.rows) < 1e-12
 
     def test_excursion_small_run_schema(self):
-        res = run(ExperimentConfig(command="excursion", seed=5, eps=0.05, n_paths=4000))
+        res = run(ExperimentConfig(command="excursion", seed=5, n_paths=4000))
         assert list(res.rows[0]) == ["t", "lhs", "se", "target", "ratio"]
         assert len(res.rows) == 3
 
@@ -357,44 +381,64 @@ class TestMain:
         assert "out" in capsys.readouterr().err
 
     def test_sw_approx_fractional_degree_budget_is_usage_error(self, tmp_path, capsys):
+        # sw-approx takes no degree budget: --m-max is no flag, so the parser refuses it
         out = tmp_path / "sw.csv"
-        assert main(["--command", "sw-approx", "--m-max", "0.5", "--out", str(out)]) == 2
-        assert "m-max" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "sw-approx", "--m-max", "0.5", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --m-max 0.5" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infinite_eps_is_usage_error(self, tmp_path, capsys):
+        # the excursion claim holds at its own eps alone: --eps is no flag, so the parser refuses it
         out = tmp_path / "exc.csv"
-        assert main(["--command", "excursion", "--seed", "1", "--eps", "inf", "--out", str(out)]) == 2
-        assert "eps: must be positive and finite" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["--command", "excursion", "--seed", "1", "--eps", "inf", "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --eps inf" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_levy_recover_non_convergence_is_a_fail_verdict(self, tmp_path, capsys, monkeypatch):
+        # the claim's schedule ends at 2 (the fits disagree) or at 1e-160 (m^-2 overflows)
+        import measura.levy as levy
 
-    def test_levy_recover_non_convergence_is_a_fail_verdict(self, tmp_path, capsys):
-        for m_max in ("2", "1e-160"):  # the fits disagree; m^-2 overflows
+        schedule = levy.default_m_schedule
+        for m_max in (2.0, 1e-160):
+            monkeypatch.setattr(levy, "default_m_schedule", lambda m=m_max: schedule(m))
             out = tmp_path / f"levy-{m_max}.json"
-            assert main(["--command", "levy-recover", "--m-max", m_max, "--format", "json", "--out", str(out)]) == 1
+            assert main(["--command", "levy-recover", "--format", "json", "--out", str(out)]) == 1
             captured = capsys.readouterr()
             assert "FAIL  converged" in captured.out and "non-convergent" in captured.err
             assert "Traceback" not in captured.err
             doc = json.loads(out.read_text())
             assert doc["rows"] == [] and doc["verdicts"] == {"converged": False}
 
-    def test_levy_recover_overflowing_schedule_is_a_fail_verdict(self, tmp_path, capsys):
-        # m up to 1e300 overflows the exponent; NaN fits are not convergence
+    def test_levy_recover_overflowing_schedule_is_a_fail_verdict(self, tmp_path, capsys, monkeypatch):
+        # a schedule up to 1e300 overflows the exponent; NaN fits are not convergence
+        import measura.levy as levy
+
+        schedule = levy.default_m_schedule
+        monkeypatch.setattr(levy, "default_m_schedule", lambda: schedule(1e300))
         out = tmp_path / "levy.csv"
         with pytest.warns(RuntimeWarning, match="overflow"):
-            code = main(["--command", "levy-recover", "--m-max", "1e300", "--out", str(out)])
+            code = main(["--command", "levy-recover", "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         assert "FAIL  converged" in captured.out and "non-convergent" in captured.err
         assert out.read_text() == "\n"
 
-    def test_sw_approx_exhausted_budget_is_a_fail_verdict(self, tmp_path, capsys):
+    def test_sw_approx_exhausted_budget_is_a_fail_verdict(self, tmp_path, capsys, monkeypatch):
+        # run() turns the claim's NonConvergenceError into a failed verdict, without a traceback
+        import measura.cli as cli
+
+        claim = cli.sw_approx_claim
+        monkeypatch.setattr(cli, "sw_approx_claim", lambda degree_budget: claim(3))
         out = tmp_path / "sw.csv"
-        assert main(["--command", "sw-approx", "--m-max", "3", "--out", str(out)]) == 1
+        assert main(["--command", "sw-approx", "--out", str(out)]) == 1
         captured = capsys.readouterr()
         assert "FAIL  converged" in captured.out and "budget exhausted" in captured.err
-        assert out.exists()
+        assert "Traceback" not in captured.err
+        assert out.read_text() == "\n"
 
     def test_excursion_has_no_step_flag(self, tmp_path, capsys):
         out = tmp_path / "exc.csv"
@@ -410,16 +454,15 @@ class TestMain:
         assert "n-paths" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_prohorov_oracle_n_paths_defaults_to_its_cap_of_500(self, tmp_path, capsys):
-        # the JSON config echoes the instance count that ran; more than 500 is refused
+    def test_prohorov_oracle_runs_500_instances_and_reads_no_n_paths(self, tmp_path, capsys):
+        # a shorter run only wrote a prefix of the 500 rows
         out = tmp_path / "po.csv"
-        assert main(["--command", "prohorov-oracle", "--seed", "7", "--n-paths", "501", "--out", str(out)]) == 2
-        assert "n-paths: prohorov-oracle runs at most 500 instances" in capsys.readouterr().err
+        assert main(["--command", "prohorov-oracle", "--seed", "7", "--n-paths", "200", "--out", str(out)]) == 2
+        assert "n-paths: not read by prohorov-oracle" in capsys.readouterr().err
         assert not out.exists()
-        assert ExperimentConfig(command="prohorov-oracle", seed=7).echo()["n_paths"] == 500
         assert ExperimentConfig(command="excursion", seed=7).echo()["n_paths"] == 100_000
         res = run(ExperimentConfig(command="prohorov-oracle", seed=7))
-        assert len(res.rows) == 500 and res.config["n_paths"] == 500
+        assert len(res.rows) == 500 and res.config == {"command": "prohorov-oracle", "format": "csv", "seed": 7}
 
 
 SCIPY_BLOCKED_RUN = """

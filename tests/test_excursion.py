@@ -526,6 +526,16 @@ class TestEmpiricalLhs:
         with pytest.raises(ValueError, match="100"):
             empirical_lhs(F, 0.05, 50, 1e-3, 0.5, seed=9)
 
+    def test_a_too_short_horizon_is_refused_before_any_draw(self, monkeypatch):
+        # h steps at 3 and the paths stop at 1: whether one of 100 paths from 0.01 lived to 1 used to
+        # decide, seed by seed, between "horizon too short" and a quiet (0.0, 0.0) against a target near 0.46
+        calls = block_grids(monkeypatch)
+        F = ExcursionFunctional(h=step_indicator(3.0), h_constant_after=3.0)
+        for seed in range(12):
+            with pytest.raises(RuntimeError, match="horizon too short: h not yet constant at censoring time"):
+                empirical_lhs(F, 0.01, 100, 0.01, 1.0, seed=seed)
+        assert calls == []
+
     def test_nonpositive_eps_or_dt_rejected(self):
         F = ExcursionFunctional(h=step_indicator(0.1), h_constant_after=0.1)
         for eps, dt in ((-0.1, 1e-3), (0.0, 1e-3), (0.05, 0.0)):
@@ -602,7 +612,7 @@ def full_grid_lhs(F, eps, n_paths, dt, horizon, seed):
     from measura.excursion import _BLOCK, _lockstep_block, _window_weights
 
     max_steps = int(round(horizon / dt))
-    windows, times = _window_weights(F, dt, max_steps), np.arange(max_steps + 1) * dt
+    windows, times = _window_weights(F, dt), np.arange(max_steps + 1) * dt
     vals = np.concatenate([
         _lockstep_block(F, windows, eps, times, np.random.default_rng((seed, b)), min(_BLOCK, n_paths - start))[1]
         for b, start in enumerate(range(0, n_paths, _BLOCK))
@@ -657,6 +667,13 @@ class TestLockstepSimulator:
         calls = block_grids(monkeypatch)
         excursion_claim(0.01, 100, seeds=(1, 2, 3))
         assert [c[0].tolist() for c in calls] == [[0.0, t, 2 * t] for t in EXCURSION_TIMES]
+
+    @pytest.mark.parametrize("seeds", [(1,), (1, 2), (1, 2, 3, 4)])
+    def test_tail_claim_needs_one_seed_per_threshold(self, seeds):
+        # zip used to drop the thresholds past the last seed: (1,) gave 1 row and a passing verdict
+        with pytest.raises(ValueError, match=re.escape(f"seeds must hold one seed per threshold t in {EXCURSION_TIMES}, "
+                                                       f"got {len(seeds)}")):
+            excursion_claim(0.01, 200, seeds)
 
     @pytest.mark.parametrize("eps", [0.01, 0.2])
     @pytest.mark.parametrize("root", [1, 7, 412])
@@ -729,7 +746,12 @@ def _linear_functional(*windows):
 
 class TestTargetRhs:
     def test_entrance_density_mode(self):
-        # mode of 2 kappa(1) y^2 exp(-y^2/2) is at sqrt(2)
+        # kappa is the length intensity (2 pi r^3)^(-1/2), the reference of the hitting-density tests; with it,
+        # 2 kappa(1) y^2 exp(-y^2/2), the law of rho_1, has mass 1 and its mode at sqrt(2)
+        for r in (0.5, 1.0, 2.0):
+            assert kappa(r) == pytest.approx((2.0 * math.pi * r**3) ** -0.5, rel=1e-15)
+        mass, _ = quad(lambda y: 2.0 * float(kappa(1.0)) * y * y * math.exp(-y * y / 2.0), 0.0, np.inf)
+        assert mass == pytest.approx(1.0, abs=1e-12)
         ys = np.linspace(0.01, 4.0, 2000)
         dens = 2.0 * kappa(1.0) * ys**2 * np.exp(-(ys**2) / 2.0)
         assert ys[np.argmax(dens)] == pytest.approx(math.sqrt(2.0), abs=2e-3)
@@ -901,7 +923,7 @@ class TestTargetRhs:
         # oracle is sum w; at eps = 0 it is sum w - w_0, without the term w_0 g(eps)/eps -> w_0 g'(0),
         # as in target_rhs, whose rho starts at 0
         F = _linear_functional((smoothed_cutoff(0.5, 0.2), 0.7))
-        [(w, _)] = _window_weights(F, dt, int(math.ceil(0.7 / dt)))
+        [(w, _)] = _window_weights(F, dt)
         assert w[0] == dt / 2.0
         for eps in (1e-3, 0.01, 0.1, 0.5):
             assert abs(target_oracle(F, dt, eps) - math.fsum(w)) <= 1e-12
@@ -912,7 +934,7 @@ class TestTargetRhs:
     def test_one_pair_linear_g_returns_the_window_sum(self):
         # with g(y) = y each Bessel path weighs g(rho)/rho = 1 at every step: the mean is sum w and the SE rounding
         F = _linear_functional((smoothed_bump(0.5, 1.5, 0.1), 1.5))
-        [(w, _)] = _window_weights(F, 0.02, 75)
+        [(w, _)] = _window_weights(F, 0.02)
         val, se = target_rhs(F, n_bessel=2000, dt=0.02, r_grid=[0.0, 1.0], seed=3)
         assert abs(val - math.fsum(w)) <= 1e-12 and se <= 1e-12
 
@@ -920,7 +942,7 @@ class TestTargetRhs:
         # the double window sum of n(e_s e_t) = 2 sqrt(2 min(s, t)/pi) is 0.22142504; over seeds 100-299 at
         # 20 000 paths the per-seed z had mean -0.08, SD 0.95 and no |z| above 2.4; seed 100 reads z = -0.30
         F = _linear_functional((smoothed_bump(0.1, 0.6, 0.1), 0.6), (smoothed_bump(0.3, 1.0, 0.1), 1.0))
-        (w1, _), (w2, _) = _window_weights(F, 0.02, 50)
+        (w1, _), (w2, _) = _window_weights(F, 0.02)
         t1, t2 = np.arange(w1.size) * 0.02, np.arange(w2.size) * 0.02
         exact = math.fsum((np.outer(w1, w2) * 2.0 * np.sqrt(2.0 * np.minimum.outer(t1, t2) / math.pi)).ravel())
         assert exact == pytest.approx(0.22142504, abs=1e-8)
